@@ -78,8 +78,8 @@ func main() {
 	var indexes indexFlags
 	var (
 		listen   = flag.String("listen", ":8080", "address to serve on")
-		window   = flag.Duration("window", server.DefaultWindow, "micro-batch collection window (0 disables batching)")
-		maxBatch = flag.Int("max-batch", server.DefaultMaxBatch, "max single queries coalesced into one SearchBatch")
+		window   = flag.Duration("window", server.DefaultWindow, "micro-batch collection window, paid only by searches that arrive while another is in flight; a lone search never waits (0 disables batching)")
+		maxBatch = flag.Int("max-batch", server.DefaultMaxBatch, "max single queries coalesced into one SearchBatch; a full batch starts at once")
 		drain    = flag.Duration("drain", 15*time.Second, "shutdown grace period for in-flight requests")
 		dataDir  = flag.String("data", "", "directory for write-ahead logs and checkpoints (empty: mutations are volatile)")
 		memtable = flag.Int("memtable", server.DefaultMemtableThreshold, "buffered inserts that trigger a shard build")

@@ -200,10 +200,12 @@
 // the gkserved daemon (cmd/gkserved) loads .gkx files into a named
 // registry and exposes search, insert, delete, clustering, index listing,
 // hot registration, stats, /debug/vars and Prometheus /metrics as a JSON
-// API. Its hot path micro-batches: concurrent single-query searches are
-// coalesced for a short window and answered through one SearchBatch call,
-// so callers share the worker pool. On SIGTERM it drains in-flight work
-// before exiting.
+// API. Its hot path micro-batches without ever holding a lone request: a
+// single-query search starts at once when nothing with its parameters is
+// in flight, and searches that arrive beside a running one are coalesced
+// for a short window and answered through one SearchBatch call, so under
+// concurrent load callers share the worker pool. On SIGTERM it drains
+// in-flight work before exiting.
 //
 //	gkserved -listen :8080 -index sift=sift.gkx -data /var/lib/gkserved \
 //	    -timeout 2s -max-inflight 256 -cache 65536

@@ -268,19 +268,44 @@ func httpRequest(s *Server, method, path, body string) httpResult {
 	return httpResult{code: w.Code, body: w.Body.String()}
 }
 
-// A request whose deadline expires while it waits in the coalescer window
-// is answered 504 — and must not poison its batch: members with time left
-// still get answers identical to a direct search.
+// holdSearches swaps name's coalescer for one whose index provider is a
+// gate, so a test can keep a search in flight and collect requests behind it.
+func holdSearches(t *testing.T, s *Server, name string, maxBatch int) (*gate, *coalescer) {
+	t.Helper()
+	e, ok := s.reg.get(name)
+	if !ok {
+		t.Fatalf("index %q not registered", name)
+	}
+	g := newGate(e.index())
+	e.coal = newCoalescer(g.get, time.Hour, maxBatch)
+	return g, e.coal
+}
+
+// A request whose deadline expires while it collects behind a running
+// search is answered 504 — and must not poison its batch: members with time
+// left still get answers identical to a direct search.
 func TestSearchDeadline504WithoutPoisoningBatch(t *testing.T) {
+	const survivors = 4
 	idx, queries := sharedIndex(t)
-	s := New(Config{Window: 40 * time.Millisecond, MaxBatch: 8})
+	s := New(Config{MaxBatch: 8})
 	if err := s.RegisterIndex("sift", idx); err != nil {
 		t.Fatal(err)
 	}
+	g, coal := holdSearches(t, s, "sift", survivors+1) // the last survivor fills the group
+	held := make(chan httpResult, 1)
+	go func() {
+		held <- httpRequest(s, "POST", "/v1/indexes/sift/search", searchBody(queries.Row(survivors+1), 5, 64))
+	}()
+	g.awaitHeld(t)
 
-	const survivors = 4
-	var wg sync.WaitGroup
+	// 1ms expires in the group, long before the batch runs; the request is
+	// answered then, while its entry stays in the collecting group.
 	results := make([]httpResult, survivors+1)
+	results[survivors] = httpRequest(s, "POST", "/v1/indexes/sift/search",
+		searchBodyFull(t, client.SearchRequest{Query: queries.Row(survivors), TopK: 5, Ef: 64, TimeoutMS: 1}))
+	accepted, _, _ := coal.Stats()
+
+	var wg sync.WaitGroup
 	for i := 0; i < survivors; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -289,14 +314,12 @@ func TestSearchDeadline504WithoutPoisoningBatch(t *testing.T) {
 				searchBody(queries.Row(i), 5, 64))
 		}(i)
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		// 1ms expires inside the 40ms window, long before the batch runs.
-		results[survivors] = httpRequest(s, "POST", "/v1/indexes/sift/search",
-			searchBodyFull(t, client.SearchRequest{Query: queries.Row(survivors), TopK: 5, Ef: 64, TimeoutMS: 1}))
-	}()
+	awaitQueries(t, coal, accepted+survivors) // the batch starts only once everyone has joined
+	g.open()
 	wg.Wait()
+	if res := <-held; res.code != http.StatusOK {
+		t.Fatalf("held search after release: status %d: %s", res.code, res.body)
+	}
 
 	if results[survivors].code != http.StatusGatewayTimeout {
 		t.Fatalf("expired request: status %d, want 504 (%s)",
@@ -464,5 +487,13 @@ func TestMetricsEndpointParses(t *testing.T) {
 	hits, _ := client.Find(families, "gkserved_cache_hits_total")
 	if len(hits.Samples) != 1 || hits.Samples[0].Value != 2 {
 		t.Fatalf("cache hits exported %+v, want one sample of 2", hits.Samples)
+	}
+	// The queue-wait summary is a _sum/_count pair per index (both zero here:
+	// nothing ever queued on this server).
+	wait, ok := client.Find(families, "gkserved_coalescer_queue_wait_seconds")
+	if !ok || wait.Type != "summary" || len(wait.Samples) != 2 ||
+		wait.Samples[0].Name != "gkserved_coalescer_queue_wait_seconds_sum" ||
+		wait.Samples[1].Name != "gkserved_coalescer_queue_wait_seconds_count" {
+		t.Fatalf("queue-wait summary missing or malformed: %+v", wait)
 	}
 }

@@ -335,11 +335,20 @@ func (s *Server) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 			q, _, _ := e.coal.Stats()
 			return float64(q + e.batchQueries.Load())
 		})
-	indexCounter("gkserved_coalesced_batches_total", "SearchBatch executions on the micro-batching path.",
+	indexCounter("gkserved_coalesced_batches_total", "Search executions on the micro-batching path (SearchBatch calls and solo searches).",
 		func(e *entry) float64 {
 			_, b, _ := e.coal.Stats()
 			return float64(b)
 		})
+	// A summary without quantiles: the mean wait is rate(_sum)/rate(_count).
+	p.family("gkserved_coalescer_queue_wait_seconds",
+		"Time single queries spent collecting company before their batch started.", "summary")
+	for _, e := range entries {
+		p.sample("gkserved_coalescer_queue_wait_seconds_sum", []string{"index", e.name},
+			time.Duration(e.coal.queueWait.Load()).Seconds())
+		p.sample("gkserved_coalescer_queue_wait_seconds_count", []string{"index", e.name},
+			float64(e.coal.queued.Load()))
+	}
 	indexCounter("gkserved_distance_comps_total", "Distance-kernel evaluations across all searches.",
 		func(e *entry) float64 { return float64(e.index().SearchStats().DistanceComps) })
 	indexCounter("gkserved_inserts_total", "Vectors accepted by /insert.",

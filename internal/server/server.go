@@ -65,12 +65,14 @@ const maxBodyBytes = 64 << 20
 
 // Config tunes a Server. The zero value serves with the defaults.
 type Config struct {
-	// Window is how long the coalescer holds the first single-query search
-	// of a batch while collecting company; 0 selects DefaultWindow, and a
-	// negative Window (or MaxBatch 1) disables batching entirely.
+	// Window is how long a single-query search that arrives while another
+	// of the same parameters is in flight collects company before its group
+	// runs as one batch; a lone search never waits. 0 selects DefaultWindow,
+	// and a negative Window (or MaxBatch 1) disables batching entirely.
 	Window time.Duration
-	// MaxBatch caps how many single queries share one SearchBatch call;
-	// 0 selects DefaultMaxBatch.
+	// MaxBatch caps how many collected single queries share one SearchBatch
+	// call; a group that reaches it starts at once. 0 selects
+	// DefaultMaxBatch.
 	MaxBatch int
 	// DataDir makes mutations durable: each index keeps a write-ahead log
 	// at DataDir/<name>.wal (fsynced before an insert or delete is
@@ -437,14 +439,16 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "timeout_ms must be non-negative, got %d", req.TimeoutMS)
 		return
 	}
-	if req.NProbe > 0 && !e.index().Routed() {
+	// One snapshot for every check: two loads could straddle an epoch swap
+	// and validate the request against two different indexes.
+	idx := e.index()
+	if req.NProbe > 0 && !idx.Routed() {
 		// Silently scanning everything would misreport the recall/latency
 		// trade the caller asked for, so refuse instead.
 		writeError(w, http.StatusBadRequest,
 			"index %q has no routing table (build it with WithRouting); nprobe is not applicable", e.name)
 		return
 	}
-	idx := e.index()
 	dim := idx.Dim()
 	queries := req.Queries
 	if single {

@@ -391,25 +391,40 @@ func TestServerMetricsEndpoint(t *testing.T) {
 
 func TestServerSearchContextCancelled(t *testing.T) {
 	idx, queries := sharedIndex(t)
-	// A giant window and no size trigger: the only way out is the request
-	// context, which must map to 408.
-	s := New(Config{Window: time.Hour, MaxBatch: 1 << 20})
+	s := New(Config{})
 	if err := s.RegisterIndex("sift", idx); err != nil {
 		t.Fatal(err)
 	}
+	// A search held in flight, a giant window and no size trigger: the only
+	// way out for the request collecting behind it is the request context,
+	// which must map to 408.
+	g, coal := holdSearches(t, s, "sift", 1<<20)
+	held := make(chan httpResult, 1)
+	go func() {
+		held <- httpRequest(s, "POST", "/v1/indexes/sift/search", searchBody(queries.Row(1), 5, 32))
+	}()
+	g.awaitHeld(t)
+
 	ctx, cancel := context.WithCancel(context.Background())
 	req := httptest.NewRequest("POST", "/v1/indexes/sift/search",
 		bytes.NewReader([]byte(searchBody(queries.Row(0), 5, 32)))).WithContext(ctx)
 	w := httptest.NewRecorder()
+	served := make(chan struct{})
 	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cancel()
+		s.Handler().ServeHTTP(w, req)
+		close(served)
 	}()
-	s.Handler().ServeHTTP(w, req)
+	awaitQueries(t, coal, 2)
+	cancel()
+	<-served
 	if w.Code != http.StatusRequestTimeout {
 		t.Fatalf("cancelled search: %d %s, want 408", w.Code, w.Body.String())
 	}
-	s.BeginShutdown() // release the hour-long batch for a clean test exit
+	g.open()
+	if res := <-held; res.code != http.StatusOK {
+		t.Fatalf("held search after release: %d %s", res.code, res.body)
+	}
+	s.BeginShutdown() // ends the hour-long window for a clean test exit
 }
 
 // A sharded index must serve end-to-end exactly like a monolithic one —
