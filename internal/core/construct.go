@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"gkmeans/internal/splitmix"
 	"sync/atomic"
+	"time"
 
 	"gkmeans/internal/knngraph"
 	"gkmeans/internal/nndescent"
@@ -51,15 +52,22 @@ type GraphConfig struct {
 }
 
 // GraphStats reports the work a graph build performed, for benchmarks and
-// the CI perf trajectory.
+// the CI perf trajectory. When a build is aborted by Interrupt the stats
+// returned beside the error describe the rounds that completed.
 type GraphStats struct {
 	Builder string // resolved builder name
 	Rounds  int    // construction rounds actually run
 	// DistComps counts the distance computations spent updating the graph:
 	// random initialisation plus in-cluster refinement for the gkmeans
-	// builder (the per-round clustering passes keep their own economy and
-	// are excluded), initialisation plus local joins for nndescent.
+	// builder, initialisation plus local joins for nndescent. The gkmeans
+	// builder's per-round clustering passes (2M tree and graph-supported
+	// epoch) are not counted here; TreeTime and EpochTime time them.
 	DistComps int64
+	// Where the gkmeans builder's rounds spent their wall time, summed over
+	// rounds: the 2M-tree initialisation, the graph-supported GK-means
+	// epoch, and in-cluster refinement. OnRound is excluded; the random
+	// initial graph is the remainder. Zero for nndescent.
+	TreeTime, EpochTime, RefineTime time.Duration
 }
 
 // BuildGraph constructs an approximate k-NN graph by the paper's
@@ -116,7 +124,7 @@ func buildIntertwined(data *vec.Matrix, cfg GraphConfig) (*knngraph.Graph, Graph
 
 	// Alg. 3 line 4: random initial graph, built across the worker pool.
 	g, initComps := knngraph.RandomN(data, kappa, cfg.Seed, cfg.Workers)
-	var refineComps atomic.Int64
+	stats.DistComps = initComps
 	// Per-round clustering seeds come from a stream salted away from the
 	// initial-graph streams derived from the same cfg.Seed inside RandomN.
 	rng := splitmix.New(cfg.Seed, saltRounds)
@@ -134,13 +142,16 @@ func buildIntertwined(data *vec.Matrix, cfg GraphConfig) (*knngraph.Graph, Graph
 		if err != nil {
 			return nil, stats, fmt.Errorf("core: BuildGraph round %d: %w", t+1, err)
 		}
-		refine(data, g, res.Labels, k0, cfg.Workers, &refineComps)
+		stats.TreeTime += res.InitTime
+		stats.EpochTime += res.IterTime
+		refineStart := time.Now()
+		stats.DistComps += refine(data, g, res.Labels, k0, cfg.Workers)
+		stats.RefineTime += time.Since(refineStart)
 		stats.Rounds = t + 1
 		if cfg.OnRound != nil {
 			cfg.OnRound(t+1, g, res.Labels)
 		}
 	}
-	stats.DistComps = initComps + refineComps.Load()
 	return g, stats, nil
 }
 
@@ -177,9 +188,10 @@ func buildNNDescent(data *vec.Matrix, cfg GraphConfig) (*knngraph.Graph, GraphSt
 // refine performs Alg. 3 lines 8–14: exhaustive pairwise comparison within
 // each cluster, updating both endpoints' k-NN lists. Each sample belongs to
 // exactly one cluster, so refinement parallelises safely across clusters.
-// distComps, when non-nil, accumulates the distances actually computed
-// (lookups served from either endpoint's list are free).
-func refine(data *vec.Matrix, g *knngraph.Graph, labels []int, k int, workers int, distComps *atomic.Int64) {
+// It returns the distances actually computed (lookups served from either
+// endpoint's list are free).
+func refine(data *vec.Matrix, g *knngraph.Graph, labels []int, k int, workers int) int64 {
+	var distComps atomic.Int64
 	clusters := make([][]int32, k)
 	for i, l := range labels {
 		clusters[l] = append(clusters[l], int32(i))
@@ -220,8 +232,7 @@ func refine(data *vec.Matrix, g *knngraph.Graph, labels []int, k int, workers in
 				}
 			}
 		}
-		if distComps != nil {
-			distComps.Add(comps)
-		}
+		distComps.Add(comps)
 	})
+	return distComps.Load()
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
+	"time"
 
 	"gkmeans/internal/bkm"
 	"gkmeans/internal/dataset"
@@ -218,6 +220,49 @@ func TestBuildGraphValidAndDeterministic(t *testing.T) {
 				t.Fatal("same seed produced different graphs")
 			}
 		}
+	}
+}
+
+func TestBuildGraphStatsAttributeTheRounds(t *testing.T) {
+	data := dataset.SIFTLike(600, 25)
+	start := time.Now()
+	_, st, err := BuildGraphWithStats(data, GraphConfig{Kappa: 8, Xi: 25, Tau: 3, Seed: 26})
+	wall := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.TreeTime <= 0 || st.EpochTime <= 0 || st.RefineTime <= 0 {
+		t.Fatalf("tree %v, epoch %v, refine %v: every phase of a round takes time", st.TreeTime, st.EpochTime, st.RefineTime)
+	}
+	if sum := st.TreeTime + st.EpochTime + st.RefineTime; sum > wall {
+		t.Fatalf("phases sum to %v, more than the call's %v", sum, wall)
+	}
+}
+
+func TestBuildGraphInterruptedStatsDescribeTheWorkDone(t *testing.T) {
+	data := dataset.SIFTLike(400, 27)
+	cfg := GraphConfig{Kappa: 8, Xi: 25, Tau: 2, Seed: 28}
+	_, two, err := BuildGraphWithStats(data, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := errors.New("stop")
+	polls := 0
+	cfg.Tau = 5
+	cfg.Interrupt = func() error {
+		if polls++; polls > 2 {
+			return stop
+		}
+		return nil
+	}
+	g, st, err := BuildGraphWithStats(data, cfg)
+	if !errors.Is(err, stop) || g != nil {
+		t.Fatalf("graph %v, err %v: want no graph and the interrupt's error", g, err)
+	}
+	// The per-round seeds do not depend on τ, so two completed rounds of an
+	// aborted build did exactly the work of a τ=2 build.
+	if st.Rounds != 2 || st.DistComps != two.DistComps || st.DistComps == 0 {
+		t.Fatalf("aborted after 2 rounds: rounds %d, dist comps %d; a τ=2 build counts %d", st.Rounds, st.DistComps, two.DistComps)
 	}
 }
 

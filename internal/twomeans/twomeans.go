@@ -6,16 +6,21 @@
 // step 8) and is then *adjusted to equal size* by splitting the members at
 // the median of ‖x−c_u‖² − ‖x−c_v‖².
 //
-// The 2M tree is O(d·n·log k) — cheaper than a single k-means iteration —
-// and is how GK-means obtains its initial k clusters.
+// Cost model, in d-wide kernels per member of a node: one dot product for
+// S·x (S = D₀+D₁, the node's total, never changes inside the node, so
+// D_v·x = S·x − D_u·x needs no second dot), one dot product per epoch
+// visit, and two distances for the equal-size cut — 11 at the default 8
+// epochs, on each of the ≈log₂k levels a sample passes through. That is
+// O(d·n·log k), but not small: at n=2500, k=50, κ=20 a tree is ≈12 ms
+// against ≈2 ms for a graph-supported GK-means epoch, so BuildGraph's
+// rounds, which grow a fresh tree each, are still dominated by it.
 package twomeans
 
 import (
 	"container/heap"
 	"fmt"
-	"sort"
+	"slices"
 
-	"gkmeans/internal/bkm"
 	"gkmeans/internal/splitmix"
 	"gkmeans/internal/vec"
 )
@@ -57,7 +62,12 @@ func Cluster(data *vec.Matrix, cfg Config) ([]int, error) {
 	if cfg.K > data.N {
 		return nil, fmt.Errorf("twomeans: k=%d exceeds n=%d", cfg.K, data.N)
 	}
+	iters := cfg.BisectIters
+	if iters <= 0 {
+		iters = 8
+	}
 	rng := splitmix.New(cfg.Seed)
+	var s *scratch // sized for the root at the first bisection; k=1 needs none
 	all := make([]int, data.N)
 	for i := range all {
 		all[i] = i
@@ -74,7 +84,10 @@ func Cluster(data *vec.Matrix, cfg Config) ([]int, error) {
 			heap.Push(h, top)
 			return nil, fmt.Errorf("twomeans: cannot split singleton cluster (k=%d, n=%d)", cfg.K, data.N)
 		}
-		left, right := bisect(data, top.members, cfg, &rng)
+		if s == nil {
+			s = newScratch(data)
+		}
+		left, right := s.bisect(top.members, iters, &rng)
 		heap.Push(h, &cluster{members: left})
 		heap.Push(h, &cluster{members: right})
 	}
@@ -87,73 +100,160 @@ func Cluster(data *vec.Matrix, cfg Config) ([]int, error) {
 	return labels, nil
 }
 
-// bisect splits members into two equally sized halves: a short BKM run at
-// k=2 finds the two-centre structure, then the equal-size adjustment of
-// Alg. 1 line 9 rebalances on the signed distance difference.
-func bisect(data *vec.Matrix, members []int, cfg Config, rng *splitmix.Stream) (left, right []int) {
-	sub := data.SubsetRows(members)
-	labels := make([]int, sub.N)
+// scored is one member's signed distance difference for the balance cut.
+type scored struct {
+	member int
+	diff   float32
+}
+
+// scratch is the arena one Cluster call's bisections share: every slice is
+// sized for the root node once and resliced per node, so a tree allocates
+// per node, not per member or per epoch. It belongs to the call — sharded
+// builds run several trees at once.
+type scratch struct {
+	data    *vec.Matrix
+	allNorm []float32 // ‖x‖² of every sample, computed once per tree
+
+	// Node-local state, indexed by position in the node's member list.
+	rows   []float32 // member rows gathered contiguously
+	norms  []float32
+	p      []float64 // S·x, S = D₀+D₁
+	labels []uint8
+	sc     []scored
+
+	comp   []float64 // D₀ | D₁ | S, float64 like bkm's composites
+	compSq [2]float64
+	counts [2]int
+	cents  []float32 // c₀ | c₁
+}
+
+func newScratch(data *vec.Matrix) *scratch {
+	n, dim := data.N, data.Dim
+	return &scratch{
+		data:    data,
+		allNorm: data.Norms(),
+		rows:    make([]float32, n*dim),
+		norms:   make([]float32, n),
+		p:       make([]float64, n),
+		labels:  make([]uint8, n),
+		sc:      make([]scored, n),
+		comp:    make([]float64, 3*dim),
+		cents:   make([]float32, 2*dim),
+	}
+}
+
+// bisect splits members into two equally sized halves, in place: a short
+// boost k-means run at k=2 finds the two-centre structure, then the
+// equal-size adjustment of Alg. 1 line 9 rebalances on the signed distance
+// difference. It makes exactly the moves bkm.Optimizer would at k=2 (same
+// RNG draws, accumulation order and roundings; reference_test.go holds that
+// implementation as the oracle) at one dot product per visit instead of
+// two, or four for a mover.
+func (s *scratch) bisect(members []int, iters int, rng *splitmix.Stream) (left, right []int) {
+	m, dim := len(members), s.data.Dim
 	// Random balanced initial split.
-	perm := rng.Perm(sub.N)
-	for idx, i := range perm {
-		labels[i] = idx % 2
+	for idx, i := range rng.Perm(m) {
+		s.labels[i] = uint8(idx % 2)
 	}
-	o, err := bkm.NewOptimizer(sub, labels, 2)
-	if err != nil {
-		// Unreachable: inputs are validated by Cluster. Fall back to the
-		// initial random split rather than crash mid-tree.
-		return splitByLabel(members, labels)
+	clear(s.comp)
+	s.counts = [2]int{}
+	for i, id := range members {
+		row := s.rows[i*dim : (i+1)*dim]
+		copy(row, s.data.Row(id))
+		s.norms[i] = s.allNorm[id]
+		l := int(s.labels[i])
+		s.counts[l]++
+		d := s.comp[l*dim : (l+1)*dim]
+		for j, v := range row {
+			d[j] += float64(v)
+		}
 	}
-	iters := cfg.BisectIters
-	if iters <= 0 {
-		iters = 8
+	total := s.comp[2*dim:]
+	for j := range total {
+		total[j] = s.comp[j] + s.comp[dim+j]
 	}
-	order := rng.Perm(sub.N)
+	for i := 0; i < m; i++ {
+		s.p[i] = vec.DotMixed(total, s.rows[i*dim:(i+1)*dim])
+	}
+	order := rng.Perm(m)
 	for e := 0; e < iters; e++ {
-		if o.Epoch(order, nil) == 0 {
+		if s.epoch(order) == 0 {
 			break
 		}
 	}
 	// Equal-size adjustment: order members by how much closer they are to
 	// centre u than to centre v, then cut in the middle.
-	cents := o.Centroids()
-	cu, cv := cents.Row(0), cents.Row(1)
-	type scored struct {
-		member int
-		diff   float32
-	}
-	sc := make([]scored, sub.N)
-	for i := 0; i < sub.N; i++ {
-		row := sub.Row(i)
-		sc[i] = scored{members[i], vec.L2Sqr(row, cu) - vec.L2Sqr(row, cv)}
-	}
-	sort.Slice(sc, func(a, b int) bool {
-		if sc[a].diff != sc[b].diff {
-			return sc[a].diff < sc[b].diff
+	for r := 0; r < 2; r++ {
+		inv := 1 / float64(s.counts[r])
+		for j := 0; j < dim; j++ {
+			s.cents[r*dim+j] = float32(s.comp[r*dim+j] * inv)
 		}
-		return sc[a].member < sc[b].member // deterministic tie break
+	}
+	cu, cv := s.cents[:dim], s.cents[dim:]
+	sc := s.sc[:m]
+	for i, id := range members {
+		row := s.rows[i*dim : (i+1)*dim]
+		sc[i] = scored{id, vec.L2Sqr(row, cu) - vec.L2Sqr(row, cv)}
+	}
+	slices.SortFunc(sc, func(a, b scored) int {
+		if a.diff < b.diff {
+			return -1
+		}
+		if a.diff > b.diff {
+			return 1
+		}
+		return a.member - b.member // deterministic tie break
 	})
-	half := (len(sc) + 1) / 2
-	left = make([]int, 0, half)
-	right = make([]int, 0, len(sc)-half)
-	for i, s := range sc {
-		if i < half {
-			left = append(left, s.member)
-		} else {
-			right = append(right, s.member)
-		}
+	for i := range sc {
+		members[i] = sc[i].member
 	}
-	return left, right
+	half := (m + 1) / 2
+	return members[:half], members[half:]
 }
 
-// splitByLabel partitions members by a binary labelling (fallback path).
-func splitByLabel(members []int, labels []int) (left, right []int) {
-	for i, m := range members {
-		if labels[i] == 0 {
-			left = append(left, m)
-		} else {
-			right = append(right, m)
+// epoch is one boost k-means pass over the node at k=2: each member, in the
+// given order, moves to the other cluster when ΔI (Eqn. 3) is strictly
+// positive. It returns the number of moves.
+//
+//gk:hotpath
+func (s *scratch) epoch(order []int) int {
+	dim := s.data.Dim
+	// ‖D₀‖², ‖D₁‖² exactly from the composites: the incremental updates
+	// below are exact in formula but round, so each pass starts clean.
+	for r := range s.compSq {
+		var sq float64
+		for _, c := range s.comp[r*dim : (r+1)*dim] {
+			sq += c * c
+		}
+		s.compSq[r] = sq
+	}
+	moves := 0
+	for _, i := range order {
+		u := int(s.labels[i])
+		if s.counts[u] <= 1 {
+			continue // never empty a cluster
+		}
+		v := 1 - u
+		x := s.rows[i*dim : (i+1)*dim]
+		nx := float64(s.norms[i])
+		cu, cv := s.comp[u*dim:(u+1)*dim], s.comp[v*dim:(v+1)*dim]
+		du := vec.DotMixed(cu, x)
+		dv := s.p[i] - du
+		nu, nv := float64(s.counts[u]), float64(s.counts[v])
+		termU := (s.compSq[u]-2*du+nx)/(nu-1) - s.compSq[u]/nu
+		delta := termU + (s.compSq[v]+2*dv+nx)/(nv+1) - s.compSq[v]/nv
+		if delta > 0 {
+			s.compSq[u] += nx - 2*du // ‖D_u−x‖² = ‖D_u‖² − 2D_u·x + ‖x‖²
+			s.compSq[v] += nx + 2*dv // ‖D_v+x‖² = ‖D_v‖² + 2D_v·x + ‖x‖²
+			for j, val := range x {
+				cu[j] -= float64(val)
+				cv[j] += float64(val)
+			}
+			s.counts[u]--
+			s.counts[v]++
+			s.labels[i] = uint8(v)
+			moves++
 		}
 	}
-	return left, right
+	return moves
 }
