@@ -9,8 +9,6 @@ package gkmeans_test
 import (
 	"testing"
 
-	"gkmeans"
-
 	"gkmeans/internal/bench"
 	"gkmeans/internal/bkm"
 	"gkmeans/internal/core"
@@ -128,15 +126,6 @@ func BenchmarkDimsSweep(b *testing.B) {
 
 // --- micro-benchmarks on the hot kernels ---
 
-func BenchmarkL2Sqr128(b *testing.B) {
-	x := dataset.SIFTLike(2, 1)
-	a, c := x.Row(0), x.Row(1)
-	b.SetBytes(128 * 4)
-	for i := 0; i < b.N; i++ {
-		_ = vec.L2Sqr(a, c)
-	}
-}
-
 func BenchmarkDotMixed512(b *testing.B) {
 	x := dataset.VLADLike(1, 1)
 	comp := make([]float64, 512)
@@ -184,51 +173,10 @@ func BenchmarkGKMeansEpoch(b *testing.B) {
 	}
 }
 
-func BenchmarkGraphConstruction(b *testing.B) {
-	data := dataset.SIFTLike(2000, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, err := core.BuildGraph(data, core.GraphConfig{Kappa: 10, Xi: 50, Tau: 4, Seed: 3})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkGraphInsert(b *testing.B) {
 	g := knngraph.New(1000, 20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.Insert(i%1000, int32((i*7)%1000), float32(i%97))
-	}
-}
-
-func BenchmarkSearcherQuery(b *testing.B) {
-	data := dataset.SIFTLike(4000, 1)
-	g, err := core.BuildGraph(data, core.GraphConfig{Kappa: 20, Xi: 50, Tau: 6, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	s, err := gkmeans.NewSearcher(data, g, 32)
-	if err != nil {
-		b.Fatal(err)
-	}
-	q := dataset.SIFTLike(1, 9).Row(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = s.Search(q, 10, 32)
-	}
-}
-
-func BenchmarkTwoMeansInit(b *testing.B) {
-	data := dataset.SIFTLike(2000, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := gkmeans.ClusterWithGraph(data, 40, knngraph.Random(data, 5, 1),
-			gkmeans.Options{MaxIter: 1, Seed: int64(i)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = res
 	}
 }

@@ -8,8 +8,8 @@
 //	experiments -csv out/           # additionally write CSV files
 //
 // Available experiments: table1, fig1, fig2, fig4, fig5, fig6, fig7,
-// table2, anns, ablation. (fig7 is the distortion companion of fig6 and is
-// produced by the same sweep; both names run it.)
+// table2, anns, ablation, baselines, dims. (fig7 is the distortion
+// companion of fig6 and is produced by the same sweep; both names run it.)
 package main
 
 import (
@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -38,11 +39,6 @@ func main() {
 }
 
 func realMain(run string, scale float64, seed int64, csvDir string) error {
-	want := map[string]bool{}
-	for _, name := range strings.Split(run, ",") {
-		want[strings.TrimSpace(name)] = true
-	}
-	all := want["all"]
 	sc := func(n int) int { return int(float64(n) * scale) }
 
 	type experiment struct {
@@ -112,13 +108,23 @@ func realMain(run string, scale float64, seed int64, csvDir string) error {
 		}},
 	}
 
-	ran := 0
+	names := []string{"all", "fig7"} // fig7 shares fig6's sweep
 	for _, e := range experiments {
-		// fig7 shares fig6's sweep.
-		if !all && !want[e.name] && !(e.name == "fig6" && want["fig7"]) {
+		names = append(names, e.name)
+	}
+	want := map[string]bool{}
+	for _, name := range strings.Split(run, ",") {
+		name = strings.TrimSpace(name)
+		if !slices.Contains(names, name) {
+			return fmt.Errorf("unknown experiment %q (valid: %s)", name, strings.Join(names, ", "))
+		}
+		want[name] = true
+	}
+
+	for _, e := range experiments {
+		if !want["all"] && !want[e.name] && !(e.name == "fig6" && want["fig7"]) {
 			continue
 		}
-		ran++
 		fmt.Printf("--- %s ---\n", e.name)
 		start := time.Now()
 		tabs, err := e.fn()
@@ -134,9 +140,6 @@ func realMain(run string, scale float64, seed int64, csvDir string) error {
 			}
 		}
 		fmt.Printf("(%s finished in %v)\n\n", e.name, time.Since(start).Round(time.Millisecond))
-	}
-	if ran == 0 {
-		return fmt.Errorf("no experiment matches %q", run)
 	}
 	return nil
 }

@@ -53,9 +53,9 @@
 // pool admission and the worst-case work — while easy queries finish well
 // below that budget. Index.SearchStats reports the cumulative work
 // (distance computations, candidate expansions) so the per-query cost is
-// observable in production, and cmd/gkbench measures latency percentiles,
-// throughput and recall across a topK/ef grid, recording the trajectory in
-// BENCH_search.json.
+// observable in production; the search-inproc workload of the repository's
+// benchmark (go run ./benchmark) measures latency percentiles, batch
+// throughput and recall.
 //
 // A built index persists as a versioned binary container (".gkx", holding
 // the dataset, graph(s) and clustering) and loads back ready to serve,
@@ -94,8 +94,8 @@
 // clustering needs a global graph, so WithShards excludes WithClusters
 // and Index.Cluster. Every shard is searched with the full ef budget and
 // brings its own entry points, so recall tracks the monolithic index on
-// the same data (gkbench -shards records the comparison) — but the full
-// fan-out also multiplies the per-query work by the shard count.
+// the same data — but the full fan-out also multiplies the per-query work
+// by the shard count.
 //
 // WithRouting(k) removes that multiplier. A routed build partitions rows
 // into spatially coherent, size-balanced shards (a two-level k-means:
@@ -113,12 +113,12 @@
 //	nbs  = idx.SearchNProbe(q, 10, 64, 1)     // per-call override
 //	all := idx.SearchBatchNProbe(qs, 10, 64, 2)
 //
-// The trade is explicit and small: on the 50k benchmark grid, probing 2
-// of 4 shards spends 1.75x fewer distance computations per query than
-// the full fan-out at recall@10 within 0.002. An nprobe of zero without
-// a WithNProbe default, or at or past the shard count, skips the router
-// entirely and is bit-identical to the full fan-out — results and work
-// counters. SearchStats adds ShardsProbed and RoutedQueries so the probe
+// The trade is explicit: the benchmark's traced run reports the latency at
+// nprobe 1, 2 and all shards (gkmeans.search_np1_us, _np2_us, _npall_us)
+// and the recall given up at nprobe 2 (gkmeans.routing_recall_loss). An
+// nprobe of zero without a WithNProbe default, or at or past the shard
+// count, skips the router entirely and is bit-identical to the full
+// fan-out — results and work counters. SearchStats adds ShardsProbed and RoutedQueries so the probe
 // behaviour is observable in production; Routed and RoutingCentroids
 // report the configuration. Append and Compact keep routing intact by
 // computing centroids for the shards they create.
@@ -160,8 +160,8 @@
 // in float32, and graphs are built over a transient widened copy of each
 // shard, a uint8 index returns bit-identical results and work counters
 // to the float32 index on the same data — at a quarter of the dataset
-// memory (BENCH_u8_50k.json: 6.4 MB vs 25.5 MB for 50k×128) and lower
-// search latency from the reduced scan bandwidth. Queries remain
+// memory (50k×128 bytes = 6.4 MB vs 25.6 MB as float32) and a quarter of
+// the scan bandwidth per candidate. Queries remain
 // []float32 but every value must be an exact byte (an integer in 0–255):
 // Search panics otherwise, like a dimension mismatch, CheckByteValues
 // pre-validates, and gkserved turns violations into 400s. Sharding,
@@ -187,12 +187,10 @@
 //	        gkmeans.WithGraphBuilder(gkmeans.BuilderNNDescent),
 //	)
 //
-// cmd/gkbench records the build side of the perf trajectory (wall-clock
-// swept over worker counts, speedup, rounds, distance computations) in
-// BENCH_search.json, and its -compare flag turns the committed baseline
-// into a CI perf-regression gate: the job fails when p50 latency or build
-// time regress beyond noise-tolerant thresholds or recall@k drops. See the
-// README for the thresholds and the baseline-refresh procedure.
+// The benchmark's cluster-offline workload times the build (build_s, and
+// on a traced run core.graph_build_s, core.graph_rounds,
+// core.graph_dist_comps and core.build_speedup_workers); see
+// benchmark/README.md.
 //
 // # Serving an index
 //

@@ -5,8 +5,12 @@ package gkmeans_test
 // heading. CI runs this in the docs job so README/ARCHITECTURE references
 // cannot rot as files move. PAPERS.md and SNIPPETS.md are excluded — they
 // are retrieved source material, not documentation this repo maintains.
+// TestDocCommandsExist does the same for the programs the docs tell a
+// reader to run.
 
 import (
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -71,6 +75,48 @@ func TestMarkdownLinks(t *testing.T) {
 	if checked == 0 {
 		t.Fatal("no relative links checked — the extraction regex may have rotted")
 	}
+}
+
+// docCommand matches the two shapes in which the docs name a program of
+// this module: `go run ./<path>` and a bare `./cmd/<name>`.
+var docCommand = regexp.MustCompile(`(?:go run \./|\./cmd/)[A-Za-z0-9_/-]+`)
+
+func TestDocCommandsExist(t *testing.T) {
+	pages := []string{
+		"README.md", "ARCHITECTURE.md", "OPERATIONS.md",
+		"benchmark/README.md", ".claude/skills/verify/SKILL.md",
+	}
+	checked := 0
+	for _, page := range pages {
+		blob, err := os.ReadFile(filepath.FromSlash(page))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range docCommand.FindAllString(string(blob), -1) {
+			checked++
+			dir := strings.TrimPrefix(m, "go run ")
+			if !holdsPackageMain(dir) {
+				t.Errorf("%s: %q names no directory holding a package main", page, m)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no commands checked — the extraction regex may have rotted")
+	}
+}
+
+func holdsPackageMain(dir string) bool {
+	files, _ := filepath.Glob(filepath.Join(filepath.FromSlash(dir), "*.go"))
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.PackageClauseOnly)
+		if err == nil && f.Name.Name == "main" {
+			return true
+		}
+	}
+	return false
 }
 
 // hasAnchor reports whether the markdown file has a heading whose

@@ -1,10 +1,11 @@
-// Package bench is the experiment harness: one runner per table and figure
-// of the paper's evaluation (§5), a unified method dispatcher so every
-// clustering algorithm is swept identically, and plain-text/CSV reporting.
+// Package bench is the experiment harness behind cmd/experiments: one
+// runner per table and figure of the paper's evaluation (§5), a unified
+// method dispatcher so every clustering algorithm is swept identically, and
+// plain-text/CSV reporting.
 //
 // Every experiment runs at a reduced default scale suited to a laptop (the
-// paper's largest runs need CPU-days; see DESIGN.md §2), with the same n:k
-// ratios, and accepts a scale factor to grow toward paper size on bigger
+// paper's largest runs need CPU-days), with the same n:k ratios;
+// cmd/experiments -scale grows the sizes toward the paper's on bigger
 // hardware.
 package bench
 

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"gkmeans/internal/anns"
 	"gkmeans/internal/dataset"
 	"gkmeans/internal/vec"
 )
@@ -117,6 +118,33 @@ func TestRoutedSearchProbesFewerShards(t *testing.T) {
 				t.Fatalf("query %d result %d: batch %v vs single %v", qi, j, batch[qi][j], single[j])
 			}
 		}
+	}
+}
+
+// Recall under partial probing: probing more shards never loses recall,
+// probing all of them is the full fan-out, and the router keeps most of the
+// full-fan-out recall at nprobe 1 and 2 of 4.
+func TestRoutedRecallByNProbe(t *testing.T) {
+	idx, data, queries := buildRoutedIndex(t)
+	truth := ExactNeighbors(data, queries, 10)
+	// Floors are the values measured on this fixture (0.9275, 0.9600) minus 0.05.
+	floors := map[int]float64{1: 0.877, 2: 0.910}
+	prev := 0.0
+	for nprobe := 1; nprobe <= idx.Shards(); nprobe++ {
+		r := anns.RecallAtFunc(func(q []float32, topK, ef int) []Neighbor {
+			return idx.SearchNProbe(q, topK, ef, nprobe)
+		}, queries, truth, 10, 64)
+		t.Logf("nprobe %d/%d: recall@10 %.4f", nprobe, idx.Shards(), r)
+		if r < prev {
+			t.Fatalf("recall fell from %.4f to %.4f going to nprobe %d", prev, r, nprobe)
+		}
+		if floor, ok := floors[nprobe]; ok && r < floor {
+			t.Fatalf("nprobe %d recall %.4f below floor %.3f", nprobe, r, floor)
+		}
+		prev = r
+	}
+	if full := idx.Recall(queries, truth, 10, 64); prev != full {
+		t.Fatalf("nprobe = shards recall %v, full fan-out %v; want equal", prev, full)
 	}
 }
 

@@ -141,7 +141,7 @@ func TestShardedSearchMatchesExactOnEasyData(t *testing.T) {
 // is searched with the full ef budget, so the merged results stay at least
 // as good up to small-graph navigation noise. (At production scale the
 // sharded index typically wins outright — smaller graphs plus shard-count
-// times the entry points — which the gkbench -shards grid records.)
+// times the entry points.)
 func TestShardedRecallParity(t *testing.T) {
 	all := dataset.SIFTLike(3000, 5)
 	data, queries := Split(all, 150)
