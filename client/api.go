@@ -160,10 +160,13 @@ type IndexStats struct {
 	DistanceComps      uint64 `json:"distance_comps"`
 	ExpandedCandidates uint64 `json:"expanded_candidates"`
 
-	// Routed-fan-out totals, zero on unrouted indexes. ShardsProbed counts
-	// shards actually scanned across every search; RoutedQueries counts the
-	// queries whose nprobe skipped at least one shard. ShardsProbed/Queries
-	// against the shard count shows how much fan-out routing saves.
+	// Fan-out totals. ShardsProbed counts the segment searches executed
+	// across every search on every index — one per query on a one-segment
+	// index, the shard count per query on a full fan-out, fewer when routing
+	// skips shards; RoutedQueries counts the queries whose nprobe skipped at
+	// least one shard and stays zero on unrouted indexes.
+	// ShardsProbed/Queries against the shard count shows how much fan-out
+	// routing saves.
 	ShardsProbed  uint64 `json:"shards_probed,omitempty"`
 	RoutedQueries uint64 `json:"routed_queries,omitempty"`
 

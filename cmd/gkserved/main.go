@@ -34,7 +34,6 @@
 //	curl -d '{"vectors":[[...]]}' localhost:8080/v1/indexes/sift/insert
 //	curl -d '{"ids":[17,42]}' localhost:8080/v1/indexes/sift/delete
 //	curl -d '{"name":"new","path":"new.gkx"}' localhost:8080/v1/indexes
-//	curl localhost:8080/debug/vars
 //	curl localhost:8080/metrics
 //
 // On SIGINT/SIGTERM the daemon drains: the health check flips to 503, open

@@ -57,16 +57,24 @@
 // benchmark (go run ./benchmark) measures latency percentiles, batch
 // throughput and recall.
 //
+// Every Index has one shape: a header (the full dataset, the build
+// options, an optional router and clustering) over a list of segments,
+// each a k-NN graph over a contiguous range of rows. Build makes one
+// segment — the monolithic index, whose graph spans the whole dataset and
+// which is therefore the one that can cluster. WithShards makes several,
+// Append adds one, Compact folds several into one; "monolithic" and
+// "sharded" are the one- and many-segment cases of the same type, and
+// Sharded reports which one an index is in now, whatever its history.
+//
 // A built index persists as a versioned binary container (".gkx", holding
 // the dataset, graph(s) and clustering) and loads back ready to serve,
-// with search results identical to the saved index. Monolithic indexes
-// write the v1 single-segment layout; sharded indexes write the v2
-// multi-segment layout with a segment table; a mutated index (see
-// Mutation below) writes the v3 layout carrying tombstones and id maps;
-// a routed index (see Sharding) writes the v4 layout appending the
-// routing-centroid trailer; a uint8 index (see the dtype section) writes
-// the v5 layout storing the dataset as raw bytes; loaders accept all
-// five. See ARCHITECTURE.md for the byte-level format reference.
+// with search results identical to the saved index. The writer picks the
+// oldest layout that can express the index's state: v1 for one untouched
+// segment, v2 for several, v3 once mutation state (tombstones, id maps,
+// generations — see Mutation below) has to be carried, v4 for a routed
+// index (see Sharding), v5 for a uint8 one (see the dtype section);
+// loaders accept all five. See ARCHITECTURE.md for the byte-level format
+// reference.
 //
 //	err = gkmeans.SaveIndex("sift.gkx", idx)
 //	idx, err = gkmeans.LoadIndex("sift.gkx")
@@ -81,9 +89,9 @@
 // WithShards(n) scales an index past what one graph build can hold: Build
 // partitions the dataset into n contiguous shards (zero-copy views), runs
 // the full build pipeline once per shard — so peak build memory is one
-// shard's, not the corpus's — and returns an index whose Search fans out
-// across the shards concurrently, merging the per-shard top-k into one
-// global top-k with global ids:
+// shard's, not the corpus's — and returns an index of n segments whose
+// Search fans out across them concurrently, merging the per-shard top-k
+// into one global top-k with global ids:
 //
 //	idx, err := gkmeans.Build(ctx, data, gkmeans.WithShards(4))
 //	nbs := idx.Search(q, 10, 64)            // one goroutine per shard
@@ -118,8 +126,9 @@
 // and the recall given up at nprobe 2 (gkmeans.routing_recall_loss). An
 // nprobe of zero without a WithNProbe default, or at or past the shard
 // count, skips the router entirely and is bit-identical to the full
-// fan-out — results and work counters. SearchStats adds ShardsProbed and RoutedQueries so the probe
-// behaviour is observable in production; Routed and RoutingCentroids
+// fan-out — results and work counters. SearchStats reports ShardsProbed
+// (segment searches executed, on every index) and RoutedQueries so the
+// probe behaviour is observable in production; Routed and RoutingCentroids
 // report the configuration. Append and Compact keep routing intact by
 // computing centroids for the shards they create.
 //
@@ -127,7 +136,8 @@
 //
 // An Index value never changes, but an index is not frozen at Build:
 // Append, Delete and Compact are copy-on-write mutators, each returning a
-// new *Index that shares every unchanged shard with its receiver. Readers
+// new *Index that shares every unchanged segment — rows, graph and search
+// structures — with its receiver. Readers
 // of the old value keep answering from a consistent snapshot; a serving
 // layer promotes the successor with one atomic swap.
 //
@@ -141,7 +151,9 @@
 // per-shard tombstone bitmaps. Compact rebuilds the named shards (all,
 // when none are named) from their live rows only, keeping an explicit id
 // map so an external id names the same vector for its whole life and
-// search results are identical before and after. ShardInfos, Live and
+// search results are identical before and after. A compaction that ends in
+// one segment holding ids 0..N-1 is a monolithic index again: it has a
+// Graph and can Cluster. ShardInfos, Live and
 // Deleted expose the per-shard state compaction decisions are made from —
 // the background compactor in gkserved feeds them through a policy to
 // pick tombstone-heavy and fragmented shards.
@@ -197,8 +209,8 @@
 // A persisted index can be served over HTTP without linking this library:
 // the gkserved daemon (cmd/gkserved) loads .gkx files into a named
 // registry and exposes search, insert, delete, clustering, index listing,
-// hot registration, stats, /debug/vars and Prometheus /metrics as a JSON
-// API. Its hot path micro-batches without ever holding a lone request: a
+// hot registration and stats as a JSON API, plus Prometheus /metrics. Its
+// hot path micro-batches without ever holding a lone request: a
 // single-query search starts at once when nothing with its parameters is
 // in flight, and searches that arrive beside a running one are coalesced
 // for a short window and answered through one SearchBatch call, so under
@@ -241,20 +253,10 @@
 // See examples/serve for the full build → persist → serve → query → drain
 // walkthrough in one process.
 //
-// # Migrating from the legacy functions
+// # Further reading
 //
-// The original free functions remain as thin deprecated wrappers over the
-// Index API:
-//
-//	Cluster(data, k, opt)              ->  Build(ctx, data, WithClusters(k), ...)
-//	BuildGraph(data, opt)              ->  Build(ctx, data, ...) + Index.Graph()
-//	ClusterWithGraph(data, k, g, opt)  ->  NewIndex(data, g, ...) + Index.Cluster(ctx, k)
-//	NewSearcher(data, g, entries)      ->  Build/NewIndex + Index.Search
-//	SearchBatch(s, q, topK, ef, w)     ->  Index.SearchBatch(q, topK, ef)
-//	Options{Kappa: 50, Tau: 10, ...}   ->  WithKappa(50), WithTau(10), ...
-//
-// BoostKMeans (the exhaustive quality yardstick) is not graph-based and
-// stays a free function. See examples/quickstart for a full walkthrough,
+// BoostKMeans (the exhaustive quality yardstick) is not graph-based and is
+// a free function. See examples/quickstart for a full walkthrough,
 // the Example functions in this package for runnable snippets that CI
 // executes, and ARCHITECTURE.md for the layer map and on-disk formats.
 package gkmeans

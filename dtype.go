@@ -3,8 +3,9 @@ package gkmeans
 import (
 	"context"
 	"fmt"
-	"math"
+	"io"
 
+	"gkmeans/internal/anns"
 	"gkmeans/internal/vec"
 )
 
@@ -71,23 +72,19 @@ func NewU8Matrix(n, d int) *U8Matrix { return vec.NewU8Matrix(n, d) }
 func WithDType(dt DType) Option { return func(c *config) { c.dtype = dt } }
 
 // DType returns the element type of the indexed dataset.
-func (x *Index) DType() DType {
-	if x.u8 != nil {
-		return DTypeUint8
-	}
-	return DTypeFloat32
-}
+func (x *Index) DType() DType { return x.data.dtype() }
 
 // DataU8 returns the byte dataset of a uint8 index, or nil for a float32
-// one. Treat it as read-only; for a sharded index this is the full dataset.
-func (x *Index) DataU8() *U8Matrix { return x.u8 }
+// one. Treat it as read-only; it is the full dataset, the segments hold
+// row-range views of it.
+func (x *Index) DataU8() *U8Matrix { return x.data.u8 }
 
 // CheckByteValues reports whether every value of q is an exact byte (an
 // integer in [0,255]) — the query precondition of a uint8 index. On a
 // float32 index it always returns nil. Serving layers call it to turn a
 // bad request into an error before the search path panics.
 func (x *Index) CheckByteValues(q []float32) error {
-	if x.u8 == nil {
+	if x.DType() != DTypeUint8 {
 		return nil
 	}
 	for i, v := range q {
@@ -100,78 +97,128 @@ func (x *Index) CheckByteValues(q []float32) error {
 
 // BuildU8 is Build for data already held as bytes: it indexes data without
 // ever materialising a full float32 copy of it (graph construction widens
-// one shard at a time, transiently). The resulting index is identical to
+// one segment at a time, transiently). The resulting index is identical to
 // Build(ctx, data.Widen(), append(opts, WithDType(DTypeUint8))...) — same
 // graph, same search results, same counters — at a quarter of the resident
 // dataset memory. WithClusters is refused: clustering needs float32
 // centroids over the full dataset.
 func BuildU8(ctx context.Context, data *U8Matrix, opts ...Option) (*Index, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if data == nil || data.N == 0 {
-		return nil, fmt.Errorf("gkmeans: BuildU8 needs a non-empty dataset")
-	}
-	if int64(data.N) > math.MaxInt32 {
-		return nil, fmt.Errorf("gkmeans: dataset has %d rows; sample ids are int32", data.N)
-	}
-	return buildU8(ctx, data, applyOptions(config{}, opts))
+	return build(ctx, u8Rows(data), applyOptions(config{}, opts))
 }
 
-// buildU8 is the uint8 dispatch mirroring Build's: validate the option
-// set, then route to the monolithic, sharded or routed build. cfg.dtype is
-// forced to DTypeUint8 so every shard and clone reports the right dtype.
-func buildU8(ctx context.Context, data *U8Matrix, cfg config) (*Index, error) {
-	cfg.dtype = DTypeUint8
-	if cfg.clusterK > 0 {
-		return nil, fmt.Errorf("gkmeans: WithClusters needs float32 centroids over the full dataset; a uint8 index cannot cluster")
-	}
-	if cfg.routing > 0 && cfg.shards <= 1 {
-		return nil, fmt.Errorf("gkmeans: WithRouting routes across shards; combine it with WithShards(n), n > 1")
-	}
-	if n := clampShards(cfg.shards, data.N); n > 1 {
-		if cfg.routing > 0 {
-			return buildRouted(ctx, nil, data, cfg, n)
-		}
-		return buildSharded(ctx, nil, data, cfg, n)
-	}
-	cfg.routing = 0
-	return buildMonoU8(ctx, data, cfg)
+// rowStore is the one dataset value of the package: n row-major samples of
+// dim values each, stored as float32 or as bytes. Exactly one of f32 and u8
+// is set (neither on the empty store), and the methods below are the only
+// code in the package that asks which: Build and BuildU8, the loader and
+// Append resolve the element type once, at the edge, and everything
+// between them handles a rowStore.
+type rowStore struct {
+	n, dim int
+	f32    *Matrix
+	u8     *U8Matrix
 }
 
-// buildMonoU8 builds one uint8 monolithic index: the graph is constructed
-// over a transient widened copy (bit-identical to the float32 build, since
-// bytes are exact in float32), then dropped — only the byte matrix and the
-// graph stay resident.
-func buildMonoU8(ctx context.Context, data *U8Matrix, cfg config) (*Index, error) {
-	x, err := buildMono(ctx, data.Widen(), cfg)
-	if err != nil {
-		return nil, err
+// f32Rows and u8Rows wrap a matrix; a nil matrix is the empty store.
+func f32Rows(m *Matrix) rowStore {
+	if m == nil {
+		return rowStore{}
 	}
-	x.data = nil
-	x.u8 = data
-	return x, nil
+	return rowStore{n: m.N, dim: m.Dim, f32: m}
 }
 
-// newU8Index wraps a byte dataset and a pre-built graph, mirroring
-// NewIndex's validations; the persistence loader assembles v5 segments
-// through it.
-func newU8Index(data *U8Matrix, g *Graph, cfg config) (*Index, error) {
-	if data == nil || data.N == 0 {
-		return nil, fmt.Errorf("gkmeans: a uint8 index needs a non-empty dataset")
+func u8Rows(m *U8Matrix) rowStore {
+	if m == nil {
+		return rowStore{}
 	}
-	if int64(data.N) > math.MaxInt32 {
-		return nil, fmt.Errorf("gkmeans: dataset has %d rows; sample ids are int32", data.N)
+	return rowStore{n: m.N, dim: m.Dim, u8: m}
+}
+
+// rowsOf stores m in element type dt. DTypeFloat32 aliases m;
+// DTypeUint8 narrows it into a fresh byte matrix and fails on the first
+// value that is not an exact byte.
+func rowsOf(m *Matrix, dt DType) (rowStore, error) {
+	switch {
+	case m == nil:
+		return rowStore{}, nil
+	case dt == DTypeFloat32:
+		return f32Rows(m), nil
+	case dt == DTypeUint8:
+		u8, err := vec.U8FromMatrix(m)
+		return u8Rows(u8), err
 	}
-	if g == nil {
-		return nil, fmt.Errorf("gkmeans: a uint8 index needs a graph")
+	return rowStore{}, fmt.Errorf("unsupported dtype %s", dt)
+}
+
+// readRows reads a dataset block of element type dt.
+func readRows(r io.Reader, dt DType) (rowStore, error) {
+	if dt == DTypeUint8 {
+		m, err := vec.ReadU8Matrix(r)
+		return u8Rows(m), err
 	}
-	if g.N() != data.N {
-		return nil, fmt.Errorf("gkmeans: graph has %d nodes for %d samples", g.N(), data.N)
+	m, err := vec.ReadMatrix(r)
+	return f32Rows(m), err
+}
+
+func (r rowStore) dtype() DType {
+	if r.u8 != nil {
+		return DTypeUint8
 	}
-	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("gkmeans: invalid graph: %w", err)
+	return DTypeFloat32
+}
+
+// view returns rows [lo, hi) as a store aliasing r's storage.
+func (r rowStore) view(lo, hi int) rowStore {
+	if r.u8 != nil {
+		return u8Rows(&U8Matrix{Data: r.u8.Data[lo*r.dim : hi*r.dim : hi*r.dim], N: hi - lo, Dim: r.dim})
 	}
-	cfg.dtype = DTypeUint8
-	return &Index{u8: data, graph: g, cfg: cfg}, nil
+	return f32Rows(shardView(r.f32, lo, hi))
+}
+
+// allocLike returns a zeroed n-row store of r's dimensionality and type.
+func (r rowStore) allocLike(n int) rowStore {
+	if r.u8 != nil {
+		return u8Rows(vec.NewU8Matrix(n, r.dim))
+	}
+	return f32Rows(NewMatrix(n, r.dim))
+}
+
+// copyRows copies rows [lo, hi) of from — a store of r's dimensionality
+// and type — into r's rows dst, dst+1, ….
+func (r rowStore) copyRows(dst int, from rowStore, lo, hi int) {
+	if r.u8 != nil {
+		copy(r.u8.Data[dst*r.dim:], from.u8.Data[lo*r.dim:hi*r.dim])
+		return
+	}
+	copy(r.f32.Data[dst*r.dim:], from.f32.Data[lo*r.dim:hi*r.dim])
+}
+
+// widen returns the rows as float32 for the passes that need float
+// arithmetic (graph construction, the routing k-means): the matrix itself,
+// or a transient widened copy of a byte store. Bytes are exact in float32,
+// so whatever is computed over the copy is bit-identical to the float32
+// build of the same values.
+func (r rowStore) widen() *Matrix {
+	if r.u8 != nil {
+		return r.u8.Widen()
+	}
+	return r.f32
+}
+
+// newSearcher builds the search structures over the rows and their graph —
+// the package's single entry into internal/anns' two constructors.
+func (r rowStore) newSearcher(g *Graph, entries int) (*anns.Searcher, error) {
+	if r.u8 != nil {
+		return anns.NewSearcherU8(r.u8, g, entries)
+	}
+	return anns.NewSearcher(r.f32, g, entries)
+}
+
+// write emits the dataset block: vec.WriteMatrix or vec.WriteU8Matrix.
+func (r rowStore) write(w io.Writer) error {
+	if r.u8 != nil {
+		_, err := vec.WriteU8Matrix(w, r.u8)
+		return err
+	}
+	_, err := vec.WriteMatrix(w, r.f32)
+	return err
 }

@@ -6,14 +6,6 @@
 // (§4.3). The Index type bundles that artefact with its dataset: build it
 // once, then cluster, search from any goroutine, and save it to disk.
 //
-// Migrating from the deprecated free functions:
-//
-//	Cluster(data, k, opt)              ->  Build(ctx, data, WithClusters(k), ...)
-//	BuildGraph(data, opt)              ->  Build(ctx, data, ...) + Index.Graph()
-//	ClusterWithGraph(data, k, g, opt)  ->  NewIndex(data, g) + Index.Cluster(ctx, k)
-//	NewSearcher(data, g, entries)      ->  Build/NewIndex + Index.Search
-//	SearchBatch(s, q, topK, ef, w)     ->  Index.SearchBatch(q, topK, ef)
-//
 // Run with: go run ./examples/quickstart
 package main
 

@@ -40,7 +40,7 @@ func main() {
 	gE := gres.Distortion(data)
 
 	startB := time.Now()
-	bres, err := gkmeans.BoostKMeans(data, k, gkmeans.Options{MaxIter: 20, Seed: 3})
+	bres, err := gkmeans.BoostKMeans(data, k, gkmeans.WithMaxIter(20), gkmeans.WithSeed(3))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package gkmeans
 
 import (
-	"context"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -26,13 +25,6 @@ type Graph = knngraph.Graph
 // Neighbor is one entry of a neighbour list or a search result: a sample id
 // and its squared Euclidean distance.
 type Neighbor = knngraph.Neighbor
-
-// Searcher answers approximate nearest-neighbour queries over a dataset and
-// its k-NN graph. Safe for concurrent use.
-//
-// Deprecated: use Index.Search / Index.SearchBatch, which bundle the
-// dataset and graph and expose the same search core.
-type Searcher = anns.Searcher
 
 // NewMatrix allocates a zeroed n×d matrix.
 func NewMatrix(n, d int) *Matrix { return vec.NewMatrix(n, d) }
@@ -67,55 +59,6 @@ func LoadVectors(path string, maxN int) (*Matrix, error) {
 	return LoadFvecs(path, maxN)
 }
 
-// Options tunes the GK-means pipeline. The zero value reproduces the
-// paper's standard configuration (§4.4): κ=50, ξ=50, τ=10.
-//
-// Deprecated: use the functional options (WithKappa, WithTau, …) accepted
-// by Build, NewIndex and Index.Cluster.
-type Options struct {
-	// Kappa is the number of graph neighbours per sample (κ). Larger
-	// values raise clustering quality and cost. Default 50.
-	Kappa int
-	// Xi is the refinement cluster size used while building the graph (ξ).
-	// Recommended range 40–100. Default 50.
-	Xi int
-	// Tau is the number of graph construction rounds (τ). 10 suffices for
-	// clustering; up to 32 pays off when the graph is reused for ANN
-	// search. Default 10.
-	Tau int
-	// MaxIter caps the clustering optimisation epochs. Default 50; the run
-	// stops earlier at the first epoch with no accepted move.
-	MaxIter int
-	// Seed makes the whole pipeline deterministic.
-	Seed int64
-	// Trace records per-epoch distortion history in the result.
-	Trace bool
-	// Traditional switches the optimisation step from boost k-means moves
-	// to nearest-centroid moves (the paper's GK-means− ablation; lower
-	// quality, same speed).
-	Traditional bool
-	// Workers bounds parallelism during graph construction; <=0 uses
-	// GOMAXPROCS.
-	Workers int
-}
-
-// asOptions translates a legacy Options value into the functional options
-// consumed by the Index API; zero fields pass through and pick up the same
-// downstream defaults they always had.
-func (o Options) asOptions() []Option {
-	opts := []Option{
-		WithKappa(o.Kappa), WithXi(o.Xi), WithTau(o.Tau),
-		WithSeed(o.Seed), WithWorkers(o.Workers), WithMaxIter(o.MaxIter),
-	}
-	if o.Trace {
-		opts = append(opts, WithTrace())
-	}
-	if o.Traditional {
-		opts = append(opts, WithTraditional())
-	}
-	return opts
-}
-
 // IterStat is one entry of a traced clustering history.
 type IterStat struct {
 	Iter       int
@@ -137,13 +80,13 @@ type Result struct {
 	// AvgCandidates is the mean number of distinct candidate clusters each
 	// sample examined per epoch — the quantity the paper shows is ≪ k.
 	AvgCandidates float64
-	// Graph is the k-NN graph used (and, for Cluster, built); reuse it
-	// with ClusterWithGraph or NewSearcher.
+	// Graph is the k-NN graph the clustering ran over (the index's own);
+	// wrap it with NewIndex to reuse it over the same samples.
 	Graph *Graph
 	// GraphTime, InitTime and IterTime break down the wall clock:
 	// graph construction, 2M-tree initialisation, optimisation epochs.
 	GraphTime, InitTime, IterTime time.Duration
-	// History is the per-epoch trace (only when Options.Trace).
+	// History is the per-epoch trace (only with WithTrace).
 	History []IterStat
 }
 
@@ -171,58 +114,14 @@ func fromCore(res *core.Result, g *Graph, graphTime time.Duration) *Result {
 	return out
 }
 
-// Cluster runs the complete GK-means pipeline on data: it builds the
-// approximate k-NN graph (Alg. 3) and then clusters into k clusters with
-// graph-supported boost k-means (Alg. 2).
-//
-// Deprecated: use Build with WithClusters, or Build followed by
-// Index.Cluster, which add cancellation, progress reporting and an index
-// that is reusable for search and persistence.
-func Cluster(data *Matrix, k int, opt Options) (*Result, error) {
-	idx, err := Build(context.Background(), data, opt.asOptions()...)
-	if err != nil {
-		return nil, err
-	}
-	res, err := idx.Cluster(context.Background(), k)
-	if err != nil {
-		return nil, err
-	}
-	res.GraphTime = idx.GraphTime()
-	return res, nil
-}
-
-// BuildGraph constructs the approximate k-NN graph alone (Alg. 3). Build it
-// once and reuse it across ClusterWithGraph calls and searchers.
-//
-// Deprecated: use Build and keep the returned Index; its graph is available
-// from Index.Graph.
-func BuildGraph(data *Matrix, opt Options) (*Graph, error) {
-	idx, err := Build(context.Background(), data, opt.asOptions()...)
-	if err != nil {
-		return nil, err
-	}
-	return idx.Graph(), nil
-}
-
-// ClusterWithGraph clusters data into k clusters supported by an existing
-// graph (Alg. 2). The graph may come from BuildGraph or any other source
-// covering the same samples.
-//
-// Deprecated: use NewIndex to wrap the graph, then Index.Cluster.
-func ClusterWithGraph(data *Matrix, k int, g *Graph, opt Options) (*Result, error) {
-	idx, err := NewIndex(data, g, opt.asOptions()...)
-	if err != nil {
-		return nil, err
-	}
-	return idx.Cluster(context.Background(), k)
-}
-
 // BoostKMeans runs exhaustive boost k-means (no graph pruning) — the
 // paper's highest-quality reference configuration. O(n·k·d) per epoch;
-// use it as the quality yardstick at moderate k.
-func BoostKMeans(data *Matrix, k int, opt Options) (*Result, error) {
+// use it as the quality yardstick at moderate k. Of the options it reads
+// WithMaxIter, WithSeed and WithTrace.
+func BoostKMeans(data *Matrix, k int, opts ...Option) (*Result, error) {
+	cfg := applyOptions(config{}, opts)
 	res, err := bkm.Cluster(data, bkm.Config{
-		K: k, MaxIter: opt.MaxIter, Seed: opt.Seed, Trace: opt.Trace,
+		K: k, MaxIter: cfg.maxIter, Seed: cfg.seed, Trace: cfg.trace,
 	})
 	if err != nil {
 		return nil, err
@@ -237,28 +136,11 @@ func BoostKMeans(data *Matrix, k int, opt Options) (*Result, error) {
 	return out, nil
 }
 
-// NewSearcher builds an approximate nearest-neighbour searcher over data
-// and its graph. entries sets the number of search entry points (<=0
-// selects 16; raise it for data with many well-separated clusters).
-//
-// Deprecated: use NewIndex (with WithEntryPoints) and Index.Search.
-func NewSearcher(data *Matrix, g *Graph, entries int) (*Searcher, error) {
-	return anns.NewSearcher(data, g, entries)
-}
-
 // ExactNeighbors computes exact top-k neighbour ids for each query by brute
 // force — ground truth for recall measurements. The scan runs on all
 // available cores.
 func ExactNeighbors(data, queries *Matrix, k int) [][]int32 {
 	return anns.ExactTruth(data, queries, k, 0)
-}
-
-// SearchBatch answers every query concurrently (workers <= 0 selects
-// GOMAXPROCS) and returns one sorted result list per query.
-//
-// Deprecated: use Index.SearchBatch.
-func SearchBatch(s *Searcher, queries *Matrix, topK, ef, workers int) [][]Neighbor {
-	return anns.BatchSearch(s, queries, topK, ef, workers)
 }
 
 // Split partitions a matrix into a reference set and an evenly strided

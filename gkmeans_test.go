@@ -1,6 +1,7 @@
 package gkmeans
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -8,9 +9,24 @@ import (
 	"gkmeans/internal/metrics"
 )
 
+// clusterPipeline is the paper's whole pipeline through the Index API:
+// build the graph, cluster over it, report the graph time in the result.
+func clusterPipeline(data *Matrix, k int, opts ...Option) (*Result, error) {
+	idx, err := Build(context.Background(), data, opts...)
+	if err != nil {
+		return nil, err
+	}
+	res, err := idx.Cluster(context.Background(), k)
+	if err != nil {
+		return nil, err
+	}
+	res.GraphTime = idx.GraphTime()
+	return res, nil
+}
+
 func TestClusterEndToEnd(t *testing.T) {
 	data := dataset.SIFTLike(1000, 1)
-	res, err := Cluster(data, 40, Options{Kappa: 10, Xi: 25, Tau: 5, MaxIter: 20, Seed: 2})
+	res, err := clusterPipeline(data, 40, WithKappa(10), WithXi(25), WithTau(5), WithMaxIter(20), WithSeed(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,13 +49,17 @@ func TestClusterEndToEnd(t *testing.T) {
 
 func TestClusterWithGraphReuse(t *testing.T) {
 	data := dataset.GloVeLike(500, 3)
-	g, err := BuildGraph(data, Options{Kappa: 8, Xi: 20, Tau: 4, Seed: 4})
+	built, err := Build(context.Background(), data, WithKappa(8), WithXi(20), WithTau(4), WithSeed(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Same graph, two different k values.
+	// Same graph, wrapped anew, at two different k values.
 	for _, k := range []int{10, 25} {
-		res, err := ClusterWithGraph(data, k, g, Options{MaxIter: 15, Seed: 5})
+		idx, err := NewIndex(data, built.Graph(), WithMaxIter(15), WithSeed(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := idx.Cluster(context.Background(), k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,11 +75,11 @@ func TestClusterWithGraphReuse(t *testing.T) {
 func TestBoostKMeansQualityYardstick(t *testing.T) {
 	data := dataset.SIFTLike(800, 6)
 	k := 20
-	gk, err := Cluster(data, k, Options{Kappa: 10, Xi: 25, Tau: 5, MaxIter: 20, Seed: 7})
+	gk, err := clusterPipeline(data, k, WithKappa(10), WithXi(25), WithTau(5), WithMaxIter(20), WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bk, err := BoostKMeans(data, k, Options{MaxIter: 20, Seed: 7})
+	bk, err := BoostKMeans(data, k, WithMaxIter(20), WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +91,7 @@ func TestBoostKMeansQualityYardstick(t *testing.T) {
 
 func TestTraditionalOption(t *testing.T) {
 	data := dataset.Uniform(400, 8, 8)
-	res, err := Cluster(data, 16, Options{Kappa: 8, Xi: 20, Tau: 3, MaxIter: 10, Seed: 9, Traditional: true})
+	res, err := clusterPipeline(data, 16, WithKappa(8), WithXi(20), WithTau(3), WithMaxIter(10), WithSeed(9), WithTraditional())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +102,7 @@ func TestTraditionalOption(t *testing.T) {
 
 func TestTraceOption(t *testing.T) {
 	data := dataset.Uniform(300, 6, 10)
-	res, err := Cluster(data, 12, Options{Kappa: 6, Xi: 20, Tau: 3, MaxIter: 8, Seed: 11, Trace: true})
+	res, err := clusterPipeline(data, 12, WithKappa(6), WithXi(20), WithTau(3), WithMaxIter(8), WithSeed(11), WithTrace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,15 +116,15 @@ func TestTraceOption(t *testing.T) {
 
 func TestSearcherOverClusterGraph(t *testing.T) {
 	data := dataset.SIFTLike(600, 12)
-	res, err := Cluster(data, 20, Options{Kappa: 10, Xi: 25, Tau: 6, MaxIter: 10, Seed: 13})
+	res, err := clusterPipeline(data, 20, WithKappa(10), WithXi(25), WithTau(6), WithMaxIter(10), WithSeed(13))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSearcher(data, res.Graph, 32)
+	idx, err := NewIndex(data, res.Graph, WithEntryPoints(32))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits := s.Search(data.Row(7), 5, 32)
+	hits := idx.Search(data.Row(7), 5, 32)
 	if len(hits) != 5 || hits[0].ID != 7 || hits[0].Dist != 0 {
 		t.Fatalf("self query failed: %v", hits)
 	}
@@ -144,15 +164,12 @@ func TestSearchBatchFacade(t *testing.T) {
 	if data.N != 500 || queries.N != 20 {
 		t.Fatalf("split %d/%d", data.N, queries.N)
 	}
-	g, err := BuildGraph(data, Options{Kappa: 10, Xi: 25, Tau: 5, Seed: 18})
+	idx, err := Build(context.Background(), data,
+		WithKappa(10), WithXi(25), WithTau(5), WithSeed(18), WithEntryPoints(32), WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSearcher(data, g, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := SearchBatch(s, queries, 3, 32, 2)
+	batch := idx.SearchBatch(queries, 3, 32)
 	if len(batch) != 20 {
 		t.Fatalf("batch results %d", len(batch))
 	}
@@ -169,7 +186,7 @@ func TestPipelineRecoversLatentStructure(t *testing.T) {
 	data, truth := dataset.GMM(dataset.GMMConfig{
 		N: 2000, Dim: 32, Components: 20, Spread: 6, Noise: 1.5, Seed: 19,
 	})
-	res, err := Cluster(data, 20, Options{Kappa: 10, Xi: 30, Tau: 5, MaxIter: 25, Seed: 20})
+	res, err := clusterPipeline(data, 20, WithKappa(10), WithXi(30), WithTau(5), WithMaxIter(25), WithSeed(20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,13 +201,13 @@ func TestPipelineRecoversLatentStructure(t *testing.T) {
 
 func TestClusterErrorsSurface(t *testing.T) {
 	data := dataset.Uniform(20, 4, 15)
-	if _, err := Cluster(data, 0, Options{Tau: 1}); err == nil {
+	if _, err := clusterPipeline(data, 0, WithTau(1)); err == nil {
 		t.Fatal("k=0 should error")
 	}
-	if _, err := Cluster(data, 21, Options{Tau: 1}); err == nil {
+	if _, err := clusterPipeline(data, 21, WithTau(1)); err == nil {
 		t.Fatal("k>n should error")
 	}
-	if _, err := BoostKMeans(data, 0, Options{}); err == nil {
+	if _, err := BoostKMeans(data, 0); err == nil {
 		t.Fatal("BoostKMeans k=0 should error")
 	}
 }

@@ -9,11 +9,11 @@ import (
 	"time"
 
 	"gkmeans/internal/anns"
+	"gkmeans/internal/checked"
 	"gkmeans/internal/core"
 	"gkmeans/internal/knngraph"
 	"gkmeans/internal/router"
 	"gkmeans/internal/store"
-	"gkmeans/internal/vec"
 )
 
 // Index is an immutable bundle of a dataset, its approximate k-NN graph and
@@ -25,213 +25,304 @@ import (
 // The dataset and graph are shared, not copied; callers must not mutate
 // them after handing them to Build or NewIndex.
 //
-// With WithShards(n), n > 1, the Index is a thin fan-out shell instead: it
-// holds the full dataset plus n independently built sub-indexes over
-// contiguous row ranges, and Search/SearchBatch merge the per-shard results
-// (see shard.go). A sharded index has no global graph and no clustering.
+// Every Index has the same shape: a header — the full dataset, the
+// optional router, the id bound, the optional clustering, the build
+// options and the probe counters — over a list of one or more segments,
+// each a k-NN graph over a contiguous row range of the dataset. Search
+// probes segments and merges what they return. Build makes one segment,
+// WithShards(n) makes n, Append adds one, Compact folds several into one.
+// A monolithic index is simply the one-segment case in which row i is
+// external id i; its graph is then a graph over the whole dataset, so that
+// is when Graph, Cluster and WithClusters are available.
 type Index struct {
-	data  *Matrix       // float32 dataset; nil on a uint8 index
-	u8    *vec.U8Matrix // byte dataset of a WithDType(DTypeUint8)/BuildU8 index
-	graph *Graph        // nil when sharded
+	data rowStore // the full dataset; segments hold row-range views of it
+	segs []seg    // never empty
 
-	// shards holds the per-shard sub-indexes of a sharded index (nil for a
-	// monolithic one); shardBase[s] is the external id of shard s's first
-	// row, so external id = shardBase[s] + local id unless the shard carries
-	// an explicit id map (see below).
-	shards    []*Index
-	shardBase []int32
-
-	// route holds the per-shard routing centroids of a WithRouting build
-	// (nil for unrouted indexes); probes counts the fan-out work of a
-	// sharded index. The probes pointer is shared across copy-on-write
-	// mutations so serving counters stay monotone across index swaps.
+	// route holds the per-segment routing centroids of a WithRouting build
+	// (nil for unrouted indexes); probes counts the queries answered and
+	// the segment searches they cost. The probes pointer is shared across
+	// copy-on-write successors so serving counters stay monotone across
+	// index swaps.
 	route  *router.Table
 	probes *probeStats
 
-	// Mutation metadata (see mutate.go). The three slices are parallel to
-	// shards on a sharded index; a monolithic index uses entry 0 of tombs
-	// only. nil slices (the common, never-mutated case) mean none.
-	//
-	//   - shardIDs[s], when non-nil, maps shard s's local rows to external
-	//     ids (a compacted shard keeps the ids of its surviving rows);
-	//   - shardGen[s] is the generation shard s was built in (appends and
-	//     compactions count up from the Build-time 0);
-	//   - tombs[s] marks shard s's deleted rows, skipped by every search.
-	//
-	// nextID is the lowest never-assigned external id (0 means data.N):
-	// Append hands out ids from here, and compaction never reuses them.
-	shardIDs [][]int32
-	shardGen []uint64
-	tombs    []*store.Bits
-	nextID   int32
+	// nextID is the lowest never-assigned external id: Append hands out ids
+	// from here, and compaction never reuses them.
+	nextID int32
 
 	// clusters is the Build-time clustering (WithClusters), if any.
 	clusters *Result
 
-	// graphTime is the wall clock spent constructing the graph; zero when
-	// the graph was supplied (NewIndex) or loaded (ReadIndexFrom).
+	// graphTime is the wall clock spent constructing the graphs; zero when
+	// they were supplied (NewIndex) or loaded (ReadIndexFrom).
 	graphTime time.Duration
 
 	// cfg keeps the build-time options as defaults for Cluster and
-	// SearchBatch calls.
+	// SearchBatch calls, and for the graphs Append and Compact build.
 	cfg config
+}
+
+// segCore is the immutable part of a segment — its rows, their graph and
+// the search structures derived from the two. Copy-on-write successors
+// share it by pointer, so a searcher is built at most once however many
+// index values a segment lives through.
+type segCore struct {
+	rows    rowStore
+	graph   *Graph
+	entries int // requested entry points, see WithEntryPoints
 
 	// searcher is built lazily on first search: pure clustering workloads
-	// never pay for the CSR adjacency. Construction cannot fail — the shape
-	// invariants it checks are validated by Build/NewIndex. The atomic
-	// pointer lets SearchStats peek without forcing the build.
-	searcherOnce sync.Once
-	searcher     atomic.Pointer[anns.Searcher]
+	// never pay for the CSR adjacency. The atomic pointer lets SearchStats
+	// peek without forcing the build.
+	once     sync.Once
+	searcher atomic.Pointer[anns.Searcher]
+}
+
+// seg is one segment of an index: the shared immutable core plus the
+// state mutations replace — where its rows sit in the external id space
+// and which of them are deleted. A seg is a small value; a successor index
+// copies the list and changes the entries it needs to.
+type seg struct {
+	*segCore
+	base int32       // external id of row 0; row l is base+l unless ids is set
+	ids  []int32     // explicit external ids of a routed or compacted segment
+	gen  uint64      // build generation: 0 at Build, counting up per mutation
+	tomb *store.Bits // deleted rows, skipped by every search; nil = none
+}
+
+// newSegCore validates rows and g as one segment. The graph may come from
+// anywhere (a file, NN-Descent, …); a structurally broken one is rejected
+// here rather than panicking inside the first search or clustering call,
+// and with that every invariant anns.NewSearcher checks holds.
+func newSegCore(rows rowStore, g *Graph, entries int) (*segCore, error) {
+	if rows.n == 0 {
+		return nil, fmt.Errorf("gkmeans: an index needs a non-empty dataset")
+	}
+	if int64(rows.n) > math.MaxInt32 {
+		return nil, fmt.Errorf("gkmeans: dataset has %d rows; sample ids are int32", rows.n)
+	}
+	if g == nil {
+		return nil, fmt.Errorf("gkmeans: an index needs a graph")
+	}
+	if g.N() != rows.n {
+		return nil, fmt.Errorf("gkmeans: graph has %d nodes for %d samples", g.N(), rows.n)
+	}
+	if err := g.Validate(); err != nil {
+		return nil, fmt.Errorf("gkmeans: invalid graph: %w", err)
+	}
+	return &segCore{rows: rows, graph: g, entries: entries}, nil
+}
+
+// dead returns the number of tombstoned rows.
+func (s *seg) dead() int {
+	if s.tomb == nil {
+		return 0
+	}
+	return s.tomb.Count()
+}
+
+// id returns the external id of local row l.
+func (s *seg) id(l int) int32 {
+	if s.ids != nil {
+		return s.ids[l]
+	}
+	return s.base + checked.Int32(l)
 }
 
 // Build constructs an Index over data: it runs the paper's intertwined
 // graph construction (Alg. 3) and, with WithClusters, a graph-supported
 // clustering (Alg. 2). ctx cancellation is honoured between graph rounds
 // and clustering epochs; on cancellation Build returns ctx.Err().
+//
+// WithDType(DTypeUint8) narrows the (exactly byte-valued) input and keeps
+// it as bytes — same graphs and results, 4x less dataset memory.
 func Build(ctx context.Context, data *Matrix, opts ...Option) (*Index, error) {
+	cfg := applyOptions(config{}, opts)
+	rows, err := rowsOf(data, cfg.dtype)
+	if err != nil {
+		return nil, fmt.Errorf("gkmeans: WithDType(%s): %w", cfg.dtype, err)
+	}
+	return build(ctx, rows, cfg)
+}
+
+// build is Build and BuildU8 behind the element type: lay the rows out in
+// segments (one; WithShards' even contiguous split; or WithRouting's
+// spatial partition, see route.go), build one graph per segment, then the
+// optional router and clustering.
+func build(ctx context.Context, data rowStore, cfg config) (*Index, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if data == nil || data.N == 0 {
+	if data.n == 0 {
 		return nil, fmt.Errorf("gkmeans: Build needs a non-empty dataset")
 	}
 	// Sample ids are int32 throughout (neighbour lists, CSR adjacency, the
 	// .gkx format). Refusing oversized datasets here makes every downstream
 	// narrowing a checked invariant rather than a potential truncation.
-	if int64(data.N) > math.MaxInt32 {
-		return nil, fmt.Errorf("gkmeans: dataset has %d rows; sample ids are int32", data.N)
+	if int64(data.n) > math.MaxInt32 {
+		return nil, fmt.Errorf("gkmeans: dataset has %d rows; sample ids are int32", data.n)
 	}
-	cfg := applyOptions(config{}, opts)
-	// WithDType(DTypeUint8): narrow the (exactly byte-valued) input and run
-	// the uint8 build path — same graphs and results, 4x less dataset memory.
-	if cfg.dtype == DTypeUint8 {
-		u8, err := vec.U8FromMatrix(data)
-		if err != nil {
-			return nil, fmt.Errorf("gkmeans: WithDType(DTypeUint8): %w", err)
-		}
-		return buildU8(ctx, u8, cfg)
-	}
-	if cfg.dtype != DTypeFloat32 {
-		return nil, fmt.Errorf("gkmeans: unsupported dtype %s", cfg.dtype)
-	}
-	// Checked before the shard-count clamp: the option conflict must error
-	// even when a tiny dataset would clamp the request down to one shard.
-	if cfg.shards > 1 && cfg.clusterK > 0 {
+	cfg.dtype = data.dtype()
+	// Checked before the segment-count clamp: an option conflict must error
+	// even when a tiny dataset would clamp the request down to one segment.
+	switch {
+	case cfg.clusterK > 0 && cfg.dtype == DTypeUint8:
+		return nil, fmt.Errorf("gkmeans: WithClusters needs float32 centroids over the full dataset; a uint8 index cannot cluster")
+	case cfg.clusterK > 0 && cfg.shards > 1:
 		return nil, fmt.Errorf("gkmeans: WithClusters needs a global k-NN graph; it cannot be combined with WithShards")
-	}
-	if cfg.routing > 0 && cfg.shards <= 1 {
+	case cfg.routing > 0 && cfg.shards <= 1:
 		return nil, fmt.Errorf("gkmeans: WithRouting routes across shards; combine it with WithShards(n), n > 1")
 	}
-	if n := clampShards(cfg.shards, data.N); n > 1 {
-		return buildSharded(ctx, data, nil, cfg, n)
+	n := clampShards(cfg.shards, data.n)
+	if n == 1 {
+		// A dataset too small to split has nothing to route, so the router
+		// request is dropped with the shards.
+		cfg.routing = 0
 	}
-	// A dataset too small to split clamps to one shard; a monolithic index
-	// has nothing to route, so the router request is dropped with the shards.
-	cfg.routing = 0
-	return buildMono(ctx, data, cfg)
-}
-
-// buildMono is Build's monolithic path: one graph over the whole dataset,
-// plus the optional Build-time clustering. The sharded path builds one of
-// these per shard.
-func buildMono(ctx context.Context, data *Matrix, cfg config) (*Index, error) {
-	gc := core.GraphConfig{
-		Kappa:     cfg.kappa,
-		Xi:        cfg.xi,
-		Tau:       cfg.tau,
-		Seed:      cfg.seed,
-		Workers:   cfg.workers,
-		Builder:   cfg.builder,
-		Interrupt: ctx.Err,
-	}
-	if cfg.progress != nil {
-		progress, tau := cfg.progress, cfg.resolvedTau()
-		gc.OnRound = func(t int, _ *knngraph.Graph, _ []int) { progress("graph", t, tau) }
-	}
-	start := time.Now()
-	g, err := core.BuildGraph(data, gc)
-	if err != nil {
-		return nil, err
-	}
-	x := &Index{data: data, graph: g, graphTime: time.Since(start), cfg: cfg}
-	if cfg.clusterK > 0 {
-		res, err := x.Cluster(ctx, cfg.clusterK)
-		if err != nil {
+	x := &Index{data: data, probes: &probeStats{}, cfg: cfg}
+	sizes := make([]int, n)
+	var idmaps [][]int32
+	var err error
+	if cfg.routing > 0 {
+		if x.data, idmaps, err = routedLayout(data, cfg, n); err != nil {
 			return nil, err
 		}
-		x.clusters = res
+		for s, ids := range idmaps {
+			sizes[s] = len(ids)
+		}
+	} else {
+		for s := range sizes {
+			lo, hi := shardBounds(s, n, data.n)
+			sizes[s] = hi - lo
+		}
+	}
+	if x.segs, x.graphTime, err = buildSegs(ctx, x.data, cfg, sizes); err != nil {
+		return nil, err
+	}
+	row := 0
+	for s := range x.segs {
+		x.segs[s].base = checked.Int32(row)
+		if idmaps != nil {
+			x.segs[s].ids, x.segs[s].base = idmaps[s], idmaps[s][0]
+		}
+		row += sizes[s]
+	}
+	x.nextID = checked.Int32(row)
+	if cfg.routing > 0 {
+		cents := make([]*Matrix, n)
+		for s := range cents {
+			if cents[s], err = routingCentroids(x.segs[s].rows, cfg, 0, s); err != nil {
+				return nil, err
+			}
+		}
+		if x.route, err = router.New(cfg.routing, data.dim, cents); err != nil {
+			return nil, fmt.Errorf("gkmeans: assembling shard router: %w", err)
+		}
+	}
+	if cfg.clusterK > 0 {
+		if x.clusters, err = x.Cluster(ctx, cfg.clusterK); err != nil {
+			return nil, err
+		}
 	}
 	return x, nil
 }
 
-// NewIndex wraps a dataset and a pre-built graph (from BuildGraph, a loaded
-// file, NN-Descent, …) into an Index without constructing anything. The
-// graph must cover exactly the samples of data.
+// buildSegs builds one segment per entry of sizes over consecutive views
+// of parent, which the sizes must cover exactly — sequentially, so at most
+// one build pipeline (and its scratch memory) is in flight, each using the
+// full WithWorkers parallelism. A uint8 segment widens its view
+// transiently for graph construction and keeps only the byte view
+// resident. cfg.progress, when set, sees one "graph" stream across all
+// segments: segment s's rounds land at s·τ + done out of len(sizes)·τ.
+// Callers: build, and the single-segment builds of Append and Compact.
+func buildSegs(ctx context.Context, parent rowStore, cfg config, sizes []int) ([]seg, time.Duration, error) {
+	segs := make([]seg, len(sizes))
+	var graphTime time.Duration
+	tau := cfg.resolvedTau()
+	lo := 0
+	for s, size := range sizes {
+		hi := lo + size
+		gc := core.GraphConfig{
+			Kappa:     cfg.kappa,
+			Xi:        cfg.xi,
+			Tau:       cfg.tau,
+			Seed:      cfg.seed,
+			Workers:   cfg.workers,
+			Builder:   cfg.builder,
+			Interrupt: ctx.Err,
+		}
+		if cfg.progress != nil {
+			progress, first := cfg.progress, s*tau
+			gc.OnRound = func(t int, _ *knngraph.Graph, _ []int) { progress("graph", first+t, len(sizes)*tau) }
+		}
+		rows := parent.view(lo, hi)
+		wide := rows.widen()
+		start := time.Now()
+		g, err := core.BuildGraph(wide, gc)
+		if err != nil {
+			if len(sizes) > 1 {
+				err = fmt.Errorf("gkmeans: building shard %d/%d (rows %d..%d): %w", s, len(sizes), lo, hi, err)
+			}
+			return nil, 0, err
+		}
+		graphTime += time.Since(start)
+		segs[s].segCore = &segCore{rows: rows, graph: g, entries: cfg.entries}
+		lo = hi
+	}
+	return segs, graphTime, nil
+}
+
+// NewIndex wraps a dataset and a pre-built graph (from another index's
+// Graph, a loaded file, NN-Descent, …) into an Index without constructing
+// anything. The graph must cover exactly the samples of data.
 func NewIndex(data *Matrix, g *Graph, opts ...Option) (*Index, error) {
-	if data == nil || data.N == 0 {
-		return nil, fmt.Errorf("gkmeans: NewIndex needs a non-empty dataset")
+	cfg := applyOptions(config{}, opts)
+	rows := f32Rows(data)
+	sc, err := newSegCore(rows, g, cfg.entries)
+	if err != nil {
+		return nil, err
 	}
-	if int64(data.N) > math.MaxInt32 {
-		return nil, fmt.Errorf("gkmeans: dataset has %d rows; sample ids are int32", data.N)
-	}
-	if g == nil {
-		return nil, fmt.Errorf("gkmeans: NewIndex needs a graph")
-	}
-	if g.N() != data.N {
-		return nil, fmt.Errorf("gkmeans: graph has %d nodes for %d samples", g.N(), data.N)
-	}
-	// The graph may come from anywhere (a file, NN-Descent, …); reject a
-	// structurally broken one here rather than panicking inside the first
-	// search or clustering call.
-	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("gkmeans: invalid graph: %w", err)
-	}
-	return &Index{data: data, graph: g, cfg: applyOptions(config{}, opts)}, nil
+	cfg.dtype = DTypeFloat32
+	return &Index{data: rows, segs: []seg{{segCore: sc}}, probes: &probeStats{},
+		nextID: checked.Int32(rows.n), cfg: cfg}, nil
 }
 
 // Data returns the indexed float32 dataset, or nil for a uint8 index
 // (whose byte dataset is available from DataU8). Treat it as read-only.
-// For a sharded index this is the full dataset; the shards hold row-range
-// views of it.
-func (x *Index) Data() *Matrix { return x.data }
+// It is the full dataset; the segments hold row-range views of it.
+func (x *Index) Data() *Matrix { return x.data.f32 }
 
-// Graph returns the underlying k-NN graph, or nil for a sharded index
-// (each shard has its own graph over its own rows; there is no global one).
-// Treat it as read-only.
-func (x *Index) Graph() *Graph { return x.graph }
-
-// Sharded reports whether the index was built with WithShards(n), n > 1.
-func (x *Index) Sharded() bool { return len(x.shards) > 0 }
-
-// Shards returns the number of shards: 1 for a monolithic index.
-func (x *Index) Shards() int {
-	if !x.Sharded() {
-		return 1
-	}
-	return len(x.shards)
+// mono reports the one-segment case in which row i is external id i: the
+// segment's graph is then a graph over the whole dataset in id order.
+func (x *Index) mono() bool {
+	return len(x.segs) == 1 && x.segs[0].ids == nil && x.segs[0].base == 0
 }
 
-// rows and dims resolve the dataset shape across dtypes: exactly one of
-// data and u8 is non-nil on every index.
-func (x *Index) rows() int {
-	if x.u8 != nil {
-		return x.u8.N
+// Graph returns the k-NN graph over the whole dataset, which exists exactly
+// when Sharded reports false; otherwise nil (each segment has its own graph
+// over its own rows). Treat it as read-only.
+func (x *Index) Graph() *Graph {
+	if !x.mono() {
+		return nil
 	}
-	return x.data.N
+	return x.segs[0].graph
 }
 
-func (x *Index) dims() int {
-	if x.u8 != nil {
-		return x.u8.Dim
-	}
-	return x.data.Dim
-}
+// Sharded reports whether the index is anything but one segment whose row
+// i is external id i. It follows the index's state, not its history:
+// WithShards(n > 1), Append and most compactions make it true, and a
+// compaction that ends in one segment holding ids 0..N-1 makes it false
+// again.
+func (x *Index) Sharded() bool { return !x.mono() }
+
+// Shards returns the number of segments: 1 for a monolithic index.
+func (x *Index) Shards() int { return len(x.segs) }
 
 // N returns the number of indexed samples.
-func (x *Index) N() int { return x.rows() }
+func (x *Index) N() int { return x.data.n }
 
 // Dim returns the dimensionality of the indexed samples.
-func (x *Index) Dim() int { return x.dims() }
+func (x *Index) Dim() int { return x.data.dim }
 
 // Clusters returns the clustering computed at Build time via WithClusters,
 // or nil when none was requested.
@@ -247,20 +338,23 @@ func (x *Index) GraphTime() time.Duration { return x.graphTime }
 // Build-time options (seed, epoch cap, trace, traditional, progress). The
 // call only reads the index, so any number of clusterings — at the same or
 // different k — may run concurrently with each other and with searches.
-// ctx cancellation is honoured between epochs. A sharded index has no
-// global graph to cluster over and returns an error.
+// ctx cancellation is honoured between epochs. Clustering needs float32
+// rows and one graph over all of them in id order with no row deleted; an
+// index in any other state returns an error naming what is in the way.
 func (x *Index) Cluster(ctx context.Context, k int, opts ...Option) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if x.Sharded() {
-		return nil, fmt.Errorf("gkmeans: clustering needs a global k-NN graph; a sharded index has none (build without WithShards to cluster)")
-	}
-	if x.u8 != nil {
-		return nil, fmt.Errorf("gkmeans: clustering needs float32 data; a uint8 index cannot cluster (build with DTypeFloat32)")
-	}
-	if t := x.shardTomb(0); t != nil && t.Count() > 0 {
-		return nil, fmt.Errorf("gkmeans: clustering would include %d deleted rows; compact the index first", t.Count())
+	s := &x.segs[0]
+	switch {
+	case len(x.segs) > 1:
+		return nil, fmt.Errorf("gkmeans: clustering needs one k-NN graph over the whole dataset; this index has %d segments (Compact them into one first)", len(x.segs))
+	case !x.mono():
+		return nil, fmt.Errorf("gkmeans: clustering labels row i as id i; this index's one segment carries an id map or a non-zero base (%d), so its rows are no longer ids 0..N-1", s.base)
+	case s.dead() > 0:
+		return nil, fmt.Errorf("gkmeans: clustering would include %d deleted rows; compact the index first", s.dead())
+	case x.DType() != DTypeFloat32:
+		return nil, fmt.Errorf("gkmeans: clustering needs float32 data; a %s index cannot cluster (build with DTypeFloat32)", x.DType())
 	}
 	cfg := applyOptions(x.cfg, opts)
 	cc := core.Config{
@@ -275,9 +369,9 @@ func (x *Index) Cluster(ctx context.Context, k int, opts ...Option) (*Result, er
 		progress := cfg.progress
 		cc.OnEpoch = func(epoch, maxIter int) { progress("cluster", epoch, maxIter) }
 	}
-	res, err := core.Cluster(x.data, x.graph, cc)
+	res, err := core.Cluster(x.data.f32, s.graph, cc)
 	if err != nil {
 		return nil, err
 	}
-	return fromCore(res, x.graph, 0), nil
+	return fromCore(res, s.graph, 0), nil
 }

@@ -183,30 +183,31 @@ func TestBuildWithClusters(t *testing.T) {
 	}
 }
 
-func TestIndexClusterMatchesLegacyWrapper(t *testing.T) {
-	// The deprecated wrappers are thin shims over the Index API; same
-	// inputs must give byte-identical clusterings.
+func TestBuildTimeClusteringMatchesIndexCluster(t *testing.T) {
+	// WithClusters is Index.Cluster run inside Build; same inputs must
+	// give byte-identical clusterings either way.
 	data := dataset.SIFTLike(800, 25)
-	opt := Options{Kappa: 10, Xi: 25, Tau: 4, MaxIter: 15, Seed: 26}
-	legacy, err := Cluster(data, 20, opt)
+	opts := []Option{WithKappa(10), WithXi(25), WithTau(4), WithMaxIter(15), WithSeed(26)}
+	atBuild, err := Build(context.Background(), data, append(opts, WithClusters(20))...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := Build(context.Background(), data, opt.asOptions()...)
+	idx, err := Build(context.Background(), data, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	modern, err := idx.Cluster(context.Background(), 20)
+	later, err := idx.Cluster(context.Background(), 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range legacy.Labels {
-		if legacy.Labels[i] != modern.Labels[i] {
-			t.Fatalf("label %d differs: legacy %d, index %d", i, legacy.Labels[i], modern.Labels[i])
+	want := atBuild.Clusters()
+	for i := range want.Labels {
+		if want.Labels[i] != later.Labels[i] {
+			t.Fatalf("label %d differs: at Build %d, Index.Cluster %d", i, want.Labels[i], later.Labels[i])
 		}
 	}
-	if !legacy.Centroids.Equal(modern.Centroids) {
-		t.Fatal("centroids differ between legacy wrapper and Index API")
+	if !want.Centroids.Equal(later.Centroids) {
+		t.Fatal("centroids differ between WithClusters and Index.Cluster")
 	}
 }
 
@@ -432,10 +433,11 @@ func TestProgressCallback(t *testing.T) {
 
 func TestNewIndexErrors(t *testing.T) {
 	data := dataset.Uniform(50, 4, 35)
-	g, err := BuildGraph(data, Options{Kappa: 5, Xi: 15, Tau: 2, Seed: 36})
+	built, err := Build(context.Background(), data, WithKappa(5), WithXi(15), WithTau(2), WithSeed(36))
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := built.Graph()
 	if _, err := NewIndex(nil, g); err == nil {
 		t.Fatal("nil data should error")
 	}

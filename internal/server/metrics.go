@@ -1,20 +1,13 @@
 package server
 
 import (
-	"encoding/json"
 	"net/http"
-	"runtime"
 	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 )
-
-// latWindow is the per-endpoint ring of recent request latencies backing
-// the quantile estimates. 1024 samples bound both memory and the cost of
-// the sort performed when /debug/vars is scraped.
-const latWindow = 1024
 
 // durationBuckets are the upper bounds (seconds) of the request-latency
 // histogram exported at /metrics. They span sub-millisecond cache hits to
@@ -23,12 +16,11 @@ var durationBuckets = []float64{
 	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5,
 }
 
-// metrics tracks per-endpoint request counts, status codes, latency
-// quantiles and histogram buckets, plus a server-wide in-flight gauge.
-// Everything is instance-scoped (no process-global registry, so many
-// servers can coexist in one process/test binary) and exported twice: as
-// JSON at /debug/vars (the expvar convention) and in Prometheus text
-// format at /metrics (see Server.serveMetrics).
+// metrics tracks per-endpoint request counts by status code and latency
+// histogram buckets, plus a server-wide in-flight gauge. Everything is
+// instance-scoped (no process-global registry, so many servers can coexist
+// in one process/test binary) and exported in Prometheus text format at
+// /metrics (see Server.serveMetrics).
 type metrics struct {
 	inflight atomic.Int64
 
@@ -37,12 +29,7 @@ type metrics struct {
 }
 
 type endpointMetrics struct {
-	count atomic.Int64
-
 	mu      sync.Mutex
-	ring    [latWindow]float64 // latency in milliseconds
-	pos     int
-	filled  int
 	codes   map[int]int64 // HTTP status → responses
 	buckets []int64       // non-cumulative counts per durationBuckets bound
 	over    int64         // observations above the last bound (the +Inf bucket)
@@ -71,15 +58,8 @@ func (m *metrics) endpoint(name string) *endpointMetrics {
 // observe records one completed request and the status code it answered
 // with.
 func (em *endpointMetrics) observe(d time.Duration, code int) {
-	em.count.Add(1)
-	ms := float64(d) / float64(time.Millisecond)
 	secs := d.Seconds()
 	em.mu.Lock()
-	em.ring[em.pos] = ms
-	em.pos = (em.pos + 1) % latWindow
-	if em.filled < latWindow {
-		em.filled++
-	}
 	em.codes[code]++
 	em.sumNS += int64(d)
 	placed := false
@@ -94,31 +74,6 @@ func (em *endpointMetrics) observe(d time.Duration, code int) {
 		em.over++
 	}
 	em.mu.Unlock()
-}
-
-// quantiles returns p50/p90/p99 over the retained window via the
-// nearest-rank method; zeros when nothing has been observed yet.
-func (em *endpointMetrics) quantiles() (p50, p90, p99 float64) {
-	em.mu.Lock()
-	n := em.filled
-	buf := make([]float64, n)
-	copy(buf, em.ring[:n])
-	em.mu.Unlock()
-	if n == 0 {
-		return 0, 0, 0
-	}
-	sort.Float64s(buf)
-	rank := func(q float64) float64 {
-		i := int(q*float64(n)+0.5) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= n {
-			i = n - 1
-		}
-		return buf[i]
-	}
-	return rank(0.50), rank(0.90), rank(0.99)
 }
 
 // histSnapshot copies the histogram state: per-code counts, cumulative
@@ -166,38 +121,6 @@ func (m *metrics) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 		}()
 		h(sr, r)
 	}
-}
-
-// endpointVars is the exported per-endpoint snapshot.
-type endpointVars struct {
-	Count int64   `json:"count"`
-	P50Ms float64 `json:"p50_ms"`
-	P90Ms float64 `json:"p90_ms"`
-	P99Ms float64 `json:"p99_ms"`
-}
-
-// serveVars renders the metrics snapshot at /debug/vars.
-func (m *metrics) serveVars(w http.ResponseWriter, _ *http.Request) {
-	m.mu.Lock()
-	names := make([]string, 0, len(m.endpoints))
-	for name := range m.endpoints {
-		names = append(names, name)
-	}
-	m.mu.Unlock()
-	sort.Strings(names)
-
-	eps := make(map[string]endpointVars, len(names))
-	for _, name := range names {
-		em := m.endpoint(name)
-		p50, p90, p99 := em.quantiles()
-		eps[name] = endpointVars{Count: em.count.Load(), P50Ms: p50, P90Ms: p90, P99Ms: p99}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
-		"inflight":   m.inflight.Load(),
-		"endpoints":  eps,
-		"goroutines": runtime.NumGoroutine(),
-	})
 }
 
 // promWriter accumulates Prometheus text-format exposition. Families are

@@ -2,8 +2,8 @@
 // named gkmeans indexes served over a /v1 JSON API, with micro-batched
 // single-query search (concurrent requests coalesce into SearchBatch calls
 // that share the worker pool), graph-supported clustering, hot index
-// registration, instance-scoped metrics (/debug/vars JSON and Prometheus
-// text format at /metrics) and graceful drain.
+// registration, instance-scoped metrics (Prometheus text format at
+// /metrics) and graceful drain.
 //
 // The read path is hardened for production traffic: every search passes
 // deadline → limiter → cache → coalescer → fan-out. Per-request deadlines
@@ -157,7 +157,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/indexes/{name}/insert", s.met.instrument("insert", s.handleInsert))
 	s.mux.HandleFunc("POST /v1/indexes/{name}/delete", s.met.instrument("delete", s.handleDelete))
 	s.mux.HandleFunc("POST /v1/indexes/{name}/cluster", s.met.instrument("cluster", s.handleCluster))
-	s.mux.HandleFunc("GET /debug/vars", s.met.instrument("debug_vars", s.met.serveVars))
 	s.mux.HandleFunc("GET /metrics", s.met.instrument("metrics", s.serveMetrics))
 	if cfg.CompactInterval > 0 {
 		go s.compactLoop()

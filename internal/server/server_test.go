@@ -304,8 +304,8 @@ func TestServerShutdownDrains(t *testing.T) {
 	if w := call(t, s, "GET", "/v1/indexes", "", nil); w.Code != 200 {
 		t.Fatalf("list during drain: %d", w.Code)
 	}
-	if w := call(t, s, "GET", "/debug/vars", "", nil); w.Code != 200 {
-		t.Fatalf("debug vars during drain: %d", w.Code)
+	if w := call(t, s, "GET", "/metrics", "", nil); w.Code != 200 {
+		t.Fatalf("metrics during drain: %d", w.Code)
 	}
 }
 
@@ -366,26 +366,48 @@ func TestServerMetricsEndpoint(t *testing.T) {
 	}
 	call(t, s, "GET", "/healthz", "", nil)
 
-	var vars struct {
-		Inflight  int64                   `json:"inflight"`
-		Endpoints map[string]endpointVars `json:"endpoints"`
+	w := call(t, s, "GET", "/metrics", "", nil)
+	if w.Code != 200 {
+		t.Fatalf("metrics: %d", w.Code)
 	}
-	if w := call(t, s, "GET", "/debug/vars", "", &vars); w.Code != 200 {
-		t.Fatalf("debug vars: %d", w.Code)
+	families, err := client.ParseMetrics(w.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	search, ok := vars.Endpoints["search"]
-	if !ok || search.Count != 3 {
-		t.Fatalf("search endpoint vars %+v (present %v)", search, ok)
+	// sample returns the value of the named series whose labels include
+	// want, or -1.
+	sample := func(family, series string, want map[string]string) float64 {
+		f, _ := client.Find(families, family)
+	next:
+		for _, sm := range f.Samples {
+			if sm.Name != series {
+				continue
+			}
+			for k, v := range want {
+				if sm.Labels[k] != v {
+					continue next
+				}
+			}
+			return sm.Value
+		}
+		return -1
 	}
-	if search.P50Ms <= 0 || search.P99Ms < search.P50Ms {
-		t.Fatalf("implausible quantiles %+v", search)
+	if n := sample("gkserved_requests_total", "gkserved_requests_total", map[string]string{"endpoint": "search", "code": "200"}); n != 3 {
+		t.Fatalf("search requests with status 200: %v, want 3", n)
 	}
-	if vars.Endpoints["healthz"].Count != 1 {
-		t.Fatalf("healthz count %d, want 1", vars.Endpoints["healthz"].Count)
+	const hist = "gkserved_request_duration_seconds"
+	if n := sample(hist, hist+"_count", map[string]string{"endpoint": "search"}); n != 3 {
+		t.Fatalf("search latency observations: %v, want 3", n)
+	}
+	if sum := sample(hist, hist+"_sum", map[string]string{"endpoint": "search"}); sum <= 0 {
+		t.Fatalf("implausible search latency sum %v", sum)
+	}
+	if n := sample(hist, hist+"_count", map[string]string{"endpoint": "healthz"}); n != 1 {
+		t.Fatalf("healthz observations: %v, want 1", n)
 	}
 	// The scrape itself is in flight while it runs.
-	if vars.Inflight < 1 {
-		t.Fatalf("inflight gauge %d, want >= 1", vars.Inflight)
+	if n := sample("gkserved_inflight_requests", "gkserved_inflight_requests", nil); n < 1 {
+		t.Fatalf("inflight gauge %v, want >= 1", n)
 	}
 }
 

@@ -8,24 +8,27 @@ import (
 	"gkmeans/internal/checked"
 	"gkmeans/internal/router"
 	"gkmeans/internal/store"
-	"gkmeans/internal/vec"
 )
 
 // Mutation: Append, Delete and Compact grow, shrink and consolidate an
 // index without ever touching a published value. Every mutation is
-// copy-on-write — it returns a new *Index sharing every unchanged shard
-// (sub-index, graph, searcher) with the receiver — so concurrent readers
+// copy-on-write — it returns a new *Index sharing every unchanged segment
+// core (rows, graph, searcher) with the receiver — so concurrent readers
 // of the old value keep answering queries from a consistent snapshot and
 // a serving layer promotes the new value with one atomic swap.
 //
-// The unit of mutation is the shard (PR 5's fan-out already merges
-// per-shard results): Append builds one new shard over the fresh vectors,
+// The unit of mutation is the segment, which the public API calls a shard
+// (search already merges per-segment results): Append builds one new shard
+// over the fresh vectors,
 // Delete marks rows in per-shard tombstone bitmaps that every search
 // skips, and Compact rebuilds tombstone-heavy or fragmented shards from
 // their live rows only. External ids are stable for the life of a vector:
 // Append assigns them from a monotone counter and a compacted shard keeps
 // an explicit id map for its surviving rows, so compaction changes which
-// shard answers for a vector but never its id.
+// shard answers for a vector but never its id. A compaction whose
+// survivors are ids 0..N-1 in one segment leaves a monolithic index: what
+// an index can do follows from the segments it holds, not from how it got
+// them.
 
 // ShardInfo describes one shard of an index for operational decisions
 // (compaction policy, stats endpoints). A monolithic index reports a
@@ -37,106 +40,36 @@ type ShardInfo struct {
 	Gen     uint64 // build generation: 0 at Build, counting up per mutation
 }
 
-// idBound returns the lowest never-assigned external id: every id in the
-// index is below it. For an index that was never mutated this is the row
-// count.
-func (x *Index) idBound() int32 {
-	if x.nextID > 0 {
-		return x.nextID
-	}
-	return checked.Int32(x.rows())
-}
-
 // IDBound returns the exclusive upper bound of the external ids in use:
 // Append assigns ids starting here. Serving layers use it to pre-assign
 // ids to vectors buffered ahead of a shard build.
-func (x *Index) IDBound() int32 { return x.idBound() }
+func (x *Index) IDBound() int32 { return x.nextID }
 
-// shardCount returns the number of physical shards, counting a monolithic
-// index as one.
-func (x *Index) shardCount() int {
-	if x.Sharded() {
-		return len(x.shards)
-	}
-	return 1
-}
-
-// shardRows returns shard s's physical row count.
-func (x *Index) shardRows(s int) int {
-	if x.Sharded() {
-		return x.shards[s].N()
-	}
-	return x.rows()
-}
-
-// shardTomb returns shard s's tombstone bitmap, or nil when the shard has
-// none. Safe on indexes that were never mutated (nil slice).
-func (x *Index) shardTomb(s int) *store.Bits {
-	if s < len(x.tombs) {
-		return x.tombs[s]
-	}
-	return nil
-}
-
-// shardIDMap returns shard s's explicit external-id map, or nil when the
-// shard uses base+local ids.
-func (x *Index) shardIDMap(s int) []int32 {
-	if s < len(x.shardIDs) {
-		return x.shardIDs[s]
-	}
-	return nil
-}
-
-// shardBaseOf returns shard s's external base id (0 for a monolithic
-// index).
-func (x *Index) shardBaseOf(s int) int32 {
-	if s < len(x.shardBase) {
-		return x.shardBase[s]
-	}
-	return 0
-}
-
-// shardGeneration returns shard s's build generation.
-func (x *Index) shardGeneration(s int) uint64 {
-	if s < len(x.shardGen) {
-		return x.shardGen[s]
-	}
-	return 0
-}
-
-// maxGen returns the highest shard generation.
+// maxGen returns the highest segment generation.
 func (x *Index) maxGen() uint64 {
 	var g uint64
-	for _, v := range x.shardGen {
-		if v > g {
-			g = v
-		}
+	for i := range x.segs {
+		g = max(g, x.segs[i].gen)
 	}
 	return g
 }
 
-// ShardInfos returns one ShardInfo per shard (a single entry for a
+// ShardInfos returns one ShardInfo per segment (a single entry for a
 // monolithic index), the input of the compaction policy.
 func (x *Index) ShardInfos() []ShardInfo {
-	out := make([]ShardInfo, x.shardCount())
-	for s := range out {
-		rows := x.shardRows(s)
-		del := 0
-		if t := x.shardTomb(s); t != nil {
-			del = t.Count()
-		}
-		out[s] = ShardInfo{Rows: rows, Deleted: del, Live: rows - del, Gen: x.shardGeneration(s)}
+	out := make([]ShardInfo, len(x.segs))
+	for i := range x.segs {
+		s := &x.segs[i]
+		out[i] = ShardInfo{Rows: s.rows.n, Deleted: s.dead(), Live: s.rows.n - s.dead(), Gen: s.gen}
 	}
 	return out
 }
 
-// Deleted returns the number of tombstoned rows across all shards.
+// Deleted returns the number of tombstoned rows across all segments.
 func (x *Index) Deleted() int {
 	del := 0
-	for _, t := range x.tombs {
-		if t != nil {
-			del += t.Count()
-		}
+	for i := range x.segs {
+		del += x.segs[i].dead()
 	}
 	return del
 }
@@ -144,53 +77,29 @@ func (x *Index) Deleted() int {
 // Live returns the number of searchable rows: N() minus Deleted().
 func (x *Index) Live() int { return x.N() - x.Deleted() }
 
-// cloneShell returns a new Index sharing every component of x. The
-// searcher is adopted (not rebuilt) when x already constructed one; the
-// sync fields themselves are never copied.
-func (x *Index) cloneShell() *Index {
-	y := &Index{
-		data: x.data, u8: x.u8, graph: x.graph,
-		shards: x.shards, shardBase: x.shardBase,
-		shardIDs: x.shardIDs, shardGen: x.shardGen, tombs: x.tombs,
-		route: x.route, probes: x.probes,
-		clusters: x.clusters, graphTime: x.graphTime, cfg: x.cfg, nextID: x.nextID,
-	}
-	if !x.Sharded() {
-		if s := x.searcher.Load(); s != nil {
-			y.searcherOnce.Do(func() { y.searcher.Store(s) })
-		}
-	}
-	return y
-}
-
-// locate maps an external id to its (shard, local row), scanning id maps
+// locate maps an external id to its (segment, local row), scanning id maps
 // where present. ok is false for an id the index never assigned or that
 // compaction has already reclaimed.
-func (x *Index) locate(id int32) (shard, local int, ok bool) {
+func (x *Index) locate(id int32) (at, local int, ok bool) {
 	if id < 0 {
 		return 0, 0, false
 	}
-	if !x.Sharded() {
-		if int(id) < x.rows() {
-			return 0, int(id), true
-		}
-		return 0, 0, false
-	}
-	for s, sh := range x.shards {
-		if ids := x.shardIDMap(s); ids != nil {
-			// Compacted shards carry explicit ids; a linear scan keeps the
-			// id map free of auxiliary structures. Deletes are rare next to
-			// searches, so the O(rows) cost sits off the hot path.
-			for l, v := range ids {
+	for at := range x.segs {
+		s := &x.segs[at]
+		if s.ids != nil {
+			// Routed and compacted segments carry explicit ids; a linear
+			// scan keeps the id map free of auxiliary structures. Deletes
+			// are rare next to searches, so the O(rows) cost sits off the
+			// hot path.
+			for l, v := range s.ids {
 				if v == id {
-					return s, l, true
+					return at, l, true
 				}
 			}
 			continue
 		}
-		base := x.shardBaseOf(s)
-		if id >= base && int(id-base) < sh.N() {
-			return s, int(id - base), true
+		if id >= s.base && int(id-s.base) < s.rows.n {
+			return at, int(id - s.base), true
 		}
 	}
 	return 0, 0, false
@@ -221,8 +130,8 @@ func (x *Index) Append(ctx context.Context, vectors *Matrix) (*Index, error) {
 	if vectors == nil || vectors.N == 0 {
 		return nil, fmt.Errorf("gkmeans: Append needs a non-empty vector set")
 	}
-	if vectors.Dim != x.dims() {
-		return nil, fmt.Errorf("gkmeans: appending %d-dimensional vectors to a %d-dimensional index", vectors.Dim, x.dims())
+	if vectors.Dim != x.data.dim {
+		return nil, fmt.Errorf("gkmeans: appending %d-dimensional vectors to a %d-dimensional index", vectors.Dim, x.data.dim)
 	}
 	if vectors.N < minShardRows {
 		return nil, fmt.Errorf("gkmeans: Append needs at least %d vectors to build a shard graph, got %d", minShardRows, vectors.N)
@@ -230,105 +139,60 @@ func (x *Index) Append(ctx context.Context, vectors *Matrix) (*Index, error) {
 	if x.clusters != nil {
 		return nil, fmt.Errorf("gkmeans: Append on an index with a Build-time clustering; rebuild without WithClusters")
 	}
-	bound := x.idBound()
+	bound := x.nextID
 	if int64(bound)+int64(vectors.N) > math.MaxInt32 {
 		return nil, fmt.Errorf("gkmeans: appending %d vectors would overflow the int32 id space at %d", vectors.N, bound)
 	}
-
-	// The parent matrix is rebuilt as old rows + new rows (persistence and
-	// Data()/DataU8() expect one contiguous dataset), but the new shard is
-	// built over its own copy of the vectors: a shard must not pin a whole
-	// concatenated matrix in memory once a later Append replaces it. On a
-	// uint8 index the incoming vectors are narrowed up front — every value
-	// must be an exact byte, like a query — and the appended shard stays
-	// bytes end to end.
-	total := x.rows() + vectors.N
-	var newData, own *Matrix
-	var newU8, ownU8 *vec.U8Matrix
-	if x.u8 != nil {
-		v8, err := vec.U8FromMatrix(vectors)
-		if err != nil {
-			return nil, fmt.Errorf("gkmeans: Append on a uint8 index: %w", err)
-		}
-		newU8 = vec.NewU8Matrix(total, x.u8.Dim)
-		copy(newU8.Data[:len(x.u8.Data)], x.u8.Data)
-		copy(newU8.Data[len(x.u8.Data):], v8.Data)
-		ownU8 = v8 // U8FromMatrix already allocated an independent copy
-	} else {
-		newData = NewMatrix(total, x.data.Dim)
-		copy(newData.Data[:len(x.data.Data)], x.data.Data)
-		copy(newData.Data[len(x.data.Data):], vectors.Data)
-		own = NewMatrix(vectors.N, vectors.Dim)
-		copy(own.Data, vectors.Data)
+	// On a uint8 index the incoming vectors are narrowed up front — every
+	// value must be an exact byte, like a query — and the appended segment
+	// stays bytes end to end.
+	fresh, err := rowsOf(vectors, x.DType())
+	if err != nil {
+		return nil, fmt.Errorf("gkmeans: Append on a %s index: %w", x.DType(), err)
 	}
 
-	shardCfg := x.cfg
-	shardCfg.shards = 0
-	shardCfg.clusterK = 0
-	shardCfg.progress = nil
-	built, graphTime, err := buildShardLoop(ctx, own, ownU8, shardCfg, []int{vectors.N}, nil)
+	// The parent dataset is rebuilt as old rows + new rows (persistence and
+	// Data()/DataU8() expect one contiguous dataset), but the new segment
+	// is built over its own copy of the vectors: a segment must not pin a
+	// whole concatenated matrix in memory once a later Append replaces it,
+	// nor alias the caller's.
+	full := x.data.allocLike(x.data.n + fresh.n)
+	full.copyRows(0, x.data, 0, x.data.n)
+	full.copyRows(x.data.n, fresh, 0, fresh.n)
+	own := fresh.allocLike(fresh.n)
+	own.copyRows(0, fresh, 0, fresh.n)
+
+	cfg := x.cfg
+	cfg.progress = nil
+	built, graphTime, err := buildSegs(ctx, own, cfg, []int{own.n})
 	if err != nil {
 		return nil, err
 	}
+	n := len(x.segs)
+	built[0].base, built[0].gen = bound, x.maxGen()+1
 
-	n := x.shardCount()
-	shards := make([]*Index, n, n+1)
-	base := make([]int32, n, n+1)
-	ids := make([][]int32, n, n+1)
-	gens := make([]uint64, n, n+1)
-	tombs := make([]*store.Bits, n, n+1)
-	if x.Sharded() {
-		copy(shards, x.shards)
-		copy(base, x.shardBase)
-		copy(ids, x.shardIDs)
-		copy(gens, x.shardGen)
-		copy(tombs, x.tombs)
-	} else {
-		// The receiver itself becomes shard 0: it is a complete monolithic
-		// index over exactly the old rows, searcher included.
-		shards[0] = x
-		tombs[0] = x.shardTomb(0)
-	}
-	gen := x.maxGen() + 1
-	y := &Index{
-		data:      newData,
-		u8:        newU8,
-		shards:    append(shards, built[0]),
-		shardBase: append(base, bound),
-		shardIDs:  append(ids, nil),
-		shardGen:  append(gens, gen),
-		tombs:     append(tombs, nil),
-		probes:    x.probes,
-		graphTime: x.graphTime + graphTime,
-		cfg:       x.cfg,
-		nextID:    checked.Int32(int(bound) + vectors.N),
-	}
-	if y.probes == nil {
-		y.probes = &probeStats{}
-	}
-	// A routed receiver extends its router: the new shard gets its own
-	// centroids (unchanged shards share theirs), so appended vectors are
+	y := *x
+	y.data = full
+	y.segs = append(x.segs[:n:n], built[0]) // full slice expression: always copies
+	y.graphTime += graphTime
+	y.nextID = checked.Int32(int(bound) + vectors.N)
+	// A routed receiver extends its router: the new segment gets its own
+	// centroids (unchanged segments share theirs), so appended vectors are
 	// routable the moment the new index is swapped in.
 	if x.route != nil {
-		cents := make([]*Matrix, 0, n+1)
-		for s := 0; s < n; s++ {
-			cents = append(cents, x.route.Centroids(s))
+		cents := make([]*Matrix, n, n+1)
+		for s := range cents {
+			cents[s] = x.route.Centroids(s)
 		}
-		routeInput := own
-		if ownU8 != nil {
-			routeInput = ownU8.Widen()
-		}
-		m, err := router.BuildShard(routeInput, x.route.K(), routingSeed(x.cfg.seed, gen, n), x.cfg.workers)
+		m, err := routingCentroids(own, x.cfg, built[0].gen, n)
 		if err != nil {
-			return nil, fmt.Errorf("gkmeans: routing centroids for appended shard: %w", err)
+			return nil, err
 		}
-		route, err := router.New(x.route.K(), x.dims(), append(cents, m))
-		if err != nil {
+		if y.route, err = router.New(x.route.K(), x.data.dim, append(cents, m)); err != nil {
 			return nil, fmt.Errorf("gkmeans: extending shard router: %w", err)
 		}
-		y.route = route
 	}
-	return y, nil
+	return &y, nil
 }
 
 // Delete tombstones the vectors with the given external ids and returns a
@@ -347,29 +211,27 @@ func (x *Index) Delete(ids ...int32) (*Index, error) {
 	if len(ids) == 0 {
 		return x, nil
 	}
-	n := x.shardCount()
-	tombs := make([]*store.Bits, n)
-	copy(tombs, x.tombs)
-	owned := make([]bool, n)
+	y := *x
+	y.segs = append([]seg(nil), x.segs...)
+	y.clusters = nil
+	owned := make([]bool, len(y.segs))
 	for _, id := range ids {
-		s, local, ok := x.locate(id)
+		at, local, ok := x.locate(id)
 		if !ok {
 			return nil, fmt.Errorf("gkmeans: Delete of unknown id %d", id)
 		}
-		if !owned[s] {
-			if tombs[s] == nil {
-				tombs[s] = store.NewBits(x.shardRows(s))
+		s := &y.segs[at]
+		if !owned[at] {
+			if s.tomb == nil {
+				s.tomb = store.NewBits(s.rows.n)
 			} else {
-				tombs[s] = tombs[s].Clone()
+				s.tomb = s.tomb.Clone()
 			}
-			owned[s] = true
+			owned[at] = true
 		}
-		tombs[s].Set(local)
+		s.tomb.Set(local)
 	}
-	y := x.cloneShell()
-	y.tombs = tombs
-	y.clusters = nil
-	return y, nil
+	return &y, nil
 }
 
 // Compact rebuilds the given shards (all of them when none are named)
@@ -390,7 +252,7 @@ func (x *Index) Compact(ctx context.Context, targets ...int) (*Index, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	n := x.shardCount()
+	n := len(x.segs)
 	if len(targets) == 0 {
 		targets = make([]int, n)
 		for i := range targets {
@@ -411,23 +273,20 @@ func (x *Index) Compact(ctx context.Context, targets ...int) (*Index, error) {
 		return nil, fmt.Errorf("gkmeans: Compact on an index with a Build-time clustering; rebuild without WithClusters")
 	}
 
+	live := func(s int) int { return x.segs[s].rows.n - x.segs[s].dead() }
 	mergedLive := 0
 	for s := 0; s < n; s++ {
 		if inTarget[s] {
-			del := 0
-			if t := x.shardTomb(s); t != nil {
-				del = t.Count()
-			}
-			mergedLive += x.shardRows(s) - del
+			mergedLive += live(s)
 		}
 	}
-	// A merged shard below the graph minimum cannot be built on its own:
-	// widen the selection with the smallest untargeted shards until it
+	// A merged segment below the graph minimum cannot be built on its own:
+	// widen the selection with the smallest untargeted segments until it
 	// carries enough live rows (or nothing is left to widen with).
 	for mergedLive > 0 && mergedLive < minShardRows {
 		best := -1
 		for s := 0; s < n; s++ {
-			if !inTarget[s] && (best < 0 || x.shardRows(s) < x.shardRows(best)) {
+			if !inTarget[s] && (best < 0 || x.segs[s].rows.n < x.segs[best].rows.n) {
 				best = s
 			}
 		}
@@ -435,208 +294,95 @@ func (x *Index) Compact(ctx context.Context, targets ...int) (*Index, error) {
 			return nil, fmt.Errorf("gkmeans: compaction would leave %d live rows, fewer than a graph needs (%d)", mergedLive, minShardRows)
 		}
 		inTarget[best] = true
-		del := 0
-		if t := x.shardTomb(best); t != nil {
-			del = t.Count()
-		}
-		mergedLive += x.shardRows(best) - del
+		mergedLive += live(best)
 	}
-
-	first := -1
-	for s := 0; s < n; s++ {
-		if inTarget[s] {
-			first = s
-			break
-		}
-	}
-
-	// Lay out the new parent matrix in shard order, the merged live rows
-	// taking the first target's place, and collect their external ids.
 	keptRows := 0
 	for s := 0; s < n; s++ {
 		if !inTarget[s] {
-			keptRows += x.shardRows(s)
+			keptRows += x.segs[s].rows.n
 		}
 	}
 	if keptRows+mergedLive == 0 {
 		return nil, fmt.Errorf("gkmeans: compaction would empty the index (every row is deleted)")
 	}
 
-	var newData *Matrix
-	var newU8 *vec.U8Matrix
-	if x.u8 != nil {
-		newU8 = vec.NewU8Matrix(keptRows+mergedLive, x.u8.Dim)
-	} else {
-		newData = NewMatrix(keptRows+mergedLive, x.data.Dim)
-	}
+	// Lay out the new parent dataset in segment order, the merged live rows
+	// taking the first target's place, and collect their external ids.
+	full := x.data.allocLike(keptRows + mergedLive)
 	mergedIDs := make([]int32, 0, mergedLive)
-	var layout []int // untargeted shards, in order
-	row := 0
-	mergedLo := -1
-	// copyRow moves shard s's local row l into parent row dst, in whichever
-	// element type the index stores.
-	copyRow := func(dst, s, l int) {
-		if x.u8 != nil {
-			src := x.u8
-			if x.Sharded() {
-				src = x.shards[s].u8
-			}
-			copy(newU8.Row(dst), src.Row(l))
-			return
-		}
-		src := x.data
-		if x.Sharded() {
-			src = x.shards[s].data
-		}
-		copy(newData.Row(dst), src.Row(l))
-	}
+	row, mergedLo := 0, -1
 	for s := 0; s < n; s++ {
 		switch {
-		case s == first:
+		case !inTarget[s]:
+			full.copyRows(row, x.segs[s].rows, 0, x.segs[s].rows.n)
+			row += x.segs[s].rows.n
+		case mergedLo < 0:
 			mergedLo = row
 			for t := s; t < n; t++ {
 				if !inTarget[t] {
 					continue
 				}
-				tomb := x.shardTomb(t)
-				idmap := x.shardIDMap(t)
-				tbase := x.shardBaseOf(t)
-				for l := 0; l < x.shardRows(t); l++ {
-					if tomb != nil && tomb.Get(l) {
+				sg := &x.segs[t]
+				for l := 0; l < sg.rows.n; l++ {
+					if sg.tomb != nil && sg.tomb.Get(l) {
 						continue
 					}
-					copyRow(row, t, l)
-					if idmap != nil {
-						mergedIDs = append(mergedIDs, idmap[l])
-					} else {
-						mergedIDs = append(mergedIDs, tbase+checked.Int32(l))
-					}
+					full.copyRows(row, sg.rows, l, l+1)
+					mergedIDs = append(mergedIDs, sg.id(l))
 					row++
 				}
 			}
-		case inTarget[s]:
-			// Folded into the merged shard above.
-		default:
-			for l := 0; l < x.shardRows(s); l++ {
-				copyRow(row, s, l)
-				row++
-			}
-			layout = append(layout, s)
 		}
 	}
 
-	var merged *Index
-	var mergedTime = x.graphTime
-	if mergedLive > 0 {
-		shardCfg := x.cfg
-		shardCfg.shards = 0
-		shardCfg.clusterK = 0
-		shardCfg.progress = nil
-		var mergedView *Matrix
-		var mergedViewU8 *vec.U8Matrix
-		if newU8 != nil {
-			mergedViewU8 = shardViewU8(newU8, mergedLo, mergedLo+mergedLive)
-		} else {
-			mergedView = shardView(newData, mergedLo, mergedLo+mergedLive)
-		}
-		built, graphTime, err := buildShardLoop(ctx, mergedView, mergedViewU8, shardCfg, []int{mergedLive}, nil)
-		if err != nil {
-			return nil, err
-		}
-		merged = built[0]
-		mergedTime += graphTime
-	}
-
-	// If the surviving ids are still base+local, drop the id map: the
-	// shard persists and serves exactly like an unmutated one.
-	var mergedMap []int32
-	mergedBase := int32(0)
-	if merged != nil {
-		mergedBase = mergedIDs[0]
-		for l, id := range mergedIDs {
-			if id != mergedBase+checked.Int32(l) {
-				mergedMap = mergedIDs
-				break
-			}
-		}
-	}
-
-	gen := x.maxGen() + 1
-	var shards []*Index
-	var base []int32
-	var ids [][]int32
-	var gens []uint64
-	var tombs []*store.Bits
+	y := *x
+	y.data = full
+	y.segs = make([]seg, 0, n)
 	var cents []*Matrix
-	li := 0
+	placed := false
 	for s := 0; s < n; s++ {
 		switch {
-		case s == first && merged != nil:
-			shards = append(shards, merged)
-			base = append(base, mergedBase)
-			ids = append(ids, mergedMap)
-			gens = append(gens, gen)
-			tombs = append(tombs, nil)
+		case !inTarget[s]:
+			y.segs = append(y.segs, x.segs[s])
 			if x.route != nil {
-				// The merged shard's rows changed, so its routing centroids
-				// are recomputed from scratch; untargeted shards keep theirs.
-				var view *Matrix
-				if newU8 != nil {
-					view = shardViewU8(newU8, mergedLo, mergedLo+mergedLive).Widen()
-				} else {
-					view = shardView(newData, mergedLo, mergedLo+mergedLive)
+				cents = append(cents, x.route.Centroids(s))
+			}
+		case !placed && mergedLive > 0:
+			cfg := x.cfg
+			cfg.progress = nil
+			built, graphTime, err := buildSegs(ctx, full.view(mergedLo, mergedLo+mergedLive), cfg, []int{mergedLive})
+			if err != nil {
+				return nil, err
+			}
+			y.graphTime += graphTime
+			merged := built[0]
+			merged.base, merged.gen = mergedIDs[0], x.maxGen()+1
+			// If the surviving ids are still base+local, there is no id map:
+			// the segment persists and serves exactly like a freshly built one.
+			for l, id := range mergedIDs {
+				if id != merged.base+checked.Int32(l) {
+					merged.ids = mergedIDs
+					break
 				}
-				m, err := router.BuildShard(view,
-					x.route.K(), routingSeed(x.cfg.seed, gen, len(shards)-1), x.cfg.workers)
+			}
+			if x.route != nil {
+				// The merged segment's rows changed, so its routing centroids
+				// are recomputed from scratch; untargeted segments keep theirs.
+				m, err := routingCentroids(merged.rows, x.cfg, merged.gen, len(y.segs))
 				if err != nil {
-					return nil, fmt.Errorf("gkmeans: routing centroids for compacted shard: %w", err)
+					return nil, err
 				}
 				cents = append(cents, m)
 			}
-		case inTarget[s]:
-			// Dropped (either folded into merged, or fully dead).
-		default:
-			k := layout[li]
-			li++
-			var sub *Index
-			if x.Sharded() {
-				sub = x.shards[k]
-			} else {
-				sub = x
-			}
-			shards = append(shards, sub)
-			base = append(base, x.shardBaseOf(k))
-			ids = append(ids, x.shardIDMap(k))
-			gens = append(gens, x.shardGeneration(k))
-			tombs = append(tombs, x.shardTomb(k))
-			if x.route != nil {
-				cents = append(cents, x.route.Centroids(k))
-			}
+			y.segs = append(y.segs, merged)
 		}
-	}
-
-	y := &Index{
-		data:      newData,
-		u8:        newU8,
-		shards:    shards,
-		shardBase: base,
-		shardIDs:  ids,
-		shardGen:  gens,
-		tombs:     tombs,
-		probes:    x.probes,
-		graphTime: mergedTime,
-		cfg:       x.cfg,
-		nextID:    x.idBound(),
-	}
-	if y.Sharded() && y.probes == nil {
-		y.probes = &probeStats{}
+		placed = placed || inTarget[s]
 	}
 	if x.route != nil {
-		route, err := router.New(x.route.K(), x.dims(), cents)
-		if err != nil {
+		var err error
+		if y.route, err = router.New(x.route.K(), x.data.dim, cents); err != nil {
 			return nil, fmt.Errorf("gkmeans: reassembling shard router: %w", err)
 		}
-		y.route = route
 	}
-	return y, nil
+	return &y, nil
 }

@@ -13,44 +13,17 @@ import (
 // liveSearch is the test oracle: exact nearest neighbours over the live
 // (non-deleted) rows only, by external id.
 func liveSearch(idx *Index, q []float32, topK int) []Neighbor {
-	dead := map[int32]bool{}
-	for s := 0; s < idx.shardCount(); s++ {
-		t := idx.shardTomb(s)
-		if t == nil {
-			continue
-		}
-		for l := 0; l < t.Len(); l++ {
-			if !t.Get(l) {
-				continue
-			}
-			if ids := idx.shardIDMap(s); ids != nil {
-				dead[ids[l]] = true
-			} else {
-				dead[idx.shardBaseOf(s)+int32(l)] = true
-			}
-		}
-	}
 	var all []Neighbor
-	for s := 0; s < idx.shardCount(); s++ {
-		var sh *Index
-		if idx.Sharded() {
-			sh = idx.shards[s]
-		} else {
-			sh = idx
-		}
-		for l := 0; l < sh.N(); l++ {
-			id := idx.shardBaseOf(s) + int32(l)
-			if ids := idx.shardIDMap(s); ids != nil {
-				id = ids[l]
-			}
-			if dead[id] {
+	for s := range idx.segs {
+		sg := &idx.segs[s]
+		for l := 0; l < sg.rows.n; l++ {
+			if sg.tomb != nil && sg.tomb.Get(l) {
 				continue
 			}
-			all = append(all, Neighbor{ID: id, Dist: vec.L2Sqr(q, sh.Data().Row(l))})
+			all = append(all, Neighbor{ID: sg.id(l), Dist: vec.L2Sqr(q, sg.rows.f32.Row(l))})
 		}
 	}
-	res := mergeShardResults([][]Neighbor{all}, topK)
-	return res
+	return mergeShardResults([][]Neighbor{all}, topK)
 }
 
 func TestAppendGrowsIndex(t *testing.T) {
@@ -256,11 +229,11 @@ func TestCompactPreservesResults(t *testing.T) {
 	}
 	// Tombstone ~40% of shard 1 and a few rows of shard 2.
 	var doomed []int32
-	lo := int32(base.shardBaseOf(1))
-	for i := int32(0); i < int32(base.shards[1].N()*2/5); i++ {
+	lo := base.segs[1].base
+	for i := int32(0); i < int32(base.segs[1].rows.n*2/5); i++ {
 		doomed = append(doomed, lo+i)
 	}
-	doomed = append(doomed, base.shardBaseOf(2)+1, base.shardBaseOf(2)+7)
+	doomed = append(doomed, base.segs[2].base+1, base.segs[2].base+7)
 	idx, err := base.Delete(doomed...)
 	if err != nil {
 		t.Fatal(err)
@@ -303,7 +276,7 @@ func TestCompactPreservesResults(t *testing.T) {
 	if _, err := compacted.Delete(doomed[0]); err == nil {
 		t.Fatal("Delete of a compacted-away id did not error")
 	}
-	survivor := base.shardBaseOf(2) + 2
+	survivor := base.segs[2].base + 2
 	d2, err := compacted.Delete(survivor)
 	if err != nil {
 		t.Fatal(err)
@@ -445,8 +418,8 @@ func TestMutatedPersistRoundTrip(t *testing.T) {
 	}
 	// Still carrying: one tombstoned shard (shard 1), one id-mapped shard
 	// (the compacted shard 0), generations, and IDBound > N.
-	if idx.Deleted() == 0 || idx.shardIDMap(0) == nil {
-		t.Fatalf("fixture lost its mutation state: Deleted=%d idmap=%v", idx.Deleted(), idx.shardIDMap(0))
+	if idx.Deleted() == 0 || idx.segs[0].ids == nil {
+		t.Fatalf("fixture lost its mutation state: Deleted=%d idmap=%v", idx.Deleted(), idx.segs[0].ids)
 	}
 
 	var buf bytes.Buffer
@@ -463,9 +436,9 @@ func TestMutatedPersistRoundTrip(t *testing.T) {
 			loaded.N(), loaded.Shards(), loaded.Deleted(), loaded.IDBound(),
 			idx.N(), idx.Shards(), idx.Deleted(), idx.IDBound())
 	}
-	for s := 0; s < idx.shardCount(); s++ {
-		if loaded.shardGeneration(s) != idx.shardGeneration(s) {
-			t.Fatalf("shard %d generation %d, want %d", s, loaded.shardGeneration(s), idx.shardGeneration(s))
+	for s := range idx.segs {
+		if loaded.segs[s].gen != idx.segs[s].gen {
+			t.Fatalf("shard %d generation %d, want %d", s, loaded.segs[s].gen, idx.segs[s].gen)
 		}
 	}
 	var again bytes.Buffer
@@ -482,7 +455,11 @@ func TestMutatedPersistRoundTrip(t *testing.T) {
 
 	// A monolithic index with tombstones round-trips through v3 too, and
 	// further mutation of the loaded index works.
-	monoDel, err := base.shards[0].Delete(1, 2)
+	mono, err := NewIndex(base.segs[0].rows.f32, base.segs[0].graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	monoDel, err := mono.Delete(1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

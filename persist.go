@@ -48,11 +48,13 @@ import (
 //
 // Version 3 — mutable: written when the index carries mutation state
 // (tombstones, id maps, generations, an id bound past the row count, or a
-// single-shard sharded form, all products of Append/Delete/Compact):
+// segment whose base is not its row offset, all products of
+// Append/Delete/Compact):
 //
 //	uint32  magic "GKIX"
 //	uint32  format version (3)
-//	uint32  flags (bit 1: sharded form, bit 2: tombstones present)
+//	uint32  flags (bit 1: sharded — clear exactly for one segment whose row
+//	        i is id i; bit 2: tombstones present)
 //	uint32  requested entry points (0 = default)
 //	uint32  segment count (>= 1)
 //	uint32  id bound (lowest never-assigned external id, >= row count)
@@ -94,13 +96,14 @@ import (
 // The segment table states every segment's exact byte size up front, so a
 // reader can locate, skip or parallel-load segments without parsing them,
 // and a truncated or inconsistent file fails with a clear error instead of
-// a misaligned read. Loaders accept all five versions; writers emit v1
+// a misaligned read. Loaders accept all five versions; the writer emits
+// the oldest one that can express the index's state (layoutVersion): v1
 // for plain monolithic indexes and v2 for plain sharded ones (older
 // readers keep working, and saving an unmutated, unrouted index stays
-// byte-stable across this change), reserving v3 for indexes that actually
-// carry mutation state, v4 for routed ones and v5 for uint8 datasets (a
-// float32 index never writes v5, so every pre-existing file stays
-// byte-stable). See ARCHITECTURE.md for the full format reference.
+// byte-stable), reserving v3 for indexes that actually carry mutation
+// state, v4 for routed ones and v5 for uint8 datasets (a float32 index
+// never writes v5, so every pre-existing file stays byte-stable). See
+// ARCHITECTURE.md for the full format reference.
 const (
 	indexMagic          = uint32(0x474b4958) // "GKIX"
 	indexVersionSingle  = uint32(1)
@@ -188,85 +191,91 @@ func (x *Index) diskEntries() uint32 {
 	return uint32(x.cfg.entries)
 }
 
-// needsV3 reports whether the index carries mutation state only the v3
-// layout can express: tombstones, id maps, nonzero generations, an id
-// bound past the row count, or the single-shard sharded form Compact can
-// produce (v2 requires >= 2 segments).
-func (x *Index) needsV3() bool {
-	if x.Deleted() > 0 {
-		return true
+// layoutVersion picks the container version WriteTo emits: the oldest
+// layout that can express the index's state, so every file an earlier
+// release would have written for the same state is still written byte for
+// byte. Bytes need v5 and a router v4; past those, the v1/v2 layouts say
+// nothing per segment but its row count, so they fit only an index whose
+// every segment is in its Build-time state (generation 0, no tombstones,
+// no id map) at the base its row offset implies, with no id handed out
+// beyond the rows present — anything else is v3.
+func (x *Index) layoutVersion() uint32 {
+	switch {
+	case x.DType() == DTypeUint8:
+		return indexVersionU8
+	case x.route != nil:
+		return indexVersionRouted
 	}
-	for _, m := range x.shardIDs {
-		if m != nil {
-			return true
+	row := 0
+	for i := range x.segs {
+		s := &x.segs[i]
+		if s.gen != 0 || s.ids != nil || s.dead() > 0 || int(s.base) != row {
+			return indexVersionMutable
 		}
+		row += s.rows.n
 	}
-	for _, g := range x.shardGen {
-		if g != 0 {
-			return true
-		}
+	switch {
+	case int(x.nextID) != row:
+		return indexVersionMutable
+	case len(x.segs) > 1:
+		return indexVersionSharded
 	}
-	if x.nextID != 0 && int(x.nextID) != x.rows() {
-		return true
-	}
-	return x.Sharded() && len(x.shards) == 1
+	return indexVersionSingle
 }
 
 // WriteTo serialises the whole index to w and returns the number of bytes
-// written. It implements io.WriterTo. Plain monolithic indexes write the
-// v1 single-segment layout and plain sharded ones the v2 multi-segment
-// one; an index carrying mutation state writes v3, a routed one
-// (WithRouting, always sharded) writes v4, and a uint8 index — whatever
-// its shape — writes v5, the only layout with a byte dataset.
+// written. It implements io.WriterTo. Plain one-segment indexes write the
+// v1 single-segment layout and plain many-segment ones the v2
+// multi-segment one; an index carrying mutation state writes v3, a routed
+// one (WithRouting) writes v4, and a uint8 index — whatever its state —
+// writes v5, the only layout with a byte dataset.
 func (x *Index) WriteTo(w io.Writer) (int64, error) {
 	cw := &countingWriter{w: w}
-	if x.u8 != nil {
-		err := x.writeMutable(cw, indexVersionU8)
-		return cw.n, err
+	var err error
+	switch v := x.layoutVersion(); v {
+	case indexVersionSingle:
+		err = x.writeSingle(cw)
+	case indexVersionSharded:
+		err = x.writeSharded(cw)
+	default:
+		err = x.writeMutable(cw, v)
 	}
-	if x.route != nil {
-		err := x.writeMutable(cw, indexVersionRouted)
-		return cw.n, err
-	}
-	if x.needsV3() {
-		err := x.writeMutable(cw, indexVersionMutable)
-		return cw.n, err
-	}
-	if x.Sharded() {
-		err := x.writeSharded(cw)
-		return cw.n, err
-	}
+	return cw.n, err
+}
+
+// writeSingle emits the v1 layout: dataset, graph, optional clustering.
+func (x *Index) writeSingle(cw *countingWriter) error {
 	var flags uint32
 	if x.clusters != nil {
 		flags |= flagClusters
 	}
 	hdr := []uint32{indexMagic, indexVersionSingle, flags, x.diskEntries()}
 	if err := binary.Write(cw, binary.LittleEndian, hdr); err != nil {
-		return cw.n, err
+		return err
 	}
-	if _, err := vec.WriteMatrix(cw, x.data); err != nil {
-		return cw.n, err
+	if err := x.data.write(cw); err != nil {
+		return err
 	}
-	if _, err := x.graph.WriteSection(cw); err != nil {
-		return cw.n, err
+	if _, err := x.segs[0].graph.WriteSection(cw); err != nil {
+		return err
 	}
 	if x.clusters != nil {
 		c := x.clusters
 		if err := binary.Write(cw, binary.LittleEndian, []uint32{checked.U32(c.K), checked.U32(c.Iters)}); err != nil {
-			return cw.n, err
+			return err
 		}
 		labels := make([]int32, len(c.Labels))
 		for i, l := range c.Labels {
 			labels[i] = checked.Int32(l)
 		}
 		if err := binary.Write(cw, binary.LittleEndian, labels); err != nil {
-			return cw.n, err
+			return err
 		}
 		if _, err := vec.WriteMatrix(cw, c.Centroids); err != nil {
-			return cw.n, err
+			return err
 		}
 	}
-	return cw.n, nil
+	return nil
 }
 
 // writeSharded emits the v2 multi-segment layout: the full dataset once,
@@ -274,28 +283,37 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 // sizes (computable up front from the graphs' encoded sizes).
 func (x *Index) writeSharded(cw *countingWriter) error {
 	hdr := []uint32{indexMagic, indexVersionSharded, flagSharded, x.diskEntries(),
-		checked.U32(len(x.shards)), 0}
+		checked.U32(len(x.segs)), 0}
 	if err := binary.Write(cw, binary.LittleEndian, hdr); err != nil {
 		return err
 	}
-	if _, err := vec.WriteMatrix(cw, x.data); err != nil {
+	if err := x.data.write(cw); err != nil {
 		return err
 	}
-	table := make([]segmentEntry, len(x.shards))
-	for s, shard := range x.shards {
-		table[s] = segmentEntry{Rows: checked.U32(shard.N()), Size: uint64(shard.graph.SectionSize())}
+	table := make([]segmentEntry, len(x.segs))
+	for s := range table {
+		table[s] = segmentEntry{Rows: checked.U32(x.segs[s].rows.n), Size: uint64(x.segs[s].graph.SectionSize())}
 	}
 	if err := binary.Write(cw, binary.LittleEndian, table); err != nil {
 		return err
 	}
-	for s, shard := range x.shards {
-		before := cw.n
-		if _, err := shard.graph.WriteSection(cw); err != nil {
+	for s, e := range table {
+		if err := x.segs[s].writeGraph(cw, s, e.Size); err != nil {
 			return err
 		}
-		if got := uint64(cw.n - before); got != table[s].Size {
-			return fmt.Errorf("gkmeans: internal error: shard %d segment wrote %d bytes, table says %d", s, got, table[s].Size)
-		}
+	}
+	return nil
+}
+
+// writeGraph emits segment s's graph section and checks it took exactly the
+// size bytes the segment table promised.
+func (sg *seg) writeGraph(cw *countingWriter, s int, size uint64) error {
+	before := cw.n
+	if _, err := sg.graph.WriteSection(cw); err != nil {
+		return err
+	}
+	if got := uint64(cw.n - before); got != size {
+		return fmt.Errorf("gkmeans: internal error: segment %d wrote %d bytes, table says %d", s, got, size)
 	}
 	return nil
 }
@@ -306,23 +324,21 @@ func (x *Index) writeSharded(cw *countingWriter) error {
 // and per-segment generation, base, tombstone bitmap and id map; v4
 // appends the routing-centroid trailer. v5 inserts a dtype word ahead of
 // the segment count, stores the dataset as raw bytes, and carries the
-// routing trailer exactly when the index routes. A monolithic index writes
-// one segment without the sharded flag.
+// routing trailer exactly when the index routes. The sharded flag is left
+// off exactly for an unrouted one-segment index whose row i is id i.
 func (x *Index) writeMutable(cw *countingWriter, version uint32) error {
 	if x.clusters != nil {
 		// Unreachable: every mutation drops or refuses a clustering.
 		return fmt.Errorf("gkmeans: internal error: mutated index carries a clustering")
 	}
-	routed := version == indexVersionRouted || (version == indexVersionU8 && x.route != nil)
-	segs := x.shardCount()
 	flags := uint32(0)
-	if x.Sharded() {
+	if x.Sharded() || x.route != nil {
 		flags |= flagSharded
 	}
 	if x.Deleted() > 0 {
 		flags |= flagTombs
 	}
-	if routed {
+	if x.route != nil {
 		flags |= flagRouting
 	}
 	hdr := []uint32{indexMagic, version, flags, x.diskEntries()}
@@ -330,35 +346,26 @@ func (x *Index) writeMutable(cw *countingWriter, version uint32) error {
 		hdr[2] |= flagU8
 		hdr = append(hdr, dtypeWordU8)
 	}
-	hdr = append(hdr, checked.U32(segs), uint32(x.idBound()))
+	hdr = append(hdr, checked.U32(len(x.segs)), uint32(x.nextID))
 	if err := binary.Write(cw, binary.LittleEndian, hdr); err != nil {
 		return err
 	}
-	if version == indexVersionU8 {
-		if _, err := vec.WriteU8Matrix(cw, x.u8); err != nil {
-			return err
-		}
-	} else if _, err := vec.WriteMatrix(cw, x.data); err != nil {
+	if err := x.data.write(cw); err != nil {
 		return err
 	}
-	graphOf := func(s int) *knngraph.Graph {
-		if x.Sharded() {
-			return x.shards[s].graph
-		}
-		return x.graph
-	}
-	table := make([]segmentEntryV3, segs)
+	table := make([]segmentEntryV3, len(x.segs))
 	for s := range table {
+		sg := &x.segs[s]
 		e := segmentEntryV3{
-			Rows: checked.U32(x.shardRows(s)),
-			Size: uint64(graphOf(s).SectionSize()),
-			Gen:  x.shardGeneration(s),
-			Base: uint32(x.shardBaseOf(s)),
+			Rows: checked.U32(sg.rows.n),
+			Size: uint64(sg.graph.SectionSize()),
+			Gen:  sg.gen,
+			Base: uint32(sg.base),
 		}
-		if t := x.shardTomb(s); t != nil && t.Count() > 0 {
+		if sg.dead() > 0 {
 			e.Flags |= segFlagTombs
 		}
-		if x.shardIDMap(s) != nil {
+		if sg.ids != nil {
 			e.Flags |= segFlagIDMap
 		}
 		table[s] = e
@@ -367,29 +374,26 @@ func (x *Index) writeMutable(cw *countingWriter, version uint32) error {
 		return err
 	}
 	for s, e := range table {
-		before := cw.n
-		if _, err := graphOf(s).WriteSection(cw); err != nil {
+		sg := &x.segs[s]
+		if err := sg.writeGraph(cw, s, e.Size); err != nil {
 			return err
 		}
-		if got := uint64(cw.n - before); got != e.Size {
-			return fmt.Errorf("gkmeans: internal error: segment %d wrote %d bytes, table says %d", s, got, e.Size)
-		}
 		if e.Flags&segFlagTombs != 0 {
-			if err := binary.Write(cw, binary.LittleEndian, x.shardTomb(s).Words()); err != nil {
+			if err := binary.Write(cw, binary.LittleEndian, sg.tomb.Words()); err != nil {
 				return err
 			}
 		}
 		if e.Flags&segFlagIDMap != 0 {
-			if err := binary.Write(cw, binary.LittleEndian, x.shardIDMap(s)); err != nil {
+			if err := binary.Write(cw, binary.LittleEndian, sg.ids); err != nil {
 				return err
 			}
 		}
 	}
-	if routed {
+	if x.route != nil {
 		if err := binary.Write(cw, binary.LittleEndian, checked.U32(x.route.K())); err != nil {
 			return err
 		}
-		for s := 0; s < segs; s++ {
+		for s := range x.segs {
 			if _, err := vec.WriteMatrix(cw, x.route.Centroids(s)); err != nil {
 				return err
 			}
@@ -466,6 +470,24 @@ func readSingle(r io.Reader, flags uint32, entries int) (*Index, error) {
 	return x, nil
 }
 
+// readGraph reads one graph section and checks it consumed exactly the
+// size bytes the segment table declared, then validates it against rows.
+func readGraph(cr *countingReader, s int, size uint64, rows rowStore, entries int) (*segCore, error) {
+	before := cr.n
+	g, err := knngraph.ReadSection(cr)
+	if err != nil {
+		return nil, fmt.Errorf("gkmeans: reading segment %d: %w", s, err)
+	}
+	if got := uint64(cr.n - before); got != size {
+		return nil, fmt.Errorf("gkmeans: segment %d consumed %d bytes, table says %d", s, got, size)
+	}
+	sc, err := newSegCore(rows, g, entries)
+	if err != nil {
+		return nil, fmt.Errorf("gkmeans: segment %d: %w", s, err)
+	}
+	return sc, nil
+}
+
 // readSharded loads the body of a v2 multi-segment container: the full
 // dataset, the segment table, then one graph segment per shard, each
 // checked against the table's declared row count and byte size.
@@ -484,7 +506,7 @@ func readSharded(r io.Reader, flags uint32, entries int) (*Index, error) {
 	if nShards < 2 || nShards > maxShardSegments {
 		return nil, fmt.Errorf("gkmeans: implausible shard count %d", nShards)
 	}
-	data, err := vec.ReadMatrix(r)
+	data, err := readRows(r, DTypeFloat32)
 	if err != nil {
 		return nil, err
 	}
@@ -496,31 +518,24 @@ func readSharded(r io.Reader, flags uint32, entries int) (*Index, error) {
 	for _, e := range table {
 		totalRows += int64(e.Rows)
 	}
-	if totalRows != int64(data.N) {
+	if totalRows != int64(data.n) {
 		return nil, fmt.Errorf("gkmeans: segment table covers %d rows, dataset has %d (shard-count mismatch or corrupt table)",
-			totalRows, data.N)
+			totalRows, data.n)
 	}
 	cr := &countingReader{r: r}
-	shards := make([]*Index, nShards)
+	x := &Index{data: data, segs: make([]seg, nShards), probes: &probeStats{},
+		nextID: checked.Int32(data.n), cfg: config{entries: entries, shards: nShards}}
 	row := 0
 	for s, e := range table {
 		rows := int(e.Rows)
-		before := cr.n
-		g, err := knngraph.ReadSection(cr)
+		sc, err := readGraph(cr, s, e.Size, data.view(row, row+rows), entries)
 		if err != nil {
-			return nil, fmt.Errorf("gkmeans: reading shard %d segment: %w", s, err)
+			return nil, err
 		}
-		if got := uint64(cr.n - before); got != e.Size {
-			return nil, fmt.Errorf("gkmeans: shard %d segment consumed %d bytes, table says %d", s, got, e.Size)
-		}
-		shard, err := NewIndex(shardView(data, row, row+rows), g, WithEntryPoints(entries))
-		if err != nil {
-			return nil, fmt.Errorf("gkmeans: shard %d: %w", s, err)
-		}
-		shards[s] = shard
+		x.segs[s] = seg{segCore: sc, base: checked.Int32(row)}
 		row += rows
 	}
-	return newShardedIndex(data, nil, shards, config{entries: entries, shards: nShards}), nil
+	return x, nil
 }
 
 // readMutable loads the body of a v3 mutable container, a v4 routed one or
@@ -532,22 +547,25 @@ func readSharded(r io.Reader, flags uint32, entries int) (*Index, error) {
 // and the dtype word must both say uint8 — so a flipped bit cannot make a
 // byte dataset parse as floats or vice versa.
 func readMutable(r io.Reader, version, flags uint32, entries int) (*Index, error) {
-	isU8 := version == indexVersionU8
-	routed := version == indexVersionRouted || (isU8 && flags&flagRouting != 0)
+	dt := DTypeFloat32
+	if version == indexVersionU8 {
+		dt = DTypeUint8
+	}
+	routed := flags&flagRouting != 0
 	switch {
-	case version == indexVersionMutable && flags&flagRouting != 0:
+	case version == indexVersionMutable && routed:
 		return nil, fmt.Errorf("gkmeans: v3 index with the routing flag (flags %#x)", flags)
-	case version == indexVersionRouted && flags&flagRouting == 0:
+	case version == indexVersionRouted && !routed:
 		return nil, fmt.Errorf("gkmeans: v4 index without the routing flag (flags %#x)", flags)
-	case !isU8 && flags&flagU8 != 0:
+	case dt != DTypeUint8 && flags&flagU8 != 0:
 		return nil, fmt.Errorf("gkmeans: v%d index with the uint8 flag — dtype/flag mismatch (flags %#x)", version, flags)
-	case isU8 && flags&flagU8 == 0:
+	case dt == DTypeUint8 && flags&flagU8 == 0:
 		return nil, fmt.Errorf("gkmeans: v5 index without the uint8 flag — dtype/flag mismatch (flags %#x)", flags)
 	}
 	if routed && flags&flagSharded == 0 {
 		return nil, fmt.Errorf("gkmeans: routed index without the sharded flag (flags %#x)", flags)
 	}
-	if isU8 {
+	if dt == DTypeUint8 {
 		var dtype uint32
 		if err := binary.Read(r, binary.LittleEndian, &dtype); err != nil {
 			return nil, fmt.Errorf("gkmeans: reading dtype word: %w", err)
@@ -564,31 +582,22 @@ func readMutable(r io.Reader, version, flags uint32, entries int) (*Index, error
 	if segs < 1 || segs > maxShardSegments {
 		return nil, fmt.Errorf("gkmeans: implausible segment count %d", segs)
 	}
-	if flags&flagSharded == 0 && segs != 1 {
+	// Without the sharded flag the file promises the monolithic state: one
+	// segment whose row i is id i.
+	monolithic := flags&flagSharded == 0
+	if monolithic && segs != 1 {
 		return nil, fmt.Errorf("gkmeans: monolithic v%d index with %d segments", version, segs)
 	}
 	if tail[1] > math.MaxInt32 {
 		return nil, fmt.Errorf("gkmeans: id bound %d overflows int32", tail[1])
 	}
 	nextID := int32(tail[1])
-	var data *vec.Matrix
-	var u8 *vec.U8Matrix
-	var dataN, dataDim int
-	if isU8 {
-		m, err := vec.ReadU8Matrix(r)
-		if err != nil {
-			return nil, err
-		}
-		u8, dataN, dataDim = m, m.N, m.Dim
-	} else {
-		m, err := vec.ReadMatrix(r)
-		if err != nil {
-			return nil, err
-		}
-		data, dataN, dataDim = m, m.N, m.Dim
+	data, err := readRows(r, dt)
+	if err != nil {
+		return nil, err
 	}
-	if int64(nextID) < int64(dataN) {
-		return nil, fmt.Errorf("gkmeans: id bound %d below row count %d", nextID, dataN)
+	if int64(nextID) < int64(data.n) {
+		return nil, fmt.Errorf("gkmeans: id bound %d below row count %d", nextID, data.n)
 	}
 	table := make([]segmentEntryV3, segs)
 	if err := binary.Read(r, binary.LittleEndian, table); err != nil {
@@ -598,15 +607,12 @@ func readMutable(r io.Reader, version, flags uint32, entries int) (*Index, error
 	for _, e := range table {
 		totalRows += int64(e.Rows)
 	}
-	if totalRows != int64(dataN) {
-		return nil, fmt.Errorf("gkmeans: segment table covers %d rows, dataset has %d", totalRows, dataN)
+	if totalRows != int64(data.n) {
+		return nil, fmt.Errorf("gkmeans: segment table covers %d rows, dataset has %d", totalRows, data.n)
 	}
 	cr := &countingReader{r: r}
-	shards := make([]*Index, segs)
-	bases := make([]int32, segs)
-	idmaps := make([][]int32, segs)
-	gens := make([]uint64, segs)
-	tombs := make([]*store.Bits, segs)
+	x := &Index{data: data, segs: make([]seg, segs), probes: &probeStats{}, nextID: nextID,
+		cfg: config{entries: entries, shards: segs, dtype: dt}}
 	row := 0
 	for s, e := range table {
 		rows := int(e.Rows)
@@ -616,82 +622,42 @@ func readMutable(r io.Reader, version, flags uint32, entries int) (*Index, error
 		if e.Base > math.MaxInt32 {
 			return nil, fmt.Errorf("gkmeans: segment %d base %d overflows int32", s, e.Base)
 		}
-		before := cr.n
-		g, err := knngraph.ReadSection(cr)
+		sc, err := readGraph(cr, s, e.Size, data.view(row, row+rows), entries)
 		if err != nil {
-			return nil, fmt.Errorf("gkmeans: reading segment %d: %w", s, err)
+			return nil, err
 		}
-		if got := uint64(cr.n - before); got != e.Size {
-			return nil, fmt.Errorf("gkmeans: segment %d consumed %d bytes, table says %d", s, got, e.Size)
-		}
+		sg := seg{segCore: sc, base: int32(e.Base), gen: e.Gen}
 		if e.Flags&segFlagTombs != 0 {
 			words := make([]uint64, (rows+63)/64)
 			if err := binary.Read(cr, binary.LittleEndian, words); err != nil {
 				return nil, fmt.Errorf("gkmeans: reading segment %d tombstones: %w", s, err)
 			}
-			t, err := store.BitsFromWords(rows, words)
-			if err != nil {
+			if sg.tomb, err = store.BitsFromWords(rows, words); err != nil {
 				return nil, fmt.Errorf("gkmeans: segment %d: %w", s, err)
 			}
-			tombs[s] = t
 		}
 		if e.Flags&segFlagIDMap != 0 {
-			if flags&flagSharded == 0 {
+			if monolithic {
 				return nil, fmt.Errorf("gkmeans: monolithic v%d index with an id map", version)
 			}
-			ids := make([]int32, rows)
-			if err := binary.Read(cr, binary.LittleEndian, ids); err != nil {
+			sg.ids = make([]int32, rows)
+			if err := binary.Read(cr, binary.LittleEndian, sg.ids); err != nil {
 				return nil, fmt.Errorf("gkmeans: reading segment %d id map: %w", s, err)
 			}
-			for l, id := range ids {
+			for l, id := range sg.ids {
 				if id < 0 || id >= nextID {
 					return nil, fmt.Errorf("gkmeans: segment %d maps row %d to id %d, outside [0,%d)", s, l, id, nextID)
 				}
 			}
-			idmaps[s] = ids
-			if rows > 0 {
-				bases[s] = ids[0]
-			}
-		} else {
-			if int64(e.Base)+int64(rows) > int64(nextID) {
-				return nil, fmt.Errorf("gkmeans: segment %d ids %d..%d exceed the id bound %d", s, e.Base, int64(e.Base)+int64(rows), nextID)
-			}
-			bases[s] = int32(e.Base)
+			sg.base = sg.ids[0]
+		} else if int64(e.Base)+int64(rows) > int64(nextID) {
+			return nil, fmt.Errorf("gkmeans: segment %d ids %d..%d exceed the id bound %d", s, e.Base, int64(e.Base)+int64(rows), nextID)
 		}
-		gens[s] = e.Gen
-		var shard *Index
-		if isU8 {
-			shard, err = newU8Index(shardViewU8(u8, row, row+rows), g, config{entries: entries})
-		} else {
-			shard, err = NewIndex(shardView(data, row, row+rows), g, WithEntryPoints(entries))
-		}
-		if err != nil {
-			return nil, fmt.Errorf("gkmeans: segment %d: %w", s, err)
-		}
-		shards[s] = shard
+		x.segs[s] = sg
 		row += rows
 	}
-	if flags&flagSharded == 0 {
-		if table[0].Base != 0 {
-			return nil, fmt.Errorf("gkmeans: monolithic v%d index with base %d", version, table[0].Base)
-		}
-		x := shards[0]
-		x.tombs = tombs
-		if gens[0] != 0 {
-			x.shardGen = gens
-		}
-		x.nextID = nextID
-		return x, nil
-	}
-	cfg := config{entries: entries, shards: segs}
-	if isU8 {
-		cfg.dtype = DTypeUint8
-	}
-	x := &Index{
-		data: data, u8: u8, shards: shards, shardBase: bases, shardIDs: idmaps,
-		shardGen: gens, tombs: tombs, nextID: nextID,
-		probes: &probeStats{},
-		cfg:    cfg,
+	if monolithic && table[0].Base != 0 {
+		return nil, fmt.Errorf("gkmeans: monolithic v%d index with base %d", version, table[0].Base)
 	}
 	if routed {
 		var k32 uint32
@@ -708,15 +674,15 @@ func readMutable(r io.Reader, version, flags uint32, entries int) (*Index, error
 			if err != nil {
 				return nil, fmt.Errorf("gkmeans: reading segment %d routing centroids: %w", s, err)
 			}
-			if m.Dim != dataDim {
-				return nil, fmt.Errorf("gkmeans: segment %d routing centroids are %d-dimensional, data is %d-dimensional", s, m.Dim, dataDim)
+			if m.Dim != data.dim {
+				return nil, fmt.Errorf("gkmeans: segment %d routing centroids are %d-dimensional, data is %d-dimensional", s, m.Dim, data.dim)
 			}
 			if want := int(table[s].Rows); m.N > k || m.N > want || m.N < 1 {
 				return nil, fmt.Errorf("gkmeans: segment %d has %d routing centroids for %d rows (config %d per shard)", s, m.N, want, k)
 			}
 			cents[s] = m
 		}
-		route, err := router.New(k, dataDim, cents)
+		route, err := router.New(k, data.dim, cents)
 		if err != nil {
 			return nil, fmt.Errorf("gkmeans: corrupt routing section: %w", err)
 		}

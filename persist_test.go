@@ -165,7 +165,7 @@ func shardedBlob(t *testing.T, idx *Index) (whole []byte, tableOff, segmentsOff 
 	// v2 layout: 24-byte header, matrix (8-byte shape + payload), segment
 	// table (16 bytes per shard), then the segments.
 	tableOff = 24 + 8 + 4*idx.N()*idx.Dim()
-	segmentsOff = tableOff + 16*len(idx.shards)
+	segmentsOff = tableOff + 16*len(idx.segs)
 	return whole, tableOff, segmentsOff
 }
 

@@ -1,7 +1,6 @@
 package gkmeans
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"sync/atomic"
@@ -74,24 +73,21 @@ func partitionSeed(seed int64, level uint64) int64 {
 	return s.Int63()
 }
 
-// probeStats counts the routing work of a sharded index. The pointer is
-// shared across copy-on-write mutations (Append/Delete/Compact clones),
-// so serving layers see monotone counters across index swaps.
+// probeStats counts the queries an index answered and the segment searches
+// they cost. Every index has one, and the pointer is shared across
+// copy-on-write mutations (Append/Delete/Compact successors), so serving
+// layers see monotone counters across index swaps.
 type probeStats struct {
-	queries    atomic.Uint64 // sharded queries answered
-	probed     atomic.Uint64 // shard searches actually executed
-	routed     atomic.Uint64 // queries where routing skipped >= 1 shard
+	queries    atomic.Uint64 // queries answered
+	probed     atomic.Uint64 // segment searches actually executed
+	routed     atomic.Uint64 // queries where routing skipped >= 1 segment
 	routeComps atomic.Uint64 // centroid distance computations spent ranking
 }
 
-// noteProbe records one sharded query that searched np of total shards,
-// spending comps centroid distance computations on ranking (0 on the full
-// fan-out, which skips the router entirely).
-func (x *Index) noteProbe(np, total, comps int) {
-	p := x.probes
-	if p == nil {
-		return
-	}
+// note records one query that searched np of total segments, spending
+// comps centroid distance computations on ranking (0 on the full fan-out,
+// which skips the router entirely).
+func (p *probeStats) note(np, total, comps int) {
 	p.queries.Add(1)
 	p.probed.Add(uint64(np))
 	if np < total {
@@ -114,11 +110,11 @@ func (x *Index) RoutingCentroids() int {
 
 // resolveNProbe resolves a per-call nprobe against the index: a positive
 // per-call value wins, then the WithNProbe default, and anything
-// non-positive, at or past the shard count, or on an unrouted index means
-// "probe every shard" — the path that stays bit-identical to the unrouted
-// full fan-out.
+// non-positive, at or past the segment count, or on an unrouted index means
+// "probe every segment" — the path that stays bit-identical to the
+// unrouted full fan-out.
 func (x *Index) resolveNProbe(perQuery int) int {
-	n := len(x.shards)
+	n := len(x.segs)
 	np := perQuery
 	if np <= 0 {
 		np = x.cfg.nprobe
@@ -276,107 +272,40 @@ func assignBalanced(shardOf []int, micro *kmeans.Result, anchors *Matrix, nRows,
 	}
 }
 
-// buildRouted is Build's WithRouting path: coarse-partition the data into
-// spatially coherent shards, build one sub-index per shard over the
-// reordered parent matrix, then compute each shard's routing centroids.
-// Exactly one of data (float32) and u8 (uint8) is non-nil; on the uint8
-// path the partition and centroid passes run over transient widened views
-// — bytes are exact in float32, so the partition, graphs and centroids are
-// bit-identical to the float32 build of the same values — while the
-// reordered parent stays bytes. External ids are preserved through
-// per-shard id maps: result id i always names row i of the matrix the
-// caller passed to Build.
-func buildRouted(ctx context.Context, data *Matrix, u8 *vec.U8Matrix, cfg config, nShards int) (*Index, error) {
-	wide := data
-	if u8 != nil {
-		// Transient full widened copy for the partition k-means only; it is
-		// garbage before the per-shard graph builds start.
-		wide = u8.Widen()
-	}
-	groups, err := routePartition(wide, cfg, nShards)
+// routedLayout is the WithRouting half of build's segment layout:
+// coarse-partition the rows into nShards spatially coherent groups and
+// return a reordered copy of the dataset in which each group is one
+// contiguous run, with each group's original row indices as its id map —
+// so result id i always names row i of the matrix the caller passed to
+// Build. The partition k-means runs over a transient widened copy of a
+// byte dataset; the reordered parent keeps the caller's element type.
+func routedLayout(data rowStore, cfg config, nShards int) (rowStore, [][]int32, error) {
+	groups, err := routePartition(data.widen(), cfg, nShards)
 	if err != nil {
-		return nil, err
+		return rowStore{}, nil, err
 	}
-	var parent *Matrix
-	var parentU8 *vec.U8Matrix
-	if u8 != nil {
-		parentU8 = vec.NewU8Matrix(u8.N, u8.Dim)
-	} else {
-		parent = NewMatrix(data.N, data.Dim)
-	}
-	wide = nil
+	parent := data.allocLike(data.n)
 	idmaps := make([][]int32, nShards)
-	bases := make([]int32, nShards)
-	sizes := make([]int, nShards)
 	row := 0
 	for s, g := range groups {
 		ids := make([]int32, len(g))
 		for i, src := range g {
-			if u8 != nil {
-				copy(parentU8.Row(row), u8.Row(src))
-			} else {
-				copy(parent.Row(row), data.Row(src))
-			}
+			parent.copyRows(row, data, src, src+1)
 			ids[i] = checked.Int32(src)
 			row++
 		}
 		idmaps[s] = ids
-		bases[s] = ids[0]
-		sizes[s] = len(g)
 	}
+	return parent, idmaps, nil
+}
 
-	shardCfg := cfg
-	shardCfg.shards = 0
-	shardCfg.progress = nil
-	var progressFor func(s int) func(stage string, done, total int)
-	if cfg.progress != nil {
-		tau := cfg.resolvedTau()
-		progress := cfg.progress
-		progressFor = func(s int) func(stage string, done, total int) {
-			return func(stage string, done, _ int) {
-				progress(stage, s*tau+done, nShards*tau)
-			}
-		}
-	}
-	shards, graphTime, err := buildShardLoop(ctx, parent, parentU8, shardCfg, sizes, progressFor)
+// routingCentroids computes the cfg.routing routing centroids of one
+// segment's rows (widened transiently when they are bytes), seeded by the
+// segment's build generation and its slot in the segment list.
+func routingCentroids(rows rowStore, cfg config, gen uint64, slot int) (*Matrix, error) {
+	m, err := router.BuildShard(rows.widen(), cfg.routing, routingSeed(cfg.seed, gen, slot), cfg.workers)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("gkmeans: routing centroids for segment %d: %w", slot, err)
 	}
-
-	dim := 0
-	cents := make([]*Matrix, nShards)
-	lo := 0
-	for s, sz := range sizes {
-		var view *Matrix
-		if parentU8 != nil {
-			view = shardViewU8(parentU8, lo, lo+sz).Widen()
-			dim = parentU8.Dim
-		} else {
-			view = shardView(parent, lo, lo+sz)
-			dim = parent.Dim
-		}
-		m, err := router.BuildShard(view, cfg.routing,
-			routingSeed(cfg.seed, 0, s), cfg.workers)
-		if err != nil {
-			return nil, fmt.Errorf("gkmeans: routing centroids for shard %d: %w", s, err)
-		}
-		cents[s] = m
-		lo += sz
-	}
-	route, err := router.New(cfg.routing, dim, cents)
-	if err != nil {
-		return nil, fmt.Errorf("gkmeans: assembling shard router: %w", err)
-	}
-
-	return &Index{
-		data:      parent,
-		u8:        parentU8,
-		shards:    shards,
-		shardBase: bases,
-		shardIDs:  idmaps,
-		route:     route,
-		probes:    &probeStats{},
-		graphTime: graphTime,
-		cfg:       cfg,
-	}, nil
+	return m, nil
 }

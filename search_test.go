@@ -139,3 +139,36 @@ func TestLoadVectorsDispatch(t *testing.T) {
 		t.Fatalf("LoadBvecs: %v", err)
 	}
 }
+
+// Equal distances come back in ascending id order on every index, not only
+// where a merge sorted them: a one-segment index over a corpus full of
+// exact duplicates returns each group of ties lowest id first.
+func TestSearchTiesOrderedByID(t *testing.T) {
+	base := dataset.SIFTLike(40, 91)
+	data := NewMatrix(4*base.N, base.Dim)
+	for i := 0; i < data.N; i++ {
+		copy(data.Row(i), base.Row(i%base.N))
+	}
+	idx, err := Build(context.Background(), data, WithKappa(8), WithTau(3), WithSeed(91))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ties := 0
+	for qi := 0; qi < base.N; qi++ {
+		res := idx.Search(base.Row(qi), 12, 64)
+		for i := 1; i < len(res); i++ {
+			if res[i].Dist == res[i-1].Dist {
+				ties++
+				if res[i].ID < res[i-1].ID {
+					t.Fatalf("query %d: tie at %d not in id order: %+v after %+v", qi, i, res[i], res[i-1])
+				}
+			}
+		}
+	}
+	if ties == 0 {
+		t.Fatal("fixture produced no ties")
+	}
+	got := orderTies([]Neighbor{{ID: 5, Dist: 1}, {ID: 9, Dist: 2}, {ID: 3, Dist: 2}, {ID: 1, Dist: 2}, {ID: 0, Dist: 3}})
+	want := []Neighbor{{ID: 5, Dist: 1}, {ID: 1, Dist: 2}, {ID: 3, Dist: 2}, {ID: 9, Dist: 2}, {ID: 0, Dist: 3}}
+	assertSameNeighbors(t, "orderTies", got, want)
+}

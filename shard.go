@@ -1,34 +1,21 @@
 package gkmeans
 
-import (
-	"context"
-	"fmt"
-	"sort"
-	"sync"
-	"time"
+// Segment layout of a build: WithShards(n) partitions the dataset into n
+// contiguous row ranges and Build makes one segment per range. The segment
+// datasets are views into the parent matrix (no copies), and a result id
+// is remapped from segment-local to global by adding the segment's base row
+// — so a many-segment index is observably the same as a one-segment one up
+// to approximation quality, while each graph build only ever holds one
+// segment in flight and every query can use one core per segment.
 
-	"gkmeans/internal/checked"
-	"gkmeans/internal/parallel"
-	"gkmeans/internal/vec"
-)
-
-// Sharded indexes: WithShards(n) partitions the dataset into n contiguous
-// row ranges, builds one independent monolithic sub-index per range, and
-// answers queries by fanning out across the shards and merging the
-// per-shard top-k into one global top-k. The shard datasets are views into
-// the parent matrix (no copies), and a result id is remapped from
-// shard-local to global by adding the shard's base row — so a sharded index
-// is observably the same as a monolithic one up to approximation quality,
-// while each graph build only ever holds one shard in flight and every
-// query can use one core per shard.
-
-// minShardRows is the smallest shard Build will create: a k-NN graph needs
-// at least two samples (a single-row shard has no possible neighbour).
+// minShardRows is the smallest segment Build will create: a k-NN graph
+// needs at least two samples (a single-row segment has no possible
+// neighbour).
 const minShardRows = 2
 
 // clampShards resolves a requested shard count against the dataset size:
 // every shard must keep at least minShardRows rows, a request of <=1 (or a
-// dataset too small to split) means "monolithic", and the count never
+// dataset too small to split) means one segment, and the count never
 // exceeds what the persistence segment table accepts — Build must not
 // produce an index that SaveIndex writes but LoadIndex refuses.
 func clampShards(requested, n int) int {
@@ -49,8 +36,7 @@ func clampShards(requested, n int) int {
 
 // shardBounds returns the global row range [lo, hi) of shard s out of
 // total: the even contiguous split floor(s·n/total). It is the single
-// source of truth for the partition — Build, persistence and the id remap
-// all derive from it.
+// source of truth for the unrouted partition.
 func shardBounds(s, total, n int) (lo, hi int) {
 	return s * n / total, (s + 1) * n / total
 }
@@ -58,369 +44,4 @@ func shardBounds(s, total, n int) (lo, hi int) {
 // shardView returns rows [lo, hi) of m as a view aliasing m's storage.
 func shardView(m *Matrix, lo, hi int) *Matrix {
 	return &Matrix{Data: m.Data[lo*m.Dim : hi*m.Dim : hi*m.Dim], N: hi - lo, Dim: m.Dim}
-}
-
-// shardViewU8 is shardView for a byte dataset.
-func shardViewU8(m *vec.U8Matrix, lo, hi int) *vec.U8Matrix {
-	return &vec.U8Matrix{Data: m.Data[lo*m.Dim : hi*m.Dim : hi*m.Dim], N: hi - lo, Dim: m.Dim}
-}
-
-// newShardedIndex assembles the fan-out shell over already-built shard
-// sub-indexes; exactly one of data (float32) and u8 must be non-nil, and
-// the shards must cover it contiguously in order — both callers
-// (buildSharded, the multi-segment loader) construct them from
-// shardBounds, so the bases are recomputed the same way here.
-func newShardedIndex(data *Matrix, u8 *vec.U8Matrix, shards []*Index, cfg config) *Index {
-	base := make([]int32, len(shards))
-	row := 0
-	for s, shard := range shards {
-		base[s] = checked.Int32(row)
-		row += shard.N()
-	}
-	return &Index{data: data, u8: u8, shards: shards, shardBase: base, probes: &probeStats{}, cfg: cfg}
-}
-
-// buildSharded is Build's WithShards(n) path: one monolithic sub-index per
-// contiguous shard, built sequentially so at most one build pipeline (and
-// its scratch memory) is in flight, each using the full WithWorkers
-// parallelism. Exactly one of data and u8 is non-nil (the dtype of the
-// build). ctx cancellation is honoured inside every shard build.
-// WithRouting switches to the cluster-aligned routed build (see route.go).
-func buildSharded(ctx context.Context, data *Matrix, u8 *vec.U8Matrix, cfg config, nShards int) (*Index, error) {
-	if cfg.routing > 0 {
-		return buildRouted(ctx, data, u8, cfg, nShards)
-	}
-	shardCfg := cfg
-	shardCfg.shards = 0
-	shardCfg.progress = nil
-	var progressFor func(s int) func(stage string, done, total int)
-	if cfg.progress != nil {
-		// One global "graph" progress stream across all shards: shard s's
-		// rounds land at s·τ + done out of n·τ.
-		tau := cfg.resolvedTau()
-		progress := cfg.progress
-		progressFor = func(s int) func(stage string, done, total int) {
-			return func(stage string, done, _ int) {
-				progress(stage, s*tau+done, nShards*tau)
-			}
-		}
-	}
-	n := 0
-	if u8 != nil {
-		n = u8.N
-	} else {
-		n = data.N
-	}
-	sizes := make([]int, nShards)
-	for s := range sizes {
-		lo, hi := shardBounds(s, nShards, n)
-		sizes[s] = hi - lo
-	}
-	shards, graphTime, err := buildShardLoop(ctx, data, u8, shardCfg, sizes, progressFor)
-	if err != nil {
-		return nil, err
-	}
-	x := newShardedIndex(data, u8, shards, cfg)
-	x.graphTime = graphTime
-	return x, nil
-}
-
-// buildShardLoop builds one sub-index per entry of sizes over consecutive
-// views of the parent dataset — data (float32) or u8 (uint8), exactly one
-// non-nil — which the sizes must cover exactly. A uint8 shard widens its
-// view transiently for graph construction (bit-identical to the float32
-// build) and keeps only the byte view resident. progressFor, when non-nil,
-// supplies each shard's progress callback. Callers: the even contiguous
-// split (buildSharded), the coarse-partitioned routed build (buildRouted),
-// and the single-shard builds of Append and Compact.
-func buildShardLoop(ctx context.Context, data *Matrix, u8 *vec.U8Matrix, shardCfg config, sizes []int,
-	progressFor func(s int) func(stage string, done, total int)) ([]*Index, time.Duration, error) {
-
-	shards := make([]*Index, len(sizes))
-	var graphTime time.Duration
-	lo := 0
-	for s, size := range sizes {
-		hi := lo + size
-		cfg := shardCfg
-		if progressFor != nil {
-			cfg.progress = progressFor(s)
-		}
-		var shard *Index
-		var err error
-		if u8 != nil {
-			shard, err = buildMonoU8(ctx, shardViewU8(u8, lo, hi), cfg)
-		} else {
-			shard, err = buildMono(ctx, shardView(data, lo, hi), cfg)
-		}
-		if err != nil {
-			return nil, 0, fmt.Errorf("gkmeans: building shard %d/%d (rows %d..%d): %w", s, len(sizes), lo, hi, err)
-		}
-		shards[s] = shard
-		graphTime += shard.graphTime
-		lo = hi
-	}
-	return shards, graphTime, nil
-}
-
-// searchLocal answers a query against a monolithic index in shard-local id
-// space, applying no tombstone filter. It is the raw per-shard primitive of
-// the fan-out: the parent owns the tombstones (Delete copies bitmaps at the
-// parent level only) and applies them exactly once in searchShardGlobal —
-// the sub-index must not filter again even when it happens to be a former
-// monolithic index carrying its own bitmap (Append reuses the receiver as
-// shard 0).
-func (x *Index) searchLocal(q []float32, topK, ef int) []Neighbor {
-	return x.ensureSearcher().Search(q, topK, ef)
-}
-
-// searchShardGlobal answers a query against shard s, skips the shard's
-// tombstoned rows, and remaps the survivors to external ids. To keep topK
-// live results available after filtering, the shard search overfetches by
-// the shard's tombstone count (capped at the shard size) — the closest
-// topK+dead rows contain at least the closest topK live ones.
-func (x *Index) searchShardGlobal(s int, q []float32, topK, ef int) []Neighbor {
-	sh := x.shards[s]
-	tomb := x.shardTomb(s)
-	dead := 0
-	if tomb != nil {
-		dead = tomb.Count()
-	}
-	if dead == 0 {
-		return x.remapShard(s, sh.searchLocal(q, topK, ef))
-	}
-	k2 := topK + dead
-	if k2 > sh.N() {
-		k2 = sh.N()
-	}
-	ef2 := ef
-	if ef2 < k2 {
-		ef2 = k2
-	}
-	res := sh.searchLocal(q, k2, ef2)
-	live := res[:0]
-	for _, nb := range res {
-		if tomb.Get(int(nb.ID)) {
-			continue
-		}
-		live = append(live, nb)
-		if len(live) == topK {
-			break
-		}
-	}
-	return x.remapShard(s, live)
-}
-
-// remapShard rewrites shard s's local result ids to external ids, in
-// place: base + local for a contiguous shard, the explicit id map for a
-// compacted one.
-func (x *Index) remapShard(s int, res []Neighbor) []Neighbor {
-	if ids := x.shardIDMap(s); ids != nil {
-		for i := range res {
-			res[i].ID = ids[res[i].ID]
-		}
-		return res
-	}
-	if base := x.shardBaseOf(s); base != 0 {
-		for i := range res {
-			res[i].ID += base
-		}
-	}
-	return res
-}
-
-// searchMonoLive answers a query against a monolithic index that carries
-// tombstones: overfetch by the tombstone count, drop the dead rows, keep
-// the closest topK live ones. Monolithic ids are already external.
-func (x *Index) searchMonoLive(q []float32, topK, ef int) []Neighbor {
-	tomb := x.tombs[0]
-	k2 := topK + tomb.Count()
-	if k2 > x.rows() {
-		k2 = x.rows()
-	}
-	ef2 := ef
-	if ef2 < k2 {
-		ef2 = k2
-	}
-	res := x.searchLocal(q, k2, ef2)
-	live := res[:0]
-	for _, nb := range res {
-		if tomb.Get(int(nb.ID)) {
-			continue
-		}
-		live = append(live, nb)
-		if len(live) == topK {
-			break
-		}
-	}
-	return live
-}
-
-// searchBatchMonoLive is searchMonoLive across a batch, parallel over
-// queries. Each query's result is independent of the worker count.
-func (x *Index) searchBatchMonoLive(queries *Matrix, topK, ef int) [][]Neighbor {
-	out := make([][]Neighbor, queries.N)
-	parallel.For(queries.N, x.cfg.workers, func(lo, hi int) {
-		for qi := lo; qi < hi; qi++ {
-			out[qi] = x.searchMonoLive(queries.Row(qi), topK, ef)
-		}
-	})
-	return out
-}
-
-// fanScratch is the per-call scratch of the sharded fan-out: the per-shard
-// result slots plus the router's ranking arrays. Pooled so the fan-out
-// path allocates nothing per query beyond the results themselves.
-type fanScratch struct {
-	parts [][]Neighbor
-	order []int32
-	dists []float32
-}
-
-// grow resizes the scratch for n shards, reusing capacity when it can.
-func (sc *fanScratch) grow(n int) {
-	if cap(sc.parts) < n {
-		sc.parts = make([][]Neighbor, n)
-		sc.order = make([]int32, n)
-		sc.dists = make([]float32, n)
-	}
-	sc.parts = sc.parts[:n]
-	sc.order = sc.order[:n]
-	sc.dists = sc.dists[:n]
-}
-
-// release drops the result references (they belong to the caller now) so a
-// pooled scratch never pins result slices across queries.
-func (sc *fanScratch) release() {
-	for i := range sc.parts {
-		sc.parts[i] = nil
-	}
-}
-
-var fanScratchPool = sync.Pool{New: func() any { return new(fanScratch) }}
-
-// searchSharded answers one query against a sharded index. With a router
-// and an effective nprobe below the shard count, the query is ranked
-// against the routing centroids and only the nprobe best shards are
-// searched; otherwise every shard is (the unrouted path, bit-identical to
-// the pre-router full broadcast — the router is not even consulted). The
-// probed shards run concurrently — one goroutine each, since a single
-// query's latency is exactly what the fan-out buys — and the per-shard
-// live top-k lists merge into the global top-k.
-func (x *Index) searchSharded(q []float32, topK, ef, nprobe int) []Neighbor {
-	n := len(x.shards)
-	np := x.resolveNProbe(nprobe)
-	sc := fanScratchPool.Get().(*fanScratch)
-	sc.grow(n)
-	var wg sync.WaitGroup
-	if np < n {
-		x.route.Rank(q, sc.order, sc.dists)
-		x.noteProbe(np, n, x.route.TotalCentroids())
-		for i := 0; i < np; i++ {
-			wg.Add(1)
-			go func(slot, s int) {
-				defer wg.Done()
-				sc.parts[slot] = x.searchShardGlobal(s, q, topK, ef)
-			}(i, int(sc.order[i]))
-		}
-	} else {
-		x.noteProbe(n, n, 0)
-		for s := 0; s < n; s++ {
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
-				sc.parts[s] = x.searchShardGlobal(s, q, topK, ef)
-			}(s)
-		}
-	}
-	wg.Wait()
-	merged := mergeShardResults(sc.parts[:np], topK)
-	sc.release()
-	fanScratchPool.Put(sc)
-	return merged
-}
-
-// searchBatchSharded answers a batch against a sharded index. Parallelism
-// goes across queries (the batch already saturates the cores); within one
-// query the probed shards are scanned sequentially in a query-determined
-// order, which keeps the merge input — and therefore the output —
-// identical for every worker count.
-func (x *Index) searchBatchSharded(queries *Matrix, topK, ef, nprobe int) [][]Neighbor {
-	out := make([][]Neighbor, queries.N)
-	n := len(x.shards)
-	np := x.resolveNProbe(nprobe)
-	parallel.For(queries.N, x.cfg.workers, func(lo, hi int) {
-		sc := fanScratchPool.Get().(*fanScratch)
-		sc.grow(n)
-		for qi := lo; qi < hi; qi++ {
-			q := queries.Row(qi)
-			if np < n {
-				x.route.Rank(q, sc.order, sc.dists)
-				x.noteProbe(np, n, x.route.TotalCentroids())
-				for i := 0; i < np; i++ {
-					sc.parts[i] = x.searchShardGlobal(int(sc.order[i]), q, topK, ef)
-				}
-			} else {
-				x.noteProbe(n, n, 0)
-				for s := 0; s < n; s++ {
-					sc.parts[s] = x.searchShardGlobal(s, q, topK, ef)
-				}
-			}
-			out[qi] = mergeShardResults(sc.parts[:np], topK)
-		}
-		sc.release()
-		fanScratchPool.Put(sc)
-	})
-	return out
-}
-
-// mergeShardResults merges per-shard result lists — already filtered and
-// remapped to external ids by searchShardGlobal — and keeps the topK
-// closest overall. Ties on distance are broken by ascending id so the
-// merged ranking is deterministic regardless of which shard finished
-// first.
-func mergeShardResults(parts [][]Neighbor, topK int) []Neighbor {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	merged := make([]Neighbor, 0, total)
-	for _, p := range parts {
-		merged = append(merged, p...)
-	}
-	sort.Slice(merged, func(i, j int) bool {
-		if merged[i].Dist != merged[j].Dist {
-			return merged[i].Dist < merged[j].Dist
-		}
-		return merged[i].ID < merged[j].ID
-	})
-	if len(merged) > topK {
-		merged = merged[:topK]
-	}
-	return merged
-}
-
-// searchStatsSharded aggregates the per-shard counters: the work counters
-// add up across shards (plus the router's centroid distance computations,
-// zero on the full fan-out), the logical query count comes from the probe
-// counters, and ShardsProbed/RoutedQueries expose how much of the fan-out
-// routing actually skipped.
-func (x *Index) searchStatsSharded() SearchStats {
-	var out SearchStats
-	for _, shard := range x.shards {
-		st := shard.SearchStats()
-		out.DistanceComps += st.DistanceComps
-		out.ExpandedCandidates += st.ExpandedCandidates
-		if st.Queries > out.Queries {
-			out.Queries = st.Queries
-		}
-	}
-	if p := x.probes; p != nil {
-		if q := p.queries.Load(); q > 0 {
-			out.Queries = q
-		}
-		out.ShardsProbed = p.probed.Load()
-		out.RoutedQueries = p.routed.Load()
-		out.DistanceComps += p.routeComps.Load()
-	}
-	return out
 }

@@ -66,14 +66,11 @@ func TestShardedBuildShape(t *testing.T) {
 		t.Fatal("sharded index reports a global graph")
 	}
 	rows := 0
-	for s, shard := range idx.shards {
-		if shard.Sharded() {
-			t.Fatalf("shard %d is itself sharded", s)
-		}
-		if &shard.Data().Data[0] != &data.Data[rows*data.Dim] {
+	for s, shard := range idx.segs {
+		if &shard.rows.f32.Data[0] != &data.Data[rows*data.Dim] {
 			t.Fatalf("shard %d dataset is a copy, want a view at row %d", s, rows)
 		}
-		rows += shard.N()
+		rows += shard.rows.n
 	}
 	if rows != data.N {
 		t.Fatalf("shards cover %d rows, want %d", rows, data.N)
@@ -241,8 +238,9 @@ func TestShardedSearchStats(t *testing.T) {
 		t.Fatalf("work counters empty: %+v", st)
 	}
 	var shardDist uint64
-	for _, shard := range idx.shards {
-		shardDist += shard.SearchStats().DistanceComps
+	for _, shard := range idx.segs {
+		_, dist, _ := shard.searcher.Load().Totals()
+		shardDist += dist
 	}
 	if st.DistanceComps != shardDist {
 		t.Fatalf("DistanceComps = %d, shard sum %d", st.DistanceComps, shardDist)
