@@ -68,13 +68,13 @@
 //
 // A built index persists as a versioned binary container (".gkx", holding
 // the dataset, graph(s) and clustering) and loads back ready to serve,
-// with search results identical to the saved index. The writer picks the
-// oldest layout that can express the index's state: v1 for one untouched
-// segment, v2 for several, v3 once mutation state (tombstones, id maps,
-// generations — see Mutation below) has to be carried, v4 for a routed
-// index (see Sharding), v5 for a uint8 one (see the dtype section);
-// loaders accept all five. See ARCHITECTURE.md for the byte-level format
-// reference.
+// with search results identical to the saved index. There is one written
+// layout (version 6) for every state an index can be in — one segment or
+// many, mutation state (tombstones, id maps, generations — see Mutation
+// below), a router (see Sharding), uint8 rows (see the dtype section), a
+// clustering. Files written by earlier releases (versions 1–5) load
+// unchanged and are rewritten as version 6 by the next save. See
+// ARCHITECTURE.md for the byte-level format reference.
 //
 //	err = gkmeans.SaveIndex("sift.gkx", idx)
 //	idx, err = gkmeans.LoadIndex("sift.gkx")

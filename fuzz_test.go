@@ -2,11 +2,7 @@ package gkmeans
 
 import (
 	"bytes"
-	"context"
 	"testing"
-
-	"gkmeans/internal/dataset"
-	"gkmeans/internal/vec"
 )
 
 // FuzzReadIndexFrom hammers the .gkx container parser with mutated bytes.
@@ -17,102 +13,39 @@ import (
 //
 // CI runs this for a short budget: go test -fuzz=FuzzReadIndexFrom -fuzztime=20s .
 func FuzzReadIndexFrom(f *testing.F) {
-	seedBlob := func(opts ...Option) []byte {
-		data := dataset.SIFTLike(60, 3)
-		idx, err := Build(context.Background(), data,
-			append([]Option{WithKappa(4), WithXi(10), WithTau(2), WithSeed(5)}, opts...)...)
-		if err != nil {
-			f.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if _, err := idx.WriteTo(&buf); err != nil {
-			f.Fatal(err)
-		}
-		return buf.Bytes()
+	// One v6 blob per state an Index can be in, then one golden file per
+	// legacy layout (testdata/gkx, see persist_legacy_test.go); the committed
+	// corpus under testdata/fuzz adds a v1 blob of its own.
+	blobs := map[string][]byte{}
+	for _, name := range gkxStates {
+		blobs[name] = gkxBlob(f, gkxState(f, name))
+		f.Add(blobs[name])
 	}
-
-	mono := seedBlob()
-	clustered := seedBlob(WithMaxIter(4), WithClusters(3))
-	sharded := seedBlob(WithShards(2))
-	// A mutated index exercises the v3 layout: appended shard, tombstones,
-	// an idmap segment from compaction, nonzero generations.
-	mutated := func() []byte {
-		data := dataset.SIFTLike(60, 3)
-		idx, err := Build(context.Background(), data, WithKappa(4), WithXi(10), WithTau(2), WithSeed(5))
-		if err != nil {
-			f.Fatal(err)
-		}
-		extra := NewMatrix(4, idx.Dim())
-		for i := range extra.Data {
-			extra.Data[i] = float32(i)
-		}
-		if idx, err = idx.Append(context.Background(), extra); err != nil {
-			f.Fatal(err)
-		}
-		if idx, err = idx.Delete(1, 5, 61); err != nil {
-			f.Fatal(err)
-		}
-		if idx, err = idx.Compact(context.Background(), 0); err != nil {
-			f.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if _, err := idx.WriteTo(&buf); err != nil {
-			f.Fatal(err)
-		}
-		return buf.Bytes()
-	}()
-	// A routed index exercises the v4 layout: the routing flag plus the
-	// centroid trailer after the shard segments.
-	routed := seedBlob(WithShards(2), WithRouting(2))
-	// v5 blobs exercise the uint8 layout: the dtype word in the header and
-	// the byte-packed dataset, monolithic and sharded+routed.
-	u8Blob := func(opts ...Option) []byte {
-		u8, err := vec.U8FromMatrix(dataset.SIFTLike(60, 3))
-		if err != nil {
-			f.Fatal(err)
-		}
-		idx, err := BuildU8(context.Background(), u8,
-			append([]Option{WithKappa(4), WithXi(10), WithTau(2), WithSeed(5)}, opts...)...)
-		if err != nil {
-			f.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if _, err := idx.WriteTo(&buf); err != nil {
-			f.Fatal(err)
-		}
-		return buf.Bytes()
+	for _, fx := range legacyFixtures {
+		blobs[fx.name] = gkxFixture(f, fx.name)
+		f.Add(blobs[fx.name])
 	}
-	u8Mono := u8Blob()
-	u8Routed := u8Blob(WithShards(2), WithRouting(2))
-	f.Add(mono)
-	f.Add(clustered)
-	f.Add(sharded)
-	f.Add(mutated)
-	f.Add(routed)
 	f.Add([]byte{})
 	f.Add([]byte("GKXI"))
+	corrupt := func(name string, mutate func(b []byte) []byte) {
+		f.Add(mutate(bytes.Clone(blobs[name])))
+	}
 	// A valid prefix with a lying tail exercises the section-length checks.
-	f.Add(mono[:len(mono)/2])
-	flipped := append([]byte(nil), sharded...)
-	flipped[8] ^= 0xff // version / shard-count region
-	f.Add(flipped)
-	// Corrupt routing centroids: the trailer sits at the end of a v4 blob,
-	// so a late byte flip lands in the centroid data or its shape words.
-	badCentroid := append([]byte(nil), routed...)
-	badCentroid[len(badCentroid)-3] ^= 0xff
-	f.Add(badCentroid)
-	f.Add(routed[:len(routed)-7]) // truncated routing trailer
-	f.Add(u8Mono)
-	f.Add(u8Routed)
-	// A lying dtype word on an otherwise valid v5 blob exercises the
-	// double-pinned dtype check (header flag AND dtype word must agree).
-	badDtype := append([]byte(nil), u8Mono...)
-	badDtype[16] ^= 0xff
-	f.Add(badDtype)
-	// The uint8 flag forced onto a float v1 blob exercises the inverse check.
-	badFlag := append([]byte(nil), mono...)
-	badFlag[8] |= 1 << 4
-	f.Add(badFlag)
+	corrupt("mono", func(b []byte) []byte { return b[:len(b)/2] })
+	corrupt("sharded", func(b []byte) []byte { b[gkxFlagsOff] ^= 0xff; return b })
+	corrupt("sharded", func(b []byte) []byte { b[gkxSegsOff] ^= 0x03; return b })
+	// Corrupt routing centroids: the trailer sits at the end of a routed
+	// blob, so a late byte flip lands in the centroid data or its shape words.
+	corrupt("routed", func(b []byte) []byte { b[len(b)-3] ^= 0xff; return b })
+	corrupt("routed", func(b []byte) []byte { return b[:len(b)-7] }) // truncated routing trailer
+	corrupt("clustered", func(b []byte) []byte { return b[:len(b)-7] })
+	// A lying dtype word exercises the double-pinned dtype check (header flag
+	// AND dtype word must agree), in v6 and in v5.
+	corrupt("u8-mono", func(b []byte) []byte { b[gkxDtypeOff] ^= 0xff; return b })
+	corrupt("v5-u8-routed-mutated", func(b []byte) []byte { b[gkxDtypeOff] ^= 0xff; return b })
+	// The uint8 flag forced onto float blobs exercises the inverse check.
+	corrupt("mono", func(b []byte) []byte { b[gkxFlagsOff] |= byte(flagU8); return b })
+	corrupt("v1-mono-clustered", func(b []byte) []byte { b[gkxFlagsOff] |= byte(flagU8); return b })
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		idx, err := ReadIndexFrom(bytes.NewReader(b))

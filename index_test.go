@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -372,18 +373,23 @@ func TestIndexWriteToReadFromStream(t *testing.T) {
 }
 
 func TestReadIndexFromRejectsCorruptHeader(t *testing.T) {
-	if _, err := ReadIndexFrom(bytes.NewReader([]byte("not an index at all"))); err == nil {
-		t.Fatal("garbage input should fail")
-	}
+	mustRejectGkx(t, "garbage", []byte("not an index at all"), "bad index magic")
 	idx, _ := buildTestIndex(t)
-	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
-		t.Fatal(err)
+	blob := gkxBlob(t, idx)
+	v1 := gkxFixture(t, "v1-mono-clustered")
+	for name, b := range map[string][]byte{"v6": blob, "v1": v1} {
+		mustRejectPatches(t, b, []gkxPatch{
+			// A version past the current one names the likely cause; 0 never
+			// existed. Both list what this release reads.
+			{name + " version 99", func(b []byte) { b[4] = 99 }, "unsupported index version 99: written by a newer release (this one reads versions 1 to 6)"},
+			{name + " version 7", func(b []byte) { b[4] = 7 }, "written by a newer release"},
+			{name + " version 0", func(b []byte) { b[4] = 0 }, "unsupported index version 0 (want 1 to 6)"},
+			{name + " magic", func(b []byte) { b[3] ^= 0x20 }, "bad index magic"},
+		})
 	}
-	b := buf.Bytes()
-	b[4] = 99 // bump the version field
-	if _, err := ReadIndexFrom(bytes.NewReader(b)); err == nil {
-		t.Fatal("unsupported version should fail")
+	// Every strict prefix of the v6 header fails as a header.
+	for cut := 0; cut < gkxHdrEnd; cut++ {
+		mustRejectGkx(t, fmt.Sprintf("header cut at %d", cut), blob[:cut], "reading index header")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"os"
+	"path/filepath"
 	"sort"
 	"time"
 
@@ -376,11 +377,12 @@ func (s *Server) compactEntry(e *entry) (bool, error) {
 
 // checkpointLocked persists idx as the new on-disk baseline and rewrites
 // the WAL to hold only the still-buffered operations. The order matters
-// for crash safety: the checkpoint lands first (atomic rename inside
-// SaveIndex), so a crash before the WAL rewrite replays old records
-// against the new checkpoint — harmless, because replay skips ops the
-// checkpoint's id bound and tombstones already cover. The rewrite itself
-// builds a fresh log and renames it over the old one, so no crash point
+// for crash safety: the checkpoint lands first (SaveIndex fsyncs the file,
+// renames it into place and fsyncs the directory), so a crash before the
+// WAL rewrite replays old records against the new checkpoint — harmless,
+// because replay skips ops the checkpoint's id bound and tombstones already
+// cover. The rewrite itself builds a fresh log and renames it over the old
+// one, then fsyncs the directory, so no crash point — power loss included —
 // leaves buffered rows unlogged. Caller holds e.mu.
 func (s *Server) checkpointLocked(e *entry, idx *gkmeans.Index) error {
 	if err := gkmeans.SaveIndex(s.checkpointPath(e.name), idx); err != nil {
@@ -424,6 +426,9 @@ func (s *Server) checkpointLocked(e *entry, idx *gkmeans.Index) error {
 	if err := os.Rename(tmp, e.wal.Path()); err != nil {
 		return fmt.Errorf("swapping WAL: %w", err)
 	}
+	if err := syncDir(filepath.Dir(e.wal.Path())); err != nil {
+		return fmt.Errorf("swapping WAL: %w", err)
+	}
 	old := e.wal
 	reopened, err := wal.Open(old.Path())
 	if err != nil {
@@ -432,4 +437,14 @@ func (s *Server) checkpointLocked(e *entry, idx *gkmeans.Index) error {
 	old.Close()
 	e.wal = reopened
 	return nil
+}
+
+// syncDir fsyncs a directory, making the renames inside it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }

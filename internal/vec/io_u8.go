@@ -10,7 +10,7 @@ import (
 // U8Matrix (de)serialisation mirrors the float32 format in io.go: the same
 // 8-byte {N, Dim} little-endian header followed by the row-major payload,
 // one byte per value. Reads never consume more bytes than the matrix
-// occupies, so the .gkx v5 container can embed it mid-stream.
+// occupies, so the .gkx container can embed it mid-stream.
 
 // u8IOChunk is the streaming buffer size for the byte payload.
 const u8IOChunk = 4 * ioChunk // bytes per chunk (64 KiB)

@@ -453,8 +453,8 @@ func TestMutatedPersistRoundTrip(t *testing.T) {
 			idx.Search(queries.Row(qi), 8, 128), loaded.Search(queries.Row(qi), 8, 128))
 	}
 
-	// A monolithic index with tombstones round-trips through v3 too, and
-	// further mutation of the loaded index works.
+	// A monolithic index with tombstones round-trips too, and further
+	// mutation of the loaded index works.
 	mono, err := NewIndex(base.segs[0].rows.f32, base.segs[0].graph)
 	if err != nil {
 		t.Fatal(err)
@@ -476,40 +476,5 @@ func TestMutatedPersistRoundTrip(t *testing.T) {
 	}
 	if _, err := monoLoaded.Delete(3); err != nil {
 		t.Fatalf("deleting on the loaded mono index: %v", err)
-	}
-}
-
-// An unmutated index must keep writing the v1/v2 layouts byte-stably: the
-// mutable v3 layout is reserved for indexes that actually carry mutation
-// state (old readers keep working on plain saves).
-func TestUnmutatedIndexKeepsLegacyLayout(t *testing.T) {
-	data := dataset.GloVeLike(120, 83)
-	mono, err := Build(context.Background(), data, WithKappa(6), WithTau(3), WithSeed(83))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := Build(context.Background(), data, WithShards(2), WithKappa(6), WithTau(3), WithSeed(83))
-	if err != nil {
-		t.Fatal(err)
-	}
-	version := func(x *Index) uint32 {
-		var buf bytes.Buffer
-		if _, err := x.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return uint32(buf.Bytes()[4]) | uint32(buf.Bytes()[5])<<8 | uint32(buf.Bytes()[6])<<16 | uint32(buf.Bytes()[7])<<24
-	}
-	if v := version(mono); v != indexVersionSingle {
-		t.Fatalf("plain monolithic index wrote version %d, want %d", v, indexVersionSingle)
-	}
-	if v := version(sharded); v != indexVersionSharded {
-		t.Fatalf("plain sharded index wrote version %d, want %d", v, indexVersionSharded)
-	}
-	del, err := mono.Delete(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := version(del); v != indexVersionMutable {
-		t.Fatalf("tombstoned index wrote version %d, want %d", v, indexVersionMutable)
 	}
 }

@@ -97,9 +97,9 @@ func WithEntryPoints(entries int) Option { return func(c *config) { c.entries = 
 // of searching every shard per query.
 //
 // n <= 1 builds the usual monolithic index. Build clamps n so every shard
-// holds at least two samples. A sharded index persists in the multi-segment
-// container format (see SaveIndex) and serves through gkserved like any
-// other index; it cannot be clustered, so combining WithShards and
+// holds at least two samples. A sharded index persists like any other (see
+// SaveIndex: the container's segment table holds one entry per shard) and
+// serves through gkserved like any other index; it cannot be clustered, so combining WithShards and
 // WithClusters makes Build return an error.
 func WithShards(n int) Option { return func(c *config) { c.shards = n } }
 

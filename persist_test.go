@@ -9,11 +9,248 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"gkmeans/internal/dataset"
+	"gkmeans/internal/vec"
 )
+
+// gkxStates names one small index per state an Index can be in, as far as
+// the container is concerned: the round-trip table, the legacy fixtures
+// (persist_legacy_test.go) and the parser fuzz seeds all build from it.
+var gkxStates = []string{"mono", "clustered", "sharded", "routed", "mutated",
+	"compacted-mono", "u8-mono", "u8-routed-mutated"}
+
+// gkxState builds the named state over dataset.SIFTLike(60, 3) with the fuzz
+// seeds' graph parameters. Builds are deterministic, so two calls yield
+// indexes that answer — and serialise — identically.
+func gkxState(tb testing.TB, name string) *Index {
+	tb.Helper()
+	ctx := context.Background()
+	build := func(u8 bool, opts ...Option) *Index {
+		data := dataset.SIFTLike(60, 3)
+		opts = append([]Option{WithKappa(4), WithXi(10), WithTau(2), WithSeed(5)}, opts...)
+		var idx *Index
+		var err error
+		if u8 {
+			var b *vec.U8Matrix
+			if b, err = vec.U8FromMatrix(data); err == nil {
+				idx, err = BuildU8(ctx, b, opts...)
+			}
+		} else {
+			idx, err = Build(ctx, data, opts...)
+		}
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return idx
+	}
+	// mutate leaves an appended segment with a tombstone (id 61) next to a
+	// compacted segment 0 with an id map and a generation.
+	mutate := func(idx *Index) *Index {
+		extra := NewMatrix(4, idx.Dim())
+		for i := range extra.Data {
+			extra.Data[i] = float32(i % 200)
+		}
+		idx, err := idx.Append(ctx, extra)
+		if err == nil {
+			idx, err = idx.Delete(1, 5, 61)
+		}
+		if err == nil {
+			idx, err = idx.Compact(ctx, 0)
+		}
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return idx
+	}
+	switch name {
+	case "mono":
+		return build(false)
+	case "clustered":
+		return build(false, WithMaxIter(4), WithClusters(3))
+	case "sharded":
+		return build(false, WithShards(2))
+	case "routed":
+		return build(false, WithShards(2), WithRouting(2))
+	case "mutated":
+		return mutate(build(false))
+	case "compacted-mono":
+		// Compacting everything folds the index back into one segment whose
+		// row i is id i — monolithic again, at a generation past 0.
+		idx, err := build(false, WithShards(2)).Compact(ctx)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return idx
+	case "u8-mono":
+		return build(true)
+	case "u8-routed-mutated":
+		return mutate(build(true, WithShards(2), WithRouting(2)))
+	}
+	tb.Fatalf("unknown index state %q", name)
+	return nil
+}
+
+// gkxBlob serialises idx and asserts the writer produced the one layout.
+func gkxBlob(tb testing.TB, idx *Index) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	n, err := idx.WriteTo(&buf)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if n != int64(buf.Len()) {
+		tb.Fatalf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
+	}
+	if v := binary.LittleEndian.Uint32(buf.Bytes()[4:]); v != indexVersion {
+		tb.Fatalf("index wrote format version %d, want %d", v, indexVersion)
+	}
+	return buf.Bytes()
+}
+
+// gkxOffsets locates the sections of a v6 blob (persist.go): the 28-byte
+// header and the dataset come first; offsets of absent sections are -1.
+type gkxOffsets struct {
+	table    int   // segment table, 32 bytes per segment
+	graph    []int // per segment: its graph section
+	tombs    []int // per segment: its tombstone words
+	ids      []int // per segment: its id map
+	routing  int   // routing trailer
+	clusters int   // clustering trailer
+	end      int
+}
+
+const (
+	gkxFlagsOff   = 8
+	gkxDtypeOff   = 16
+	gkxSegsOff    = 20
+	gkxIDBoundOff = 24
+	gkxHdrEnd     = 28
+)
+
+// gkxLayout serialises idx and computes where each section of the blob
+// starts from the index's in-memory state; the end offset doubles as a check
+// of that arithmetic.
+func gkxLayout(tb testing.TB, x *Index) ([]byte, gkxOffsets) {
+	tb.Helper()
+	elem := 4
+	if x.DType() == DTypeUint8 {
+		elem = 1
+	}
+	off := gkxHdrEnd + 8 + elem*x.N()*x.Dim()
+	o := gkxOffsets{table: off, routing: -1, clusters: -1}
+	off += 32 * len(x.segs)
+	for s := range x.segs {
+		sg := &x.segs[s]
+		o.graph = append(o.graph, off)
+		off += int(sg.graph.SectionSize())
+		tombs, ids := -1, -1
+		if sg.dead() > 0 {
+			tombs = off
+			off += 8 * ((sg.rows.n + 63) / 64)
+		}
+		if sg.ids != nil {
+			ids = off
+			off += 4 * sg.rows.n
+		}
+		o.tombs, o.ids = append(o.tombs, tombs), append(o.ids, ids)
+	}
+	if x.route != nil {
+		o.routing = off
+		off += 4
+		for s := range x.segs {
+			off += 8 + 4*x.route.Centroids(s).N*x.Dim()
+		}
+	}
+	if c := x.clusters; c != nil {
+		o.clusters = off
+		off += 8 + 4*x.N() + 8 + 4*c.K*x.Dim()
+	}
+	o.end = off
+	blob := gkxBlob(tb, x)
+	if o.end != len(blob) {
+		tb.Fatalf("layout arithmetic wrong: sections end at %d, file has %d bytes", o.end, len(blob))
+	}
+	return blob, o
+}
+
+// mustRejectGkx asserts ReadIndexFrom fails on b — with an error naming
+// wantSub when that is non-empty — and never panics.
+func mustRejectGkx(t *testing.T, name string, b []byte, wantSub string) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("%s: ReadIndexFrom panicked: %v", name, r)
+		}
+	}()
+	_, err := ReadIndexFrom(bytes.NewReader(b))
+	if err == nil {
+		t.Fatalf("%s: corrupt input accepted", name)
+	}
+	if wantSub != "" && !strings.Contains(err.Error(), wantSub) {
+		t.Fatalf("%s: error %q does not mention %q", name, err, wantSub)
+	}
+}
+
+// mustRejectCuts asserts every strided strict prefix of whole, and each of
+// the listed boundary prefixes, is rejected.
+func mustRejectCuts(t *testing.T, whole []byte, strides int, boundaries ...int) {
+	t.Helper()
+	stride := max(len(whole)/strides, 1)
+	for cut := 0; cut < len(whole); cut += stride {
+		mustRejectGkx(t, fmt.Sprintf("cut at %d/%d", cut, len(whole)), whole[:cut], "")
+	}
+	for _, cut := range boundaries {
+		if cut < 0 || cut >= len(whole) {
+			t.Fatalf("boundary cut %d outside the %d-byte file", cut, len(whole))
+		}
+		mustRejectGkx(t, fmt.Sprintf("boundary cut at %d/%d", cut, len(whole)), whole[:cut], "")
+	}
+}
+
+// gkxPatch is one targeted corruption of a blob.
+type gkxPatch struct {
+	name    string
+	mutate  func(b []byte)
+	wantSub string // "" = any error
+}
+
+func put32(off int, v uint32) func([]byte) {
+	return func(b []byte) { binary.LittleEndian.PutUint32(b[off:], v) }
+}
+
+func put64(off int, v uint64) func([]byte) {
+	return func(b []byte) { binary.LittleEndian.PutUint64(b[off:], v) }
+}
+
+func orFlags(bits uint32) func([]byte) {
+	return func(b []byte) {
+		binary.LittleEndian.PutUint32(b[gkxFlagsOff:], binary.LittleEndian.Uint32(b[gkxFlagsOff:])|bits)
+	}
+}
+
+func clearFlags(bits uint32) func([]byte) {
+	return func(b []byte) {
+		binary.LittleEndian.PutUint32(b[gkxFlagsOff:], binary.LittleEndian.Uint32(b[gkxFlagsOff:])&^bits)
+	}
+}
+
+// mustRejectPatches applies each patch to its own copy of whole and asserts
+// the result is rejected.
+func mustRejectPatches(t *testing.T, whole []byte, patches []gkxPatch) {
+	t.Helper()
+	if _, err := ReadIndexFrom(bytes.NewReader(whole)); err != nil {
+		t.Fatalf("unpatched blob does not load: %v", err)
+	}
+	for _, p := range patches {
+		b := bytes.Clone(whole)
+		p.mutate(b)
+		mustRejectGkx(t, p.name, b, p.wantSub)
+	}
+}
 
 // smallClusteredIndex builds a compact index with a clustering section so
 // corruption tests cover every section of the .gkx container.
@@ -77,6 +314,15 @@ func TestWriteFileAtomicNoFileOnFailure(t *testing.T) {
 		t.Fatalf("failed save left a file at the target path: %v", serr)
 	}
 	assertNoTempFiles(t, dir)
+	// A directory that is not there fails before anything is written, and
+	// LoadIndex reports the missing file.
+	missing := filepath.Join(dir, "no-such-dir", "idx.gkx")
+	if err := SaveIndex(missing, smallClusteredIndex(t)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("SaveIndex into a missing directory: %v", err)
+	}
+	if _, err := LoadIndex(missing); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("LoadIndex of a missing file: %v", err)
+	}
 }
 
 func assertNoTempFiles(t *testing.T, dir string) {
@@ -93,10 +339,12 @@ func assertNoTempFiles(t *testing.T, dir string) {
 }
 
 // SaveIndex over an existing (possibly corrupt) file must replace it whole:
-// afterwards LoadIndex sees only the new, complete index.
+// afterwards LoadIndex sees only the new, complete index, readable by
+// others, and no temporary is left next to it.
 func TestSaveIndexReplacesExistingFile(t *testing.T) {
 	idx := smallClusteredIndex(t)
-	path := filepath.Join(t.TempDir(), "idx.gkx")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "idx.gkx")
 	if err := os.WriteFile(path, []byte("garbage that is not an index"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -110,244 +358,291 @@ func TestSaveIndexReplacesExistingFile(t *testing.T) {
 	if loaded.N() != idx.N() || loaded.Clusters() == nil {
 		t.Fatal("overwritten index incomplete")
 	}
+	if st, err := os.Stat(path); err != nil || st.Mode().Perm() != 0o644 {
+		t.Fatalf("saved index mode %v (err %v), want 0644", st.Mode().Perm(), err)
+	}
+	assertNoTempFiles(t, dir)
 }
 
-// Monolithic indexes must keep writing the v1 single-segment layout so
-// .gkx files stay loadable by pre-sharding readers, and a load/save cycle
-// must be byte-stable in both directions.
-func TestMonolithicStaysVersion1(t *testing.T) {
-	idx := smallClusteredIndex(t)
-	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if v := binary.LittleEndian.Uint32(buf.Bytes()[4:]); v != 1 {
-		t.Fatalf("monolithic index wrote format version %d, want 1", v)
-	}
-	loaded, err := ReadIndexFrom(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Sharded() {
-		t.Fatal("v1 file loaded as sharded")
-	}
-	var again bytes.Buffer
-	if _, err := loaded.WriteTo(&again); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
-		t.Fatal("v1 load/save round-trip changed bytes")
-	}
-}
-
-// smallShardedIndex builds a compact sharded index for the v2 corruption
-// tests.
-func smallShardedIndex(t *testing.T) *Index {
+// assertSameState compares everything the state accessors report.
+func assertSameState(t *testing.T, want, got *Index) {
 	t.Helper()
-	data := dataset.SIFTLike(120, 13)
-	idx, err := Build(context.Background(), data,
-		WithShards(3), WithKappa(5), WithXi(15), WithTau(3), WithSeed(13))
-	if err != nil {
-		t.Fatal(err)
+	type state struct {
+		N, Dim, Shards, Deleted, Live int
+		IDBound                       int32
+		DType                         DType
+		Sharded, Routed, Clustered    bool
+		Infos                         []ShardInfo
 	}
-	return idx
+	of := func(x *Index) state {
+		return state{x.N(), x.Dim(), x.Shards(), x.Deleted(), x.Live(), x.IDBound(), x.DType(),
+			x.Sharded(), x.Routed(), x.Clusters() != nil, x.ShardInfos()}
+	}
+	if w, g := of(want), of(got); !reflect.DeepEqual(w, g) {
+		t.Fatalf("index state differs:\n want %+v\n got  %+v", w, g)
+	}
 }
 
-// shardedBlob serialises the index and returns the bytes plus the offsets
-// of the v2 layout landmarks used by the corruption tests.
-func shardedBlob(t *testing.T, idx *Index) (whole []byte, tableOff, segmentsOff int) {
-	t.Helper()
-	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
-		t.Fatal(err)
+// Every state an Index can reach is written in the one layout and comes back
+// from it unchanged: the header says 6, save → load → save is byte-identical,
+// and the loaded index reports the same state and answers the same — with
+// the clustering, where there is one, intact.
+func TestEveryStateRoundTripsThroughOneLayout(t *testing.T) {
+	queries := dataset.SIFTLike(12, 91) // byte-valued: fit for the uint8 states too
+	for _, name := range gkxStates {
+		t.Run(name, func(t *testing.T) {
+			idx := gkxState(t, name)
+			loaded := roundTrip(t, gkxBlob(t, idx))
+			assertSameState(t, idx, loaded)
+			assertSearchEqual(t, idx, loaded, queries)
+			switch name {
+			case "clustered":
+				w, g := idx.Clusters(), loaded.Clusters()
+				if g.K != w.K || g.Iters != w.Iters || !reflect.DeepEqual(g.Labels, w.Labels) || !g.Centroids.Equal(w.Centroids) {
+					t.Fatal("clustering changed in the round trip")
+				}
+				if g.Graph != loaded.Graph() {
+					t.Fatal("loaded clustering does not share the loaded index's graph")
+				}
+			case "compacted-mono":
+				if idx.Sharded() || idx.Graph() == nil || idx.segs[0].gen == 0 {
+					t.Fatalf("state is not a compacted monolithic index: sharded=%v gen=%d", idx.Sharded(), idx.segs[0].gen)
+				}
+				if _, err := loaded.Cluster(context.Background(), 3, WithMaxIter(2)); err != nil {
+					t.Fatalf("loaded compacted-mono index cannot cluster: %v", err)
+				}
+			}
+		})
 	}
-	whole = buf.Bytes()
-	// v2 layout: 24-byte header, matrix (8-byte shape + payload), segment
-	// table (16 bytes per shard), then the segments.
-	tableOff = 24 + 8 + 4*idx.N()*idx.Dim()
-	segmentsOff = tableOff + 16*len(idx.segs)
-	return whole, tableOff, segmentsOff
+}
+
+// failAfter is a writer that accepts budget bytes and then fails.
+type failAfter struct{ budget int }
+
+var errDiskFull = errors.New("disk full")
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if len(p) > w.budget {
+		n := w.budget
+		w.budget = 0
+		return n, errDiskFull
+	}
+	w.budget -= len(p)
+	return len(p), nil
+}
+
+// A write error in any section surfaces from WriteTo, with the count of
+// bytes that did go out.
+func TestWriteToPropagatesWriteErrors(t *testing.T) {
+	for _, name := range []string{"clustered", "u8-routed-mutated"} {
+		idx := gkxState(t, name)
+		blob, at := gkxLayout(t, idx)
+		cuts := []int{0, 7, gkxHdrEnd, gkxHdrEnd + 9, at.table + 5, at.graph[0] + 3, at.graph[0] + 40, len(blob) - 1}
+		for _, o := range [][]int{at.tombs, at.ids, {at.routing, at.clusters}} {
+			for _, off := range o {
+				if off >= 0 {
+					cuts = append(cuts, off+1)
+				}
+			}
+		}
+		for _, budget := range cuts {
+			n, err := idx.WriteTo(&failAfter{budget: budget})
+			if !errors.Is(err, errDiskFull) || n != int64(budget) {
+				t.Fatalf("%s, writer failing after %d bytes: WriteTo = %d, %v", name, budget, n, err)
+			}
+		}
+	}
 }
 
 // Corrupt multi-segment containers — truncations (in the header, the
-// segment table and the segments), a lying shard count and inconsistent
+// segment table and the segments), a lying segment count and inconsistent
 // table entries — must always produce an error: never a panic, never a
-// misaligned read that "succeeds".
+// misaligned read that "succeeds". The v2 cases corrupt the legacy fixture,
+// the v6 ones the writer's output.
 func TestReadShardedCorruptInputs(t *testing.T) {
-	idx := smallShardedIndex(t)
-	whole, tableOff, segmentsOff := shardedBlob(t, idx)
-	if v := binary.LittleEndian.Uint32(whole[4:]); v != 2 {
-		t.Fatalf("sharded index wrote format version %d, want 2", v)
-	}
+	// v2 layout: 24-byte header, matrix (8-byte shape + payload), segment
+	// table (16 bytes per shard), then the segments.
+	v2 := gkxFixture(t, "v2-sharded")
+	v2Table := 24 + 8 + 4*60*128
+	v2Segments := v2Table + 16*2
 
-	mustErr := func(t *testing.T, name string, b []byte) {
-		t.Helper()
-		defer func() {
-			if r := recover(); r != nil {
-				t.Fatalf("%s: ReadIndexFrom panicked: %v", name, r)
-			}
-		}()
-		if _, err := ReadIndexFrom(bytes.NewReader(b)); err == nil {
-			t.Fatalf("%s: corrupt input accepted", name)
-		}
-	}
+	idx := gkxState(t, "sharded")
+	v6, at := gkxLayout(t, idx)
+	mutated, mat := gkxLayout(t, gkxState(t, "mutated"))
 
 	t.Run("truncations", func(t *testing.T) {
-		stride := len(whole) / 120
-		if stride < 1 {
-			stride = 1
-		}
-		for cut := 0; cut < len(whole); cut += stride {
-			mustErr(t, fmt.Sprintf("cut at %d/%d", cut, len(whole)), whole[:cut])
-		}
 		// Boundary cuts: mid-header, table start, mid-table (the "truncated
 		// segment table" case), segments start, mid-segment.
-		for _, cut := range []int{4, 16, 20, tableOff, tableOff + 7, tableOff + 16, segmentsOff, segmentsOff + 3, len(whole) - 1} {
-			mustErr(t, fmt.Sprintf("boundary cut at %d", cut), whole[:cut])
-		}
+		mustRejectCuts(t, v2, 120, 4, 16, 20, v2Table, v2Table+7, v2Table+16, v2Segments, v2Segments+3, len(v2)-1)
+		mustRejectCuts(t, v6, 120, 4, 16, 20, gkxHdrEnd, at.table, at.table+7, at.table+32, at.graph[0], at.graph[0]+3, at.graph[1], len(v6)-1)
+		// v3–v5 headers carry a segment count and an id bound past the first 16 bytes.
+		mustRejectCuts(t, gkxFixture(t, "v3-mutated"), 60, 16, 20, 23, 24)
+		// A mutated index adds tombstone words and an id map per segment.
+		mustRejectCuts(t, mutated, 120, mat.ids[0], mat.ids[0]+5, mat.graph[1], mat.tombs[1], mat.tombs[1]+3, len(mutated)-1)
 	})
 
 	t.Run("mutations", func(t *testing.T) {
-		flip := func(mutate func(b []byte)) []byte {
-			b := bytes.Clone(whole)
-			mutate(b)
-			return b
-		}
-		cases := []struct {
-			name   string
-			mutate func(b []byte)
-		}{
-			{"version 99", func(b []byte) { b[4] = 99 }},
-			{"sharded flag missing", func(b []byte) {
-				binary.LittleEndian.PutUint32(b[8:], 0)
-			}},
-			{"shard count zero", func(b []byte) {
-				binary.LittleEndian.PutUint32(b[16:], 0)
-			}},
-			{"shard count one", func(b []byte) {
-				binary.LittleEndian.PutUint32(b[16:], 1)
-			}},
-			{"shard count huge", func(b []byte) {
-				binary.LittleEndian.PutUint32(b[16:], 0xFFFFFFFF)
-			}},
-			// The header says 4 shards but the table and segments hold 3:
+		mustRejectPatches(t, v2, []gkxPatch{
+			{"v2 version 99", func(b []byte) { b[4] = 99 }, "newer release"},
+			{"v2 sharded flag missing", put32(8, 0), "without the sharded flag"},
+			{"v2 shard count zero", put32(16, 0), "implausible shard count"},
+			{"v2 shard count one", put32(16, 1), "implausible shard count"},
+			{"v2 shard count huge", put32(16, 0xFFFFFFFF), "implausible"},
+			// The header says 3 shards but the table and segments hold 2:
 			// the row sum no longer covers the dataset.
-			{"shard count mismatch", func(b []byte) {
-				binary.LittleEndian.PutUint32(b[16:], 4)
-			}},
-			{"table rows inflated", func(b []byte) {
-				binary.LittleEndian.PutUint32(b[tableOff:], 9999)
-			}},
-			{"table rows zeroed", func(b []byte) {
-				binary.LittleEndian.PutUint32(b[tableOff:], 0)
-			}},
-			{"table segment size wrong", func(b []byte) {
-				binary.LittleEndian.PutUint64(b[tableOff+8:], 12)
-			}},
-			{"table segment size huge", func(b []byte) {
-				binary.LittleEndian.PutUint64(b[tableOff+8:], 1<<50)
-			}},
-			{"segment graph magic", func(b []byte) { b[segmentsOff+8] ^= 0xFF }},
+			{"v2 shard count mismatch", put32(16, 3), ""},
+			{"v2 table rows inflated", put32(v2Table, 9999), "segment table covers"},
+			{"v2 table rows zeroed", put32(v2Table, 0), "segment table covers"},
+			// Rows that still sum to the dataset, but not as the graphs were built.
+			{"v2 table rows shifted between shards", func(b []byte) {
+				put32(v2Table, 29)(b)
+				put32(v2Table+16, 31)(b)
+			}, "graph has 30 nodes for 29 samples"},
+			{"v2 table segment size wrong", put64(v2Table+8, 12), ""},
+			{"v2 table segment size huge", put64(v2Table+8, 1<<50), "table says"},
+			{"v2 segment graph magic", func(b []byte) { b[v2Segments+8] ^= 0xFF }, "bad magic"},
+		})
+		mustRejectPatches(t, v6, []gkxPatch{
+			{"version 99", func(b []byte) { b[4] = 99 }, "newer release"},
+			{"version 0", func(b []byte) { b[4] = 0 }, "unsupported index version 0"},
+			{"sharded flag missing", clearFlags(flagSharded), "monolithic v6 index with 2 segments"},
+			{"segment count zero", put32(gkxSegsOff, 0), "implausible segment count"},
+			{"segment count past the cap", put32(gkxSegsOff, maxShardSegments+1), "implausible segment count"},
+			{"segment count huge", put32(gkxSegsOff, 0xFFFFFFFF), "implausible segment count"},
+			{"segment count mismatch", put32(gkxSegsOff, 3), ""},
+			{"segment count one", put32(gkxSegsOff, 1), "segment table covers"},
+			{"id bound below rows", put32(gkxIDBoundOff, 1), "below row count"},
+			{"id bound past int32", put32(gkxIDBoundOff, 1<<31), "overflows int32"},
+			{"table rows inflated", put32(at.table, 9999), "segment table covers"},
+			{"table rows zeroed", put32(at.table, 0), "segment table covers"},
+			{"table rows shifted between segments", func(b []byte) {
+				put32(at.table, 29)(b)
+				put32(at.table+32, 31)(b)
+			}, "graph has 30 nodes for 29 samples"},
+			{"table unknown segment flags", put32(at.table+4, 1<<5), "unknown flags"},
+			{"table graph size wrong", put64(at.table+8, 12), ""},
+			{"table graph size short by one", put64(at.table+8, uint64(idx.segs[0].graph.SectionSize()-1)), "reading segment 0"},
+			{"table graph size long by one", put64(at.table+8, uint64(idx.segs[0].graph.SectionSize()+1)), "table says"},
+			{"table graph size huge", put64(at.table+8, 1<<50), "table says"},
+			{"table base past int32", put32(at.table+24, 1<<31), "overflows int32"},
+			{"table base past the id bound", put32(at.table+32+24, 31), "exceed the id bound"},
+			{"segment graph magic", func(b []byte) { b[at.graph[0]+8] ^= 0xFF }, "bad magic"},
+			{"second segment graph node count", put32(at.graph[1]+12, 7), ""},
+		})
+		idBound := uint32(gkxState(t, "mutated").IDBound())
+		mustRejectPatches(t, mutated, []gkxPatch{
+			{"tombstone bit past the rows", func(b []byte) { b[mat.tombs[1]+7] |= 0x80 }, "beyond row"},
+			{"tombstone flag on a segment without words", put32(mat.table+4, segFlagTombs|segFlagIDMap), ""},
+			{"id map entry negative", put32(mat.ids[0], 0xFFFFFFFF), "outside [0,"},
+			{"id map entry at the id bound", put32(mat.ids[0]+4, idBound), "outside [0,"},
+			{"id map flag dropped", put32(mat.table+4, 0), ""},
+			{"id bound below an id-map entry", put32(gkxIDBoundOff, 62), ""},
+		})
+	})
+
+	// The monolithic promise (no sharded flag): one segment, at base 0,
+	// without an id map.
+	t.Run("monolithic", func(t *testing.T) {
+		compacted, err := gkxState(t, "mono").Delete(3)
+		if err == nil {
+			compacted, err = compacted.Compact(context.Background())
 		}
-		for _, c := range cases {
-			mustErr(t, c.name, flip(c.mutate))
+		if err != nil {
+			t.Fatal(err)
 		}
+		withMap, _ := gkxLayout(t, compacted) // one segment carrying an id map
+		mustRejectPatches(t, withMap, []gkxPatch{
+			{"monolithic with an id map", clearFlags(flagSharded), "monolithic v6 index with an id map"},
+		})
+		mono, mo := gkxLayout(t, gkxState(t, "mono"))
+		mustRejectPatches(t, mono, []gkxPatch{
+			{"monolithic with a base", func(b []byte) {
+				put32(gkxIDBoundOff, 61)(b)
+				put32(mo.table+24, 1)(b)
+			}, "monolithic v6 index with base 1"},
+			{"base past the id bound", put32(mo.table+24, 1), "exceed the id bound"},
+		})
 	})
 }
 
 // Corrupt container inputs — truncations and targeted bit flips in every
 // section — must always produce an error: never a panic, never a runaway
-// allocation from an untrusted header.
+// allocation from an untrusted header. The v1 cases corrupt the legacy
+// fixture, the v6 ones the writer's output.
 func TestReadIndexFromCorruptInputs(t *testing.T) {
+	// v1 layout: 16-byte header, matrix (8-byte shape + payload),
+	// length-prefixed graph section, clustering.
+	v1 := gkxFixture(t, "v1-mono-clustered")
+	const v1Matrix = 16
+	v1Graph := v1Matrix + 8 + 4*60*128
+	v1Clusters := v1Graph + 8 + int(binary.LittleEndian.Uint64(v1[v1Graph:]))
+	if v1Clusters >= len(v1) {
+		t.Fatalf("layout arithmetic wrong: clustering offset %d, file %d bytes", v1Clusters, len(v1))
+	}
+
 	idx := smallClusteredIndex(t)
-	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	whole := buf.Bytes()
-
-	// Section offsets, from the container layout (persist.go): 16-byte
-	// header, matrix (8-byte shape + payload), length-prefixed graph
-	// section, clustering.
-	const hdrEnd = 16
-	matrixPayload := 4 * idx.N() * idx.Dim()
-	graphSection := hdrEnd + 8 + matrixPayload
-	graphSize := binary.LittleEndian.Uint64(whole[graphSection:])
-	clustering := graphSection + 8 + int(graphSize)
-	if clustering >= len(whole) {
-		t.Fatalf("layout arithmetic wrong: clustering offset %d, file %d bytes", clustering, len(whole))
-	}
-
-	mustErr := func(t *testing.T, name string, b []byte) {
-		t.Helper()
-		defer func() {
-			if r := recover(); r != nil {
-				t.Fatalf("%s: ReadIndexFrom panicked: %v", name, r)
-			}
-		}()
-		if _, err := ReadIndexFrom(bytes.NewReader(b)); err == nil {
-			t.Fatalf("%s: corrupt input accepted", name)
-		}
-	}
+	v6, at := gkxLayout(t, idx)
+	const v6Matrix = gkxHdrEnd
 
 	// Every strict prefix must fail cleanly, whichever section the cut
-	// lands in.
+	// lands in; exact section boundaries are the interesting edge cases.
 	t.Run("truncations", func(t *testing.T) {
-		stride := len(whole) / 150
-		if stride < 1 {
-			stride = 1
-		}
-		for cut := 0; cut < len(whole); cut += stride {
-			mustErr(t, fmt.Sprintf("cut at %d/%d", cut, len(whole)), whole[:cut])
-		}
-		// Exact section boundaries are the interesting edge cases.
-		for _, cut := range []int{hdrEnd, hdrEnd + 8, graphSection, graphSection + 8, clustering, len(whole) - 1} {
-			mustErr(t, fmt.Sprintf("boundary cut at %d", cut), whole[:cut])
-		}
+		mustRejectCuts(t, v1, 150, v1Matrix, v1Matrix+8, v1Graph, v1Graph+4, v1Graph+8, v1Clusters, v1Clusters+8, len(v1)-1)
+		mustRejectCuts(t, v6, 150, 16, 20, v6Matrix, v6Matrix+8, at.table, at.graph[0], at.graph[0]+8, at.clusters, at.clusters+8, at.clusters+8+4*idx.N(), len(v6)-1)
 	})
 
 	t.Run("bitflips", func(t *testing.T) {
-		flip := func(mutate func(b []byte)) []byte {
-			b := bytes.Clone(whole)
-			mutate(b)
-			return b
-		}
-		cases := []struct {
-			name   string
-			mutate func(b []byte)
-		}{
-			{"magic", func(b []byte) { b[0] ^= 0xFF }},
-			{"version", func(b []byte) { b[4] = 99 }},
-			{"matrix rows huge", func(b []byte) {
-				binary.LittleEndian.PutUint32(b[hdrEnd:], 0xFFFFFF00) // allocation-guard territory
-			}},
-			{"matrix dim zero", func(b []byte) {
-				binary.LittleEndian.PutUint32(b[hdrEnd+4:], 0)
-			}},
-			{"graph section size huge", func(b []byte) {
-				binary.LittleEndian.PutUint64(b[graphSection:], 1<<50)
-			}},
-			{"graph magic", func(b []byte) { b[graphSection+8] ^= 0xFF }},
-			{"graph node count huge", func(b []byte) {
-				binary.LittleEndian.PutUint32(b[graphSection+12:], 0xFFFFFF00)
-			}},
-			{"graph kappa zero", func(b []byte) {
-				binary.LittleEndian.PutUint32(b[graphSection+16:], 0)
-			}},
-			{"first list length over kappa", func(b []byte) {
-				binary.LittleEndian.PutUint32(b[graphSection+20:], 0xFFFF)
-			}},
-			{"label out of range", func(b []byte) {
+		sectionCases := func(matrix, graph, clusters, n int) []gkxPatch {
+			return []gkxPatch{
+				{"magic", func(b []byte) { b[0] ^= 0xFF }, "bad index magic"},
+				{"version", func(b []byte) { b[4] = 99 }, "unsupported index version 99"},
+				{"matrix rows huge", put32(matrix, 0xFFFFFF00), ""}, // allocation-guard territory
+				{"matrix dim zero", put32(matrix+4, 0), ""},
+				{"graph section size huge", put64(graph, 1<<50), ""},
+				{"graph section size short", put64(graph, 16), ""},
+				{"graph magic", func(b []byte) { b[graph+8] ^= 0xFF }, "bad magic"},
+				{"graph node count huge", put32(graph+12, 0xFFFFFF00), ""},
+				{"graph node count off by one", put32(graph+12, uint32(n-1)), ""},
+				{"graph kappa zero", put32(graph+16, 0), ""},
+				{"first list length over kappa", put32(graph+20, 0xFFFF), ""},
+				{"cluster count zero", put32(clusters, 0), "corrupt clustering section"},
 				// First label of the clustering section (after k and iters).
-				binary.LittleEndian.PutUint32(b[clustering+8:], 0x7FFFFFFF)
-			}},
-			{"centroid dim zero", func(b []byte) {
-				centroids := clustering + 8 + 4*idx.N()
-				binary.LittleEndian.PutUint32(b[centroids+4:], 0)
-			}},
+				{"label out of range", put32(clusters+8, 0x7FFFFFFF), "corrupt clustering section"},
+				{"centroid rows not k", put32(clusters+8+4*n, 2), ""},
+				{"centroid dim zero", put32(clusters+8+4*n+4, 0), ""},
+			}
 		}
-		for _, c := range cases {
-			mustErr(t, c.name, flip(c.mutate))
+		mustRejectPatches(t, v1, sectionCases(v1Matrix, v1Graph, v1Clusters, 60))
+		mustRejectPatches(t, v6, sectionCases(v6Matrix, at.graph[0], at.clusters, idx.N()))
+		mustRejectGkx(t, "clustering flag without a trailer", v6[:at.clusters], "clustering header")
+	})
+
+	// Only a monolithic float32 index without tombstones can carry a
+	// clustering: the flag on anything else is a corrupt header, not a
+	// trailer to go looking for.
+	t.Run("clustering flag", func(t *testing.T) {
+		tombstoned, err := gkxState(t, "mono").Delete(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, x := range map[string]*Index{
+			"sharded":    gkxState(t, "sharded"),
+			"routed":     gkxState(t, "routed"),
+			"uint8":      gkxState(t, "u8-mono"),
+			"tombstoned": tombstoned,
+		} {
+			mustRejectPatches(t, gkxBlob(t, x), []gkxPatch{
+				{"clustering flag on a " + name + " index", orFlags(flagClusters), "clustering flag on"},
+			})
+		}
+		// v3–v5 never defined bit 0: their readers ignored it, and so does
+		// the translation.
+		for _, name := range []string{"v3-mutated", "v4-routed", "v5-u8-routed-mutated"} {
+			b := gkxFixture(t, name)
+			orFlags(flagClusters)(b)
+			if _, err := ReadIndexFrom(bytes.NewReader(b)); err != nil {
+				t.Fatalf("%s with bit 0 set: %v", name, err)
+			}
 		}
 	})
 }

@@ -5,21 +5,10 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"strings"
 	"testing"
 
 	"gkmeans/internal/dataset"
 	"gkmeans/internal/vec"
-)
-
-// v5 container layout landmarks (persist.go): 28-byte header — magic,
-// version, flags, entries, dtype word, segment count, id bound — then the
-// uint8 matrix (8-byte shape + N·Dim payload bytes), the 32-byte-per-entry
-// segment table, the segment bodies and the optional routing trailer.
-const (
-	u8HdrFlagsOff = 8
-	u8HdrDtypeOff = 16
-	u8HdrEnd      = 28
 )
 
 // smallU8Index builds a compact uint8 index from byte-valued synthetic
@@ -39,21 +28,8 @@ func smallU8Index(t *testing.T, n int, opts ...Option) *Index {
 	return idx
 }
 
-// writeBlob serialises an index and asserts the version word it wrote.
-func writeBlob(t *testing.T, idx *Index, wantVersion uint32) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if v := binary.LittleEndian.Uint32(buf.Bytes()[4:]); v != wantVersion {
-		t.Fatalf("index wrote format version %d, want %d", v, wantVersion)
-	}
-	return buf.Bytes()
-}
-
 // roundTrip loads a blob and asserts the reload re-serialises to exactly
-// the same bytes — the byte-stability contract of every .gkx version.
+// the same bytes — the byte-stability contract of the .gkx layout.
 func roundTrip(t *testing.T, blob []byte) *Index {
 	t.Helper()
 	loaded, err := ReadIndexFrom(bytes.NewReader(blob))
@@ -110,16 +86,16 @@ func u8Queries(n int) *Matrix {
 	return dataset.SIFTLike(n, 91)
 }
 
-// A monolithic uint8 index must write v5 with the uint8 flag and dtype
-// word, load back as uint8, answer identically, and round-trip byte-stably.
-func TestU8MonoWritesVersion5(t *testing.T) {
+// A monolithic uint8 index must write the uint8 flag and dtype word, load
+// back as uint8, answer identically, and round-trip byte-stably.
+func TestU8MonoRoundTrip(t *testing.T) {
 	idx := smallU8Index(t, 80)
-	blob := writeBlob(t, idx, 5)
-	flags := binary.LittleEndian.Uint32(blob[u8HdrFlagsOff:])
+	blob := gkxBlob(t, idx)
+	flags := binary.LittleEndian.Uint32(blob[gkxFlagsOff:])
 	if flags&flagU8 == 0 {
-		t.Fatalf("v5 blob without the uint8 flag (flags %#x)", flags)
+		t.Fatalf("uint8 blob without the uint8 flag (flags %#x)", flags)
 	}
-	if dw := binary.LittleEndian.Uint32(blob[u8HdrDtypeOff:]); dw != dtypeWordU8 {
+	if dw := binary.LittleEndian.Uint32(blob[gkxDtypeOff:]); dw != dtypeWordU8 {
 		t.Fatalf("dtype word %d, want %d", dw, dtypeWordU8)
 	}
 	loaded := roundTrip(t, blob)
@@ -135,14 +111,14 @@ func TestU8MonoWritesVersion5(t *testing.T) {
 	assertSearchEqual(t, idx, loaded, u8Queries(10))
 }
 
-// Sharded and routed uint8 indexes share the v5 layout; the routed one
-// carries the routing trailer and loads back routable.
+// Sharded and routed uint8 indexes: the routed one carries the routing
+// trailer and loads back routable.
 func TestU8ShardedAndRoutedRoundTrip(t *testing.T) {
 	queries := u8Queries(10)
 	t.Run("sharded", func(t *testing.T) {
 		idx := smallU8Index(t, 120, WithShards(3))
-		blob := writeBlob(t, idx, 5)
-		flags := binary.LittleEndian.Uint32(blob[u8HdrFlagsOff:])
+		blob := gkxBlob(t, idx)
+		flags := binary.LittleEndian.Uint32(blob[gkxFlagsOff:])
 		if flags&(flagU8|flagSharded) != flagU8|flagSharded {
 			t.Fatalf("flags %#x missing uint8|sharded", flags)
 		}
@@ -154,8 +130,8 @@ func TestU8ShardedAndRoutedRoundTrip(t *testing.T) {
 	})
 	t.Run("routed", func(t *testing.T) {
 		idx := smallU8Index(t, 120, WithShards(3), WithRouting(2))
-		blob := writeBlob(t, idx, 5)
-		flags := binary.LittleEndian.Uint32(blob[u8HdrFlagsOff:])
+		blob := gkxBlob(t, idx)
+		flags := binary.LittleEndian.Uint32(blob[gkxFlagsOff:])
 		if flags&(flagU8|flagSharded|flagRouting) != flagU8|flagSharded|flagRouting {
 			t.Fatalf("flags %#x missing uint8|sharded|routing", flags)
 		}
@@ -176,7 +152,7 @@ func TestU8ShardedAndRoutedRoundTrip(t *testing.T) {
 }
 
 // A mutated uint8 index (append, delete, compact) persists its mutation
-// metadata in v5 and loads back with ids, tombstones and dtype intact.
+// metadata and loads back with ids, tombstones and dtype intact.
 func TestU8MutatedRoundTrip(t *testing.T) {
 	idx := smallU8Index(t, 80)
 	extra := NewMatrix(6, idx.Dim())
@@ -190,10 +166,10 @@ func TestU8MutatedRoundTrip(t *testing.T) {
 	if idx, err = idx.Delete(2, 7, 81); err != nil {
 		t.Fatal(err)
 	}
-	blob := writeBlob(t, idx, 5)
-	flags := binary.LittleEndian.Uint32(blob[u8HdrFlagsOff:])
+	blob := gkxBlob(t, idx)
+	flags := binary.LittleEndian.Uint32(blob[gkxFlagsOff:])
 	if flags&flagTombs == 0 {
-		t.Fatalf("mutated v5 blob without the tombstone flag (flags %#x)", flags)
+		t.Fatalf("mutated blob without the tombstone flag (flags %#x)", flags)
 	}
 	loaded := roundTrip(t, blob)
 	if loaded.DType() != DTypeUint8 || loaded.Deleted() != 3 || loaded.IDBound() != idx.IDBound() {
@@ -205,151 +181,79 @@ func TestU8MutatedRoundTrip(t *testing.T) {
 	if idx, err = idx.Compact(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	loaded = roundTrip(t, writeBlob(t, idx, 5))
+	loaded = roundTrip(t, gkxBlob(t, idx))
 	if loaded.DType() != DTypeUint8 || loaded.Deleted() != 0 {
 		t.Fatalf("compacted load dtype=%s deleted=%d", loaded.DType(), loaded.Deleted())
 	}
 	assertSearchEqual(t, idx, loaded, u8Queries(8))
 }
 
-// Float32 indexes must keep writing v1–v4 byte-stably: introducing v5 may
-// not move a single bit of any pre-existing layout.
-func TestFloat32VersionsUnchangedByV5(t *testing.T) {
-	build := func(t *testing.T, opts ...Option) *Index {
-		t.Helper()
-		data := dataset.SIFTLike(90, 29)
-		idx, err := Build(context.Background(), data,
-			append([]Option{WithKappa(5), WithXi(15), WithTau(3), WithSeed(29)}, opts...)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return idx
-	}
-	t.Run("v1 mono", func(t *testing.T) {
-		roundTrip(t, writeBlob(t, build(t), 1))
-	})
-	t.Run("v2 sharded", func(t *testing.T) {
-		roundTrip(t, writeBlob(t, build(t, WithShards(3)), 2))
-	})
-	t.Run("v3 mutated", func(t *testing.T) {
-		idx := build(t)
-		idx, err := idx.Delete(3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		roundTrip(t, writeBlob(t, idx, 3))
-	})
-	t.Run("v4 routed", func(t *testing.T) {
-		roundTrip(t, writeBlob(t, build(t, WithShards(3), WithRouting(2)), 4))
-	})
-}
-
-// Corrupt v5 inputs — a lying dtype word, dtype/flag mismatches in either
+// Corrupt uint8 inputs — a lying dtype word, dtype/flag mismatches in either
 // direction, and truncations in every section — must produce an error,
-// never a panic or a byte dataset parsed as floats.
+// never a panic or a byte dataset parsed as floats. The v5 cases corrupt the
+// legacy fixture (and the v1–v4 ones, for the flag their readers reject),
+// the v6 ones the writer's output.
 func TestReadU8CorruptInputs(t *testing.T) {
-	idx := smallU8Index(t, 80)
-	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	whole := buf.Bytes()
-
-	mustErr := func(t *testing.T, name string, b []byte, wantSub string) {
-		t.Helper()
-		defer func() {
-			if r := recover(); r != nil {
-				t.Fatalf("%s: ReadIndexFrom panicked: %v", name, r)
-			}
-		}()
-		_, err := ReadIndexFrom(bytes.NewReader(b))
-		if err == nil {
-			t.Fatalf("%s: corrupt input accepted", name)
-		}
-		if wantSub != "" && !strings.Contains(err.Error(), wantSub) {
-			t.Fatalf("%s: error %q does not mention %q", name, err, wantSub)
-		}
-	}
-	flip := func(mutate func(b []byte)) []byte {
-		b := bytes.Clone(whole)
-		mutate(b)
-		return b
-	}
+	// v5 and v6 share the 28-byte header: magic, version, flags, entries,
+	// dtype word, segment count, id bound — then the uint8 matrix (8-byte
+	// shape + N·Dim payload bytes).
+	v5 := gkxFixture(t, "v5-u8-routed-mutated")
+	v6, at := gkxLayout(t, smallU8Index(t, 80))
+	routed, rat := gkxLayout(t, gkxState(t, "u8-routed-mutated"))
+	float6 := gkxBlob(t, gkxState(t, "mono"))
 
 	t.Run("truncations", func(t *testing.T) {
-		stride := len(whole) / 120
-		if stride < 1 {
-			stride = 1
-		}
-		for cut := 0; cut < len(whole); cut += stride {
-			mustErr(t, fmt.Sprintf("cut at %d/%d", cut, len(whole)), whole[:cut], "")
-		}
-		for _, cut := range []int{4, u8HdrDtypeOff, u8HdrDtypeOff + 2, u8HdrEnd, u8HdrEnd + 8, len(whole) - 1} {
-			mustErr(t, fmt.Sprintf("boundary cut at %d", cut), whole[:cut], "")
-		}
+		mustRejectCuts(t, v5, 120, 4, gkxDtypeOff, gkxDtypeOff+2, gkxHdrEnd, gkxHdrEnd+8, len(v5)-1)
+		mustRejectCuts(t, v6, 120, 4, gkxDtypeOff, gkxDtypeOff+2, gkxSegsOff, gkxHdrEnd, gkxHdrEnd+8, at.table, at.graph[0], len(v6)-1)
+		mustRejectCuts(t, routed, 120, rat.table, rat.ids[0], rat.tombs[1], rat.routing, rat.routing+4, rat.routing+12, len(routed)-1)
 	})
 
 	t.Run("dtype words", func(t *testing.T) {
 		for _, w := range []uint32{0, 2, 99, 0xFFFFFFFF} {
-			mustErr(t, fmt.Sprintf("dtype word %d", w), flip(func(b []byte) {
-				binary.LittleEndian.PutUint32(b[u8HdrDtypeOff:], w)
-			}), "dtype word")
+			name := fmt.Sprintf("dtype word %d", w)
+			mustRejectPatches(t, v5, []gkxPatch{{"v5 " + name, put32(gkxDtypeOff, w), "dtype word"}})
+			mustRejectPatches(t, v6, []gkxPatch{{name, put32(gkxDtypeOff, w), "dtype word"}})
+		}
+		for _, w := range []uint32{2, 99, 0xFFFFFFFF} {
+			mustRejectPatches(t, float6, []gkxPatch{{fmt.Sprintf("float32 blob, dtype word %d", w), put32(gkxDtypeOff, w), "bad dtype word"}})
 		}
 	})
 
 	t.Run("flag mismatches", func(t *testing.T) {
-		// v5 with the uint8 flag cleared.
-		mustErr(t, "v5 without flagU8", flip(func(b []byte) {
-			f := binary.LittleEndian.Uint32(b[u8HdrFlagsOff:])
-			binary.LittleEndian.PutUint32(b[u8HdrFlagsOff:], f&^flagU8)
-		}), "dtype/flag mismatch")
-
+		const mismatch = "dtype/flag mismatch"
+		mustRejectPatches(t, v5, []gkxPatch{{"v5 without flagU8", clearFlags(flagU8), mismatch}})
 		// Each float32 version with the uint8 flag forced on. The bodies are
 		// valid for their version, so the flag check alone must reject them.
-		data := dataset.SIFTLike(90, 31)
-		floatBlob := func(mutateIdx func(*Index) *Index, opts ...Option) []byte {
-			fidx, err := Build(context.Background(), data,
-				append([]Option{WithKappa(5), WithXi(15), WithTau(3), WithSeed(31)}, opts...)...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if mutateIdx != nil {
-				fidx = mutateIdx(fidx)
-			}
-			var fb bytes.Buffer
-			if _, err := fidx.WriteTo(&fb); err != nil {
-				t.Fatal(err)
-			}
-			b := fb.Bytes()
-			f := binary.LittleEndian.Uint32(b[u8HdrFlagsOff:])
-			binary.LittleEndian.PutUint32(b[u8HdrFlagsOff:], f|flagU8)
-			return b
+		for _, name := range []string{"v1-mono-clustered", "v2-sharded", "v3-mutated", "v4-routed"} {
+			mustRejectPatches(t, gkxFixture(t, name), []gkxPatch{{name[:2] + " with flagU8", orFlags(flagU8), mismatch}})
 		}
-		mustErr(t, "v1 with flagU8", floatBlob(nil), "dtype/flag mismatch")
-		mustErr(t, "v2 with flagU8", floatBlob(nil, WithShards(3)), "dtype/flag mismatch")
-		mustErr(t, "v3 with flagU8", floatBlob(func(x *Index) *Index {
-			y, err := x.Delete(3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return y
-		}), "dtype/flag mismatch")
-		mustErr(t, "v4 with flagU8", floatBlob(nil, WithShards(3), WithRouting(2)), "dtype/flag mismatch")
+		// v6 carries the dtype word on every index, so it can disagree with
+		// the flag in both directions on both dtypes.
+		mustRejectPatches(t, v6, []gkxPatch{
+			{"uint8 blob without flagU8", clearFlags(flagU8), mismatch},
+			{"uint8 blob with the float32 word", put32(gkxDtypeOff, dtypeWordF32), mismatch},
+		})
+		mustRejectPatches(t, float6, []gkxPatch{
+			{"float32 blob with flagU8", orFlags(flagU8), mismatch},
+			{"float32 blob with the uint8 word", put32(gkxDtypeOff, dtypeWordU8), mismatch},
+			// Flag and word agreeing on the wrong dtype: the float payload
+			// is then four times the bytes the shape announces.
+			{"float32 blob relabelled uint8", func(b []byte) {
+				orFlags(flagU8)(b)
+				put32(gkxDtypeOff, dtypeWordU8)(b)
+			}, ""},
+		})
 	})
 
 	t.Run("shape mutations", func(t *testing.T) {
-		mustErr(t, "rows huge", flip(func(b []byte) {
-			binary.LittleEndian.PutUint32(b[u8HdrEnd:], 0xFFFFFF00)
-		}), "")
-		mustErr(t, "dim zero", flip(func(b []byte) {
-			binary.LittleEndian.PutUint32(b[u8HdrEnd+4:], 0)
-		}), "")
-		mustErr(t, "segment count zero", flip(func(b []byte) {
-			binary.LittleEndian.PutUint32(b[u8HdrDtypeOff+4:], 0)
-		}), "")
-		mustErr(t, "id bound below rows", flip(func(b []byte) {
-			binary.LittleEndian.PutUint32(b[u8HdrDtypeOff+8:], 1)
-		}), "")
+		for name, blob := range map[string][]byte{"v5": v5, "v6": v6} {
+			mustRejectPatches(t, blob, []gkxPatch{
+				{name + " rows huge", put32(gkxHdrEnd, 0xFFFFFF00), ""},
+				{name + " dim zero", put32(gkxHdrEnd+4, 0), ""},
+				{name + " segment count zero", put32(gkxSegsOff, 0), "implausible segment count"},
+				{name + " id bound below rows", put32(gkxIDBoundOff, 1), "below row count"},
+			})
+		}
 	})
 }
 

@@ -176,13 +176,9 @@ func TestWithRoutingRequiresShards(t *testing.T) {
 
 func TestRoutedSaveLoadRoundTrip(t *testing.T) {
 	idx, _, queries := buildRoutedIndex(t)
-	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	blob := buf.Bytes()
-	if v := binary.LittleEndian.Uint32(blob[4:8]); v != 4 {
-		t.Fatalf("routed index serialised as version %d, want 4", v)
+	blob := gkxBlob(t, idx)
+	if flags := binary.LittleEndian.Uint32(blob[gkxFlagsOff:]); flags&flagRouting == 0 {
+		t.Fatalf("routed index has no routing flag (flags %#x)", flags)
 	}
 	loaded, err := ReadIndexFrom(bytes.NewReader(blob))
 	if err != nil {
@@ -215,19 +211,15 @@ func TestRoutedSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestUnroutedPersistenceUnchanged(t *testing.T) {
-	// An unrouted sharded index must still serialise as version 3 with no
-	// routing flag: the v4 section is strictly opt-in.
+	// An unrouted sharded index serialises with no routing flag and no
+	// trailer: the routing section is strictly opt-in.
 	idx, _ := buildTestIndex(t, WithShards(3))
-	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	blob := buf.Bytes()
-	if v := binary.LittleEndian.Uint32(blob[4:8]); v == 4 {
-		t.Fatal("unrouted index serialised as version 4")
-	}
-	if flags := binary.LittleEndian.Uint32(blob[8:12]); flags&flagRouting != 0 {
+	blob, at := gkxLayout(t, idx)
+	if flags := binary.LittleEndian.Uint32(blob[gkxFlagsOff:]); flags&flagRouting != 0 {
 		t.Fatalf("unrouted index has the routing flag set (flags %#x)", flags)
+	}
+	if at.routing != -1 {
+		t.Fatal("unrouted index wrote a routing trailer")
 	}
 }
 
@@ -275,7 +267,7 @@ func TestRoutedMutationChain(t *testing.T) {
 	if res := compacted.Search(data.Row(999), 1, 32); len(res) != 1 || res[0].ID != 999 || res[0].Dist != 0 {
 		t.Fatalf("self query after compact returned %v", res)
 	}
-	// The whole chain still round-trips as v4.
+	// The whole chain still round-trips with its router.
 	var buf bytes.Buffer
 	if _, err := compacted.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -289,39 +281,66 @@ func TestRoutedMutationChain(t *testing.T) {
 	}
 }
 
+// Corrupt routing state — in the header flags or the centroid trailer — is
+// rejected. The v4 cases corrupt the legacy fixture, the v6 ones the
+// writer's output.
 func TestRoutedReadRejectsCorruptCentroids(t *testing.T) {
-	idx, _, _ := buildRoutedIndex(t)
-	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	blob := buf.Bytes()
 	// The routing trailer sits at the end: uint32 k, then one
 	// vec.WriteMatrix (8-byte shape header + rows*dim float32s) per shard.
-	trailer := 4
-	for s := 0; s < idx.Shards(); s++ {
-		trailer += 8 + idx.route.Centroids(s).N*idx.Dim()*4
-	}
-	kOff := len(blob) - trailer
+	v4 := gkxFixture(t, "v4-routed")
+	v4K := len(v4) - (4 + 2*(8+2*128*4)) // two shards, two centroids each
+	idx, _, _ := buildRoutedIndex(t)
+	v6, at := gkxLayout(t, idx)
+	firstShape := at.routing + 4
+	lastShape := len(v6) - (8 + 4*idx.route.Centroids(idx.Shards()-1).N*idx.Dim())
 
-	corrupt := func(name string, mutate func(b []byte) []byte) {
-		b := mutate(append([]byte(nil), blob...))
-		if _, err := ReadIndexFrom(bytes.NewReader(b)); err == nil {
-			t.Fatalf("%s: corrupt routed index accepted", name)
-		}
+	for name, c := range map[string]struct {
+		blob []byte
+		k    int
+	}{"v4": {v4, v4K}, "v6": {v6, at.routing}} {
+		mustRejectGkx(t, name+" truncated trailer", c.blob[:len(c.blob)-5], "routing centroids")
+		mustRejectGkx(t, name+" routing flag without trailer", c.blob[:c.k], "routing header")
+		mustRejectPatches(t, c.blob, []gkxPatch{
+			{name + " zero centroid count", put32(c.k, 0), "implausible routing centroid count"},
+			{name + " absurd centroid count", put32(c.k, 1<<31), "implausible routing centroid count"},
+			{name + " centroid count below a shard's", put32(c.k, 1), "corrupt routing section"},
+			{name + " centroid dimensionality", put32(c.k+4+4, 64), ""},
+			{name + " centroid rows zero", put32(c.k+4, 0), ""},
+			{name + " routed without the sharded flag", clearFlags(flagSharded), "without the sharded flag"},
+		})
 	}
-	corrupt("truncated trailer", func(b []byte) []byte { return b[:len(b)-5] })
-	corrupt("zero centroid count", func(b []byte) []byte {
-		binary.LittleEndian.PutUint32(b[kOff:], 0)
-		return b
+	mustRejectPatches(t, v4, []gkxPatch{
+		{"v3 with routing flag", put32(4, 3), "v3 index with the routing flag"},
+		{"v4 without routing flag", clearFlags(flagRouting), "v4 index without the routing flag"},
 	})
-	corrupt("absurd centroid count", func(b []byte) []byte {
-		binary.LittleEndian.PutUint32(b[kOff:], 1<<31)
-		return b
+	mustRejectPatches(t, v6, []gkxPatch{
+		{"centroids of the wrong dimensionality", func(b []byte) {
+			// 4×128 relabelled 8×64: same payload, wrong shape.
+			put32(firstShape, 8)(b)
+			put32(firstShape+4, 64)(b)
+		}, "corrupt routing section"},
+		{"more centroids than configured", func(b []byte) {
+			put32(lastShape, 8)(b)
+			put32(lastShape+4, 64)(b)
+		}, ""},
 	})
-	corrupt("routing flag without trailer", func(b []byte) []byte { return b[:kOff] })
-	corrupt("v3 with routing flag", func(b []byte) []byte {
-		binary.LittleEndian.PutUint32(b[4:8], 3)
-		return b
-	})
+	// Without the flag the trailer is trailing bytes the loader never reads;
+	// what it loads is then an unrouted index.
+	unflagged := bytes.Clone(v6)
+	clearFlags(flagRouting)(unflagged)
+	if loaded, err := ReadIndexFrom(bytes.NewReader(unflagged)); err != nil || loaded.Routed() {
+		t.Fatalf("routing flag cleared: err %v, want an unrouted index", err)
+	}
+
+	// More centroids than the segment has rows: the appended 4-row segment of
+	// the mutated uint8 state gets a 5-centroid matrix (and k raised to fit).
+	small, sat := gkxLayout(t, gkxState(t, "u8-routed-mutated"))
+	last := len(small) - (8 + 4*2*128)
+	var five bytes.Buffer
+	if _, err := vec.WriteMatrix(&five, NewMatrix(5, 128)); err != nil {
+		t.Fatal(err)
+	}
+	tooMany := append(bytes.Clone(small[:last]), five.Bytes()...)
+	put32(sat.routing, 5)(tooMany)
+	mustRejectGkx(t, "more centroids than rows", tooMany, "routing centroids for 4 rows")
 }
