@@ -6,13 +6,6 @@ import (
 	"gkmeans/internal/vec"
 )
 
-// CloneForConcurrent returns the receiver. Per-query scratch now lives in a
-// sync.Pool inside the Searcher, so one Searcher is already safe for
-// concurrent use from any number of goroutines.
-//
-// Deprecated: call Search directly from multiple goroutines.
-func (s *Searcher) CloneForConcurrent() *Searcher { return s }
-
 // BatchSearch answers every query concurrently and returns one result list
 // per query. workers <= 0 selects GOMAXPROCS. The flat CSR adjacency is
 // built once in NewSearcher and shared read-only across workers; per-query

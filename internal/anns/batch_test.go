@@ -32,28 +32,6 @@ func TestBatchSearchMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestCloneForConcurrentIndependentScratch(t *testing.T) {
-	data := dataset.Uniform(100, 4, 2)
-	g := knngraph.BruteForce(data, 4, 0)
-	s, _ := NewSearcher(data, g, 8)
-	c := s.CloneForConcurrent()
-	// Interleaved queries on the original and clone must not interfere.
-	a1 := s.Search(data.Row(1), 3, 16)
-	b1 := c.Search(data.Row(2), 3, 16)
-	a2 := s.Search(data.Row(1), 3, 16)
-	b2 := c.Search(data.Row(2), 3, 16)
-	for i := range a1 {
-		if a1[i] != a2[i] {
-			t.Fatal("original searcher state corrupted by clone")
-		}
-	}
-	for i := range b1 {
-		if b1[i] != b2[i] {
-			t.Fatal("clone state corrupted")
-		}
-	}
-}
-
 func TestBatchSearchEmptyQueries(t *testing.T) {
 	data := dataset.Uniform(20, 3, 3)
 	g := knngraph.BruteForce(data, 3, 0)

@@ -15,6 +15,11 @@
 // admission and the worst-case expansion count), and topK anchors the
 // termination window.
 //
+// The pool is seeded from fixed entries (spread evenly; every connected
+// component still owns one) that the paper's 2M tree (Alg. 1) partitions once
+// into groups of about four. With more entries than ef, a query scores only
+// the groups that can still enter its pool.
+//
 // Two further hot-path structures keep the constant factor small: the
 // symmetrised adjacency is a flat CSR layout (one offsets array and one
 // neighbours array, no per-node slice headers to chase), and candidate
@@ -33,6 +38,7 @@ import (
 	"gkmeans/internal/checked"
 	"gkmeans/internal/knngraph"
 	"gkmeans/internal/parallel"
+	"gkmeans/internal/twomeans"
 	"gkmeans/internal/vec"
 )
 
@@ -49,6 +55,12 @@ type Searcher struct {
 
 	g     *knngraph.Graph
 	entry []int32 // fixed, evenly spread entry points
+
+	// The entries in groups: group g is grouped[groups[g].lo:hi], with centroid
+	// cents.Row(g) and r2 its members' mean squared distance to it.
+	grouped []int32
+	groups  []entryGroup
+	cents   *vec.Matrix
 
 	// The symmetrised adjacency — each node's k-NN list plus the nodes that
 	// list it (a raw k-NN graph is directed and splits into hard-to-escape
@@ -71,8 +83,8 @@ type Searcher struct {
 
 // Stats counts the work one Search performed.
 type Stats struct {
-	// Dist is the number of distance-kernel evaluations (one per candidate
-	// whose distance to the query was computed, abandoned or not).
+	// Dist is the number of distance-kernel evaluations: one per candidate
+	// scored, abandoned or not, and one per entry-group centroid ranked.
 	Dist int
 	// Expanded is the number of pool candidates expanded through their
 	// graph neighbours — the quantity the early-termination rule bounds.
@@ -95,6 +107,9 @@ type searchScratch struct {
 	// q8 is the byte view of the current query on a uint8 searcher,
 	// preallocated here so the per-query narrowing never allocates.
 	q8 []uint8
+	// rank orders the entry groups by centroid distance to the current
+	// query, one slot each (id is the group index).
+	rank []candidate
 }
 
 // candidate is a pool entry during search.
@@ -104,12 +119,24 @@ type candidate struct {
 	expanded bool
 }
 
+// entryGroup is one cell of the partitioned entry set.
+type entryGroup struct {
+	lo, hi int32
+	r2     float32
+}
+
+// entriesPerGroup sizes the entry groups (CHANGES.md, PR 25, has the sweep
+// that chose it); groupSeed seeds the 2M tree that draws them.
+const entriesPerGroup, groupSeed = 4, 0x2e
+
 // NewSearcher builds a searcher with nEntry evenly spread distinct entry
 // points (<=0 selects 16). A k-NN graph over strongly clustered data can be
 // disconnected even after symmetrisation, and greedy search cannot cross
 // between components — so the searcher additionally locates every connected
 // component of the graph and guarantees at least one entry point inside
-// each, making recall independent of component coverage.
+// each, making recall independent of component coverage. The entries are
+// grouped in fours by the 2M tree, and a query with more entries than ef
+// scores only the groups that can still enter its pool.
 func NewSearcher(data *vec.Matrix, g *knngraph.Graph, nEntry int) (*Searcher, error) {
 	return newSearcher(&Searcher{data: data, n: data.N, dim: data.Dim, g: g}, nEntry)
 }
@@ -145,7 +172,7 @@ func newSearcher(s *Searcher, nEntry int) (*Searcher, error) {
 	}
 	isU8, dim := s.u8 != nil, s.dim
 	s.scratch.New = func() any {
-		sc := &searchScratch{visited: make([]int32, n)}
+		sc := &searchScratch{visited: make([]int32, n), rank: make([]candidate, len(s.groups))}
 		if isU8 {
 			sc.q8 = make([]uint8, dim)
 		}
@@ -174,7 +201,49 @@ func newSearcher(s *Searcher, nEntry int) (*Searcher, error) {
 			s.entry = append(s.entry, int32(i))
 		}
 	}
+	if err := s.groupEntries(); err != nil {
+		return nil, err
+	}
 	return s, nil
+}
+
+// groupEntries splits the entries into ⌈|E|/entriesPerGroup⌉ balanced groups
+// with the 2M tree over their rows, widened so both dtypes group alike.
+func (s *Searcher) groupEntries() error {
+	idx := make([]int, len(s.entry))
+	for i, e := range s.entry {
+		idx[i] = int(e)
+	}
+	var rows *vec.Matrix
+	if s.u8 != nil {
+		rows = s.u8.SubsetRows(idx).Widen()
+	} else {
+		rows = s.data.SubsetRows(idx)
+	}
+	k := (len(idx) + entriesPerGroup - 1) / entriesPerGroup
+	labels, err := twomeans.Cluster(rows, twomeans.Config{K: k, Seed: groupSeed})
+	if err != nil {
+		return fmt.Errorf("anns: grouping entry points: %w", err)
+	}
+	members := make([][]int, k)
+	for i, l := range labels {
+		members[l] = append(members[l], i)
+	}
+	s.grouped = make([]int32, 0, len(idx))
+	s.groups = make([]entryGroup, k)
+	s.cents = vec.NewMatrix(k, s.dim)
+	for g, m := range members {
+		c := rows.Mean(m)
+		s.cents.SetRow(g, c)
+		var r2 float64
+		lo := len(s.grouped)
+		for _, i := range m {
+			r2 += float64(vec.L2Sqr(rows.Row(i), c))
+			s.grouped = append(s.grouped, s.entry[i])
+		}
+		s.groups[g] = entryGroup{lo: checked.Int32(lo), hi: checked.Int32(len(s.grouped)), r2: float32(r2 / float64(len(m)))}
+	}
+	return nil
 }
 
 // buildCSR flattens the symmetrised adjacency into the offsets/neighbors
@@ -277,7 +346,7 @@ func (s *Searcher) components() []int32 {
 //
 //gk:hotpath
 func (s *Searcher) Search(q []float32, topK, ef int) []knngraph.Neighbor {
-	res, _ := s.search(q, topK, ef, false)
+	res, _ := s.search(q, topK, ef, false, false)
 	return res
 }
 
@@ -289,11 +358,12 @@ func (s *Searcher) Totals() (queries, dist, expanded uint64) {
 }
 
 // search runs one query. exhaust disables early termination (the
-// expand-the-whole-pool baseline) — kept for the regression tests that
-// prove the early exit bounds work without costing recall.
+// expand-the-whole-pool baseline) and flat scores every entry point
+// instead of the nearest groups (the seeding the groups replace) — both
+// kept as oracles for the tests that prove the shortcuts cost no recall.
 //
 //gk:hotpath
-func (s *Searcher) search(q []float32, topK, ef int, exhaust bool) ([]knngraph.Neighbor, Stats) {
+func (s *Searcher) search(q []float32, topK, ef int, exhaust, flat bool) ([]knngraph.Neighbor, Stats) {
 	var st Stats
 	if topK <= 0 {
 		return nil, st
@@ -350,16 +420,42 @@ func (s *Searcher) search(q []float32, topK, ef int, exhaust bool) ([]knngraph.N
 		return pos
 	}
 
-	for _, e := range s.entry {
-		if sc.visited[e] == stamp {
-			continue
+	seed := func(entries []int32) {
+		for _, e := range entries {
+			if sc.visited[e] == stamp {
+				continue
+			}
+			sc.visited[e] = stamp
+			st.Dist++
+			if u8 {
+				insert(e, float32(vec.L2SqrU8(q8, s.u8.Row(int(e)))))
+			} else {
+				insert(e, vec.L2Sqr(q, s.data.Row(int(e))))
+			}
 		}
-		sc.visited[e] = stamp
-		st.Dist++
-		if u8 {
-			insert(e, float32(vec.L2SqrU8(q8, s.u8.Row(int(e)))))
-		} else {
-			insert(e, vec.L2Sqr(q, s.data.Row(int(e))))
+	}
+	if flat || len(s.entry) <= ef {
+		seed(s.entry)
+	} else {
+		// Seed group by group, nearest centroid first, skipping a group once
+		// the pool is full and its members' mean squared distance to q —
+		// ‖q−c_g‖² + r²_g by the parallel-axis identity — cannot beat the worst.
+		rank := sc.rank
+		for g := int32(0); int(g) < len(rank); g++ {
+			d := vec.L2Sqr(q, s.cents.Row(int(g)))
+			i := g
+			for ; i > 0 && rank[i-1].dist > d; i-- {
+				rank[i] = rank[i-1]
+			}
+			rank[i] = candidate{id: g, dist: d}
+		}
+		st.Dist += len(rank)
+		for _, r := range rank {
+			grp := s.groups[r.id]
+			if len(pool) == ef && r.dist+grp.r2 >= pool[len(pool)-1].dist {
+				continue
+			}
+			seed(s.grouped[grp.lo:grp.hi])
 		}
 	}
 

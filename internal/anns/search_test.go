@@ -185,7 +185,7 @@ func TestEarlyTerminationBoundsWork(t *testing.T) {
 	measure := func(exhaust bool) (recall float64, dist, expanded int) {
 		var sum float64
 		for qi := 0; qi < queries.N; qi++ {
-			res, st := s.search(queries.Row(qi), topK, ef, exhaust)
+			res, st := s.search(queries.Row(qi), topK, ef, exhaust, false)
 			dist += st.Dist
 			expanded += st.Expanded
 			got := make(map[int32]bool, len(res))
@@ -239,7 +239,7 @@ func TestEarlyTerminationParityOnFvecsData(t *testing.T) {
 	recall := func(exhaust bool) float64 {
 		var sum float64
 		for qi := 0; qi < queries.N; qi++ {
-			res, _ := s.search(queries.Row(qi), topK, ef, exhaust)
+			res, _ := s.search(queries.Row(qi), topK, ef, exhaust, false)
 			got := make(map[int32]bool, len(res))
 			for _, nb := range res {
 				got[nb.ID] = true
@@ -263,7 +263,7 @@ func TestSearchStatsCounters(t *testing.T) {
 	data := dataset.SIFTLike(400, 5)
 	g := knngraph.BruteForce(data, 8, 0)
 	s, _ := NewSearcher(data, g, 8)
-	res, st := s.search(data.Row(3), 5, 32, false)
+	res, st := s.search(data.Row(3), 5, 32, false, false)
 	if len(res) != 5 {
 		t.Fatalf("got %d results", len(res))
 	}
@@ -273,7 +273,7 @@ func TestSearchStatsCounters(t *testing.T) {
 	if st.Expanded > st.Dist {
 		t.Fatalf("expanded %d candidates with only %d distance evaluations", st.Expanded, st.Dist)
 	}
-	_, st2 := s.search(data.Row(9), 5, 32, false)
+	_, st2 := s.search(data.Row(9), 5, 32, false, false)
 	q, dist, exp := s.Totals()
 	if q != 2 || dist != uint64(st.Dist+st2.Dist) || exp != uint64(st.Expanded+st2.Expanded) {
 		t.Fatalf("totals (%d, %d, %d) do not accumulate per-query stats %+v %+v", q, dist, exp, st, st2)

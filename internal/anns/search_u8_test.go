@@ -13,7 +13,7 @@ import (
 // kept as bytes — with one shared graph, the exact situation the uint8
 // distance path promises to serve identically. SIFTLike is quantised
 // ([0,160] integers), so the byte conversion is lossless.
-func u8Fixture(t *testing.T, n int, seed int64) (f32 *Searcher, u8 *Searcher, queries *vec.Matrix) {
+func u8Fixture(t *testing.T, n int, seed int64, nEntry int) (f32 *Searcher, u8 *Searcher, queries *vec.Matrix) {
 	t.Helper()
 	all := dataset.SIFTLike(n, seed)
 	data, queries := split(all, 40)
@@ -25,11 +25,11 @@ func u8Fixture(t *testing.T, n int, seed int64) (f32 *Searcher, u8 *Searcher, qu
 	if err != nil {
 		t.Fatal(err)
 	}
-	f32, err = NewSearcher(data, g, 16)
+	f32, err = NewSearcher(data, g, nEntry)
 	if err != nil {
 		t.Fatal(err)
 	}
-	u8, err = NewSearcherU8(dataU8, g, 16)
+	u8, err = NewSearcherU8(dataU8, g, nEntry)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,23 +39,27 @@ func u8Fixture(t *testing.T, n int, seed int64) (f32 *Searcher, u8 *Searcher, qu
 // TestU8SearchParity pins the core uint8 guarantee: on byte data of
 // SIFT-like dimensionality the integer path returns exactly the float
 // path's results — ids, distances and work counters — because integer L2
-// is exact and the float32 kernels stay inside their exactness window.
+// is exact and the float32 kernels stay inside their exactness window. The
+// 128-entry searchers hold more entries than every ef tried, so the grouped
+// entry scan runs too: both dtypes must group and prune identically.
 func TestU8SearchParity(t *testing.T) {
-	f32, u8, queries := u8Fixture(t, 900, 3)
-	for _, cfg := range []struct{ topK, ef int }{{1, 8}, {5, 32}, {10, 64}} {
-		for qi := 0; qi < queries.N; qi++ {
-			q := queries.Row(qi)
-			rf, sf := f32.search(q, cfg.topK, cfg.ef, false)
-			ru, su := u8.search(q, cfg.topK, cfg.ef, false)
-			if sf != su {
-				t.Fatalf("topK=%d ef=%d query %d: stats diverge f32=%+v u8=%+v", cfg.topK, cfg.ef, qi, sf, su)
-			}
-			if len(rf) != len(ru) {
-				t.Fatalf("topK=%d ef=%d query %d: %d vs %d results", cfg.topK, cfg.ef, qi, len(rf), len(ru))
-			}
-			for i := range rf {
-				if rf[i].ID != ru[i].ID || math.Float32bits(rf[i].Dist) != math.Float32bits(ru[i].Dist) {
-					t.Fatalf("topK=%d ef=%d query %d rank %d: f32=%+v u8=%+v", cfg.topK, cfg.ef, qi, i, rf[i], ru[i])
+	for _, nEntry := range []int{16, 128} {
+		f32, u8, queries := u8Fixture(t, 900, 3, nEntry)
+		for _, cfg := range []struct{ topK, ef int }{{1, 8}, {5, 32}, {10, 64}} {
+			for qi := 0; qi < queries.N; qi++ {
+				q := queries.Row(qi)
+				rf, sf := f32.search(q, cfg.topK, cfg.ef, false, false)
+				ru, su := u8.search(q, cfg.topK, cfg.ef, false, false)
+				if sf != su {
+					t.Fatalf("entries=%d topK=%d ef=%d query %d: stats diverge f32=%+v u8=%+v", nEntry, cfg.topK, cfg.ef, qi, sf, su)
+				}
+				if len(rf) != len(ru) {
+					t.Fatalf("entries=%d topK=%d ef=%d query %d: %d vs %d results", nEntry, cfg.topK, cfg.ef, qi, len(rf), len(ru))
+				}
+				for i := range rf {
+					if rf[i].ID != ru[i].ID || math.Float32bits(rf[i].Dist) != math.Float32bits(ru[i].Dist) {
+						t.Fatalf("entries=%d topK=%d ef=%d query %d rank %d: f32=%+v u8=%+v", nEntry, cfg.topK, cfg.ef, qi, i, rf[i], ru[i])
+					}
 				}
 			}
 		}
@@ -66,11 +70,11 @@ func TestU8SearchParity(t *testing.T) {
 // termination disabled, so the whole ef pool — not just the early-exit
 // prefix — is proven identical.
 func TestU8SearchParityExhaustive(t *testing.T) {
-	f32, u8, queries := u8Fixture(t, 600, 5)
+	f32, u8, queries := u8Fixture(t, 600, 5, 16)
 	for qi := 0; qi < queries.N; qi++ {
 		q := queries.Row(qi)
-		rf, sf := f32.search(q, 10, 40, true)
-		ru, su := u8.search(q, 10, 40, true)
+		rf, sf := f32.search(q, 10, 40, true, false)
+		ru, su := u8.search(q, 10, 40, true, false)
 		if sf != su {
 			t.Fatalf("query %d: stats diverge f32=%+v u8=%+v", qi, sf, su)
 		}
@@ -83,7 +87,7 @@ func TestU8SearchParityExhaustive(t *testing.T) {
 }
 
 func TestU8SearcherRejectsNonByteQuery(t *testing.T) {
-	_, u8, queries := u8Fixture(t, 300, 9)
+	_, u8, queries := u8Fixture(t, 300, 9, 16)
 	q := append([]float32(nil), queries.Row(0)...)
 	q[3] = 0.5
 	defer func() {

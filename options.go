@@ -84,7 +84,9 @@ func WithGraphBuilder(builder string) Option { return func(c *config) { c.builde
 
 // WithEntryPoints sets the number of ANN search entry points (<=0 selects
 // 16; raise it for data with many well-separated clusters). With WithShards
-// the count applies to every shard independently.
+// the count applies to every shard independently. The entries are grouped
+// in fours, so once they outnumber ef a query costs about |E|/4 group
+// centroid distances plus the entries of the nearby groups, not |E|.
 func WithEntryPoints(entries int) Option { return func(c *config) { c.entries = entries } }
 
 // WithShards makes Build partition the dataset into n contiguous shards and

@@ -416,6 +416,39 @@ func TestEveryStateRoundTripsThroughOneLayout(t *testing.T) {
 	}
 }
 
+// With more entry points than ef every segment seeds its queries from the
+// grouped entry scan. The groups are derived state, rebuilt from the loaded
+// rows and the persisted entry count, so the loaded index must answer — and
+// count its work — exactly like the saved one (invariant 5).
+func TestEntryGroupsSurviveSaveLoad(t *testing.T) {
+	data := dataset.SIFTLike(700, 29)
+	queries := dataset.SIFTLike(12, 92)
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"mono", nil},
+		{"routed", []Option{WithShards(2), WithRouting(2)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := append([]Option{WithKappa(6), WithXi(18), WithTau(3), WithSeed(29), WithEntryPoints(256)}, tc.opts...)
+			idx, err := Build(context.Background(), data, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "entries.gkx")
+			if err := SaveIndex(path, idx); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := LoadIndex(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSearchEqual(t, idx, loaded, queries)
+		})
+	}
+}
+
 // failAfter is a writer that accepts budget bytes and then fails.
 type failAfter struct{ budget int }
 

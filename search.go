@@ -259,7 +259,7 @@ func mergeShardResults(parts [][]Neighbor, topK int) []Neighbor {
 // when routing skips segments); RoutedQueries counts the queries for which
 // the router skipped at least one segment. DistanceComps counts
 // distance-kernel evaluations (the dominant cost of a query, the router's
-// centroid comparisons included) and ExpandedCandidates counts pool
+// and the entry groups' centroid comparisons included) and ExpandedCandidates counts pool
 // entries expanded through their graph neighbours — the quantity the
 // early-termination rule bounds. Serving layers export them to make the
 // per-query work visible in production.

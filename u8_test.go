@@ -91,6 +91,10 @@ func TestU8FloatParityEndToEnd(t *testing.T) {
 		{"mono 4 workers", []Option{WithWorkers(4)}},
 		{"sharded", []Option{WithShards(3)}},
 		{"routed", []Option{WithShards(3), WithRouting(2)}},
+		// More entries than ef: the grouped entry scan must group and
+		// prune identically on both dtypes.
+		{"mono 64 entries", []Option{WithEntryPoints(64)}},
+		{"routed 64 entries", []Option{WithShards(3), WithRouting(2), WithEntryPoints(64)}},
 	}
 	for _, tc := range configs {
 		t.Run(tc.name, func(t *testing.T) {
