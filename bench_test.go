@@ -107,23 +107,6 @@ func BenchmarkAblationSweep(b *testing.B) {
 	}
 }
 
-func BenchmarkBaselinesAll(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.Baselines(bench.BaselinesConfig{N: 1000, K: 20, Iters: 6, Seed: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDimsSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, err := bench.Dims(bench.DimsConfig{N: 800, K: 16, Iters: 5, Seed: 1, Dims: []int{8, 128}})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- micro-benchmarks on the hot kernels ---
 
 func BenchmarkDotMixed512(b *testing.B) {

@@ -8,13 +8,15 @@
 //	experiments -csv out/           # additionally write CSV files
 //
 // Available experiments: table1, fig1, fig2, fig4, fig5, fig6, fig7,
-// table2, anns, ablation, baselines, dims. (fig7 is the distortion
-// companion of fig6 and is produced by the same sweep; both names run it.)
+// table2, anns, ablation. (fig7 is the distortion companion of fig6 and is
+// produced by the same sweep; both names run it.) -scale must be a positive
+// finite number.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -39,6 +41,11 @@ func main() {
 }
 
 func realMain(run string, scale float64, seed int64, csvDir string) error {
+	// Every runner reads a size <= 0 as "use the default", so a zero or
+	// invalid scale would silently run the full default sizes.
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		return fmt.Errorf("-scale must be a positive finite number, got %v", scale)
+	}
 	sc := func(n int) int { return int(float64(n) * scale) }
 
 	type experiment struct {
@@ -96,14 +103,6 @@ func realMain(run string, scale float64, seed int64, csvDir string) error {
 		}},
 		{"ablation", func() ([]*bench.Table, error) {
 			t, err := bench.Ablation(bench.AblationConfig{N: sc(4000), Seed: seed})
-			return []*bench.Table{t}, err
-		}},
-		{"baselines", func() ([]*bench.Table, error) {
-			t, err := bench.Baselines(bench.BaselinesConfig{N: sc(5000), Seed: seed})
-			return []*bench.Table{t}, err
-		}},
-		{"dims", func() ([]*bench.Table, error) {
-			t, err := bench.Dims(bench.DimsConfig{N: sc(3000), Seed: seed})
 			return []*bench.Table{t}, err
 		}},
 	}

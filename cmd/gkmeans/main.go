@@ -20,7 +20,6 @@ package main
 
 import (
 	"context"
-	"encoding/binary"
 	"flag"
 	"fmt"
 	"os"
@@ -32,39 +31,42 @@ import (
 )
 
 func main() {
-	var (
-		dataPath  = flag.String("data", "", "fvecs or bvecs input file (alternative to -synth)")
-		synth     = flag.String("synth", "", "synthetic corpus: sift, gist, glove or vlad")
-		n         = flag.Int("n", 10000, "number of samples (synthetic input or fvecs cap)")
-		k         = flag.Int("k", 1000, "number of clusters")
-		kappa     = flag.Int("kappa", 50, "graph neighbours per sample (κ)")
-		xi        = flag.Int("xi", 50, "refinement cluster size (ξ)")
-		tau       = flag.Int("tau", 10, "graph construction rounds (τ)")
-		maxIter   = flag.Int("iter", 50, "maximum optimisation epochs")
-		seed      = flag.Int64("seed", 1, "RNG seed")
-		trad      = flag.Bool("traditional", false, "use the GK-means− (nearest centroid) variant")
-		progress  = flag.Bool("progress", false, "print per-stage progress")
-		labelsOut = flag.String("labels", "", "write labels to this ivecs file")
-		centsOut  = flag.String("centroids", "", "write centroids to this fvecs file")
-		graphOut  = flag.String("graph", "", "write the k-NN graph to this file")
-		indexOut  = flag.String("index", "", "write the whole search-ready index to this file")
-		shards    = flag.Int("shards", 0, "build a sharded search index instead of clustering (requires -index)")
-		routing   = flag.Int("routing", 0, "routing centroids per shard (requires -shards; searches can then probe only the nearest shards)")
-	)
-	flag.Parse()
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-
-	if err := run(ctx, *dataPath, *synth, *n, *k, *kappa, *xi, *tau, *maxIter, *seed, *trad,
-		*progress, *labelsOut, *centsOut, *graphOut, *indexOut, *shards, *routing); err != nil {
+	if err := realMain(ctx, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "gkmeans:", err)
 		os.Exit(1)
 	}
 }
 
-func run(ctx context.Context, dataPath, synth string, n, k, kappa, xi, tau, maxIter int,
-	seed int64, trad, progress bool, labelsOut, centsOut, graphOut, indexOut string, shards, routing int) error {
+func realMain(ctx context.Context, args []string) error {
+	var (
+		dataPath, synth                         string
+		n, k, kappa, xi, tau, maxIter           int
+		seed                                    int64
+		trad, progress                          bool
+		labelsOut, centsOut, graphOut, indexOut string
+		shards, routing                         int
+	)
+	fs := flag.NewFlagSet("gkmeans", flag.ExitOnError)
+	fs.StringVar(&dataPath, "data", "", "fvecs or bvecs input file (alternative to -synth)")
+	fs.StringVar(&synth, "synth", "", "synthetic corpus: sift, gist, glove or vlad")
+	fs.IntVar(&n, "n", 10000, "number of samples (synthetic input or fvecs cap)")
+	fs.IntVar(&k, "k", 1000, "number of clusters")
+	fs.IntVar(&kappa, "kappa", 50, "graph neighbours per sample (κ)")
+	fs.IntVar(&xi, "xi", 50, "refinement cluster size (ξ)")
+	fs.IntVar(&tau, "tau", 10, "graph construction rounds (τ)")
+	fs.IntVar(&maxIter, "iter", 50, "maximum optimisation epochs")
+	fs.Int64Var(&seed, "seed", 1, "RNG seed")
+	fs.BoolVar(&trad, "traditional", false, "use the GK-means− (nearest centroid) variant")
+	fs.BoolVar(&progress, "progress", false, "print per-stage progress")
+	fs.StringVar(&labelsOut, "labels", "", "write labels to this ivecs file")
+	fs.StringVar(&centsOut, "centroids", "", "write centroids to this fvecs file")
+	fs.StringVar(&graphOut, "graph", "", "write the k-NN graph to this file")
+	fs.StringVar(&indexOut, "index", "", "write the whole search-ready index to this file")
+	fs.IntVar(&shards, "shards", 0, "build a sharded search index instead of clustering (requires -index)")
+	fs.IntVar(&routing, "routing", 0, "routing centroids per shard (requires -shards; searches can then probe only the nearest shards)")
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits with usage instead of returning
 
 	if shards > 1 {
 		switch {
@@ -189,13 +191,13 @@ func writeLabels(path string, labels []int) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
 	row := make([]int32, len(labels))
 	for i, l := range labels {
 		row[i] = int32(l)
 	}
-	if err := binary.Write(f, binary.LittleEndian, int32(len(row))); err != nil {
+	if err := dataset.WriteIvecs(f, [][]int32{row}); err != nil {
+		f.Close()
 		return err
 	}
-	return binary.Write(f, binary.LittleEndian, row)
+	return f.Close()
 }

@@ -32,8 +32,12 @@ func TestRunDispatchesEveryMethod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []string{MKMeans, MBKM, MMiniBatch, MClosure, MGKMeans,
-		MGKMeansT, MKGraphGK, MElkan, MHamerly} {
+	seen := map[string]bool{}
+	for _, m := range append(Methods(), fig5Methods()...) {
+		if seen[m] {
+			continue
+		}
+		seen[m] = true
 		res, err := Run(m, data, RunConfig{K: 12, Iters: 5, Seed: 2, Kappa: 8, Xi: 20, Tau: 2})
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
@@ -42,8 +46,25 @@ func TestRunDispatchesEveryMethod(t *testing.T) {
 			t.Fatalf("%s: bad result", m)
 		}
 	}
-	if _, err := Run("nope", data, RunConfig{K: 2, Iters: 1}); err == nil {
-		t.Fatal("unknown method should error")
+	// Anything else is unknown, including the retired side baselines such
+	// as "bisecting" and the traditional variant "GK-means-".
+	for _, m := range []string{"nope", "bisecting", "GK-means-"} {
+		if _, err := Run(m, data, RunConfig{K: 2, Iters: 1}); err == nil {
+			t.Fatalf("method %q should be unknown", m)
+		}
+	}
+}
+
+func TestRunNegativeSeed(t *testing.T) {
+	// The sampled graph recall once started its node walk at int(seed) % n,
+	// which is negative for a negative seed.
+	data, _ := Gen("sift", 400, 1)
+	res, err := Run(MGKMeans, data, RunConfig{K: 8, Iters: 3, Seed: -1, Kappa: 8, Xi: 20, Tau: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Recall <= 0 || res.Recall > 1 {
+		t.Fatalf("graph recall %v out of (0,1]", res.Recall)
 	}
 }
 
@@ -184,48 +205,6 @@ func TestAblationSmallScale(t *testing.T) {
 	// 5 kappa + 4 xi + 4 tau rows.
 	if len(tab.Rows) != 13 {
 		t.Fatalf("ablation rows %d", len(tab.Rows))
-	}
-}
-
-func TestBaselinesSmallScale(t *testing.T) {
-	tab, err := Baselines(BaselinesConfig{N: 500, K: 10, Iters: 4, Seed: 13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 11 {
-		t.Fatalf("baselines rows %d", len(tab.Rows))
-	}
-}
-
-func TestDimsSmallScale(t *testing.T) {
-	tab, err := Dims(DimsConfig{N: 400, K: 8, Iters: 4, Seed: 18, Dims: []int{8, 64}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 2 {
-		t.Fatalf("dims rows %d", len(tab.Rows))
-	}
-}
-
-func TestRunAKM(t *testing.T) {
-	data, _ := Gen("sift", 300, 16)
-	res, err := Run(MAKM, data, RunConfig{K: 8, Iters: 5, Seed: 17})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Labels) != 300 || res.Distortion <= 0 {
-		t.Fatal("bad AKM result")
-	}
-}
-
-func TestRunBisecting(t *testing.T) {
-	data, _ := Gen("glove", 300, 14)
-	res, err := Run(MBisecting, data, RunConfig{K: 8, Iters: 5, Seed: 15})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Labels) != 300 {
-		t.Fatal("bad result")
 	}
 }
 

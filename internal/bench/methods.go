@@ -15,20 +15,15 @@ import (
 	"gkmeans/internal/vec"
 )
 
-// Method names accepted by Run — the paper's comparison set (§5) plus the
-// triangle-inequality baselines discussed in §1.
+// Method names accepted by Run — the paper's comparison set (§5): the
+// methods of Methods() and fig5Methods(), which include Table 2's three.
 const (
 	MKMeans    = "k-means"         // Lloyd [5]
 	MBKM       = "BKM"             // boost k-means [16]
 	MMiniBatch = "Mini-Batch"      // Sculley [20]
 	MClosure   = "closure k-means" // Wang et al. [27]
 	MGKMeans   = "GK-means"        // Alg. 2 + Alg. 3 (this paper)
-	MGKMeansT  = "GK-means-"       // Alg. 2 on traditional k-means
 	MKGraphGK  = "KGraph+GK-means" // Alg. 2 on an NN-Descent graph
-	MElkan     = "Elkan"           // Elkan [29]
-	MHamerly   = "Hamerly"         // Hamerly
-	MBisecting = "bisecting"       // top-down hierarchical [1,40,41]
-	MAKM       = "AKM"             // KD-tree approximate k-means [22]
 )
 
 // Methods returns the method set of the paper's scalability experiments
@@ -88,26 +83,6 @@ func Run(method string, data *vec.Matrix, cfg RunConfig) (*RunResult, error) {
 			K: cfg.K, MaxIter: cfg.Iters, Seed: cfg.Seed, Trace: cfg.Trace, PlusPlus: false,
 		})
 		return wrap(data, res, err)
-	case MElkan:
-		res, err := kmeans.Elkan(data, kmeans.Config{
-			K: cfg.K, MaxIter: cfg.Iters, Seed: cfg.Seed, Trace: cfg.Trace,
-		})
-		return wrap(data, res, err)
-	case MHamerly:
-		res, err := kmeans.Hamerly(data, kmeans.Config{
-			K: cfg.K, MaxIter: cfg.Iters, Seed: cfg.Seed, Trace: cfg.Trace,
-		})
-		return wrap(data, res, err)
-	case MBisecting:
-		res, err := kmeans.Bisecting(data, kmeans.Config{
-			K: cfg.K, MaxIter: cfg.Iters, Seed: cfg.Seed,
-		})
-		return wrap(data, res, err)
-	case MAKM:
-		res, err := kmeans.AKM(data, kmeans.AKMConfig{
-			Config: kmeans.Config{K: cfg.K, MaxIter: cfg.Iters, Seed: cfg.Seed, Trace: cfg.Trace},
-		})
-		return wrap(data, res, err)
 	case MBKM:
 		res, err := bkm.Cluster(data, bkm.Config{
 			K: cfg.K, MaxIter: cfg.Iters, Seed: cfg.Seed, Trace: cfg.Trace,
@@ -125,7 +100,7 @@ func Run(method string, data *vec.Matrix, cfg RunConfig) (*RunResult, error) {
 			LeafSize: cfg.xi(),
 		})
 		return wrap(data, res, err)
-	case MGKMeans, MGKMeansT:
+	case MGKMeans:
 		start := time.Now()
 		g, err := core.BuildGraph(data, core.GraphConfig{
 			Kappa: cfg.kappa(), Xi: cfg.xi(), Tau: cfg.tau(), Seed: cfg.Seed,
@@ -133,25 +108,22 @@ func Run(method string, data *vec.Matrix, cfg RunConfig) (*RunResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		graphTime := time.Since(start)
-		return runOnGraph(data, g, graphTime, method == MGKMeansT, cfg)
+		return runOnGraph(data, g, time.Since(start), cfg)
 	case MKGraphGK:
 		start := time.Now()
 		g, err := nndescent.Build(data, nndescent.Config{Kappa: cfg.kappa(), Seed: cfg.Seed})
 		if err != nil {
 			return nil, err
 		}
-		graphTime := time.Since(start)
-		return runOnGraph(data, g, graphTime, false, cfg)
+		return runOnGraph(data, g, time.Since(start), cfg)
 	default:
 		return nil, fmt.Errorf("bench: unknown method %q", method)
 	}
 }
 
-func runOnGraph(data *vec.Matrix, g *knngraph.Graph, graphTime time.Duration,
-	traditional bool, cfg RunConfig) (*RunResult, error) {
+func runOnGraph(data *vec.Matrix, g *knngraph.Graph, graphTime time.Duration, cfg RunConfig) (*RunResult, error) {
 	res, err := core.Cluster(data, g, core.Config{
-		K: cfg.K, MaxIter: cfg.Iters, Seed: cfg.Seed, Trace: cfg.Trace, Traditional: traditional,
+		K: cfg.K, MaxIter: cfg.Iters, Seed: cfg.Seed, Trace: cfg.Trace,
 	})
 	if err != nil {
 		return nil, err
@@ -196,9 +168,15 @@ func sampledGraphRecall(data *vec.Matrix, g *knngraph.Graph, samples int, seed i
 	if step == 0 {
 		step = 1
 	}
+	// Reduce the seed into [0, n) first: a negative seed would index below
+	// zero, and int(seed) would truncate on 32-bit platforms.
+	off := int(seed % int64(n))
+	if off < 0 {
+		off += n
+	}
 	hits, total := 0, 0
 	for s := 0; s < samples; s++ {
-		i := (s*step + int(seed)) % n
+		i := (s*step + off) % n
 		row := data.Row(i)
 		best, bestD := -1, float32(0)
 		for j := 0; j < n; j++ {

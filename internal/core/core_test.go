@@ -293,42 +293,3 @@ func TestBuildGraphDefaultsApplied(t *testing.T) {
 		t.Fatalf("kappa %d, want default 50", g.Kappa)
 	}
 }
-
-func TestGKMeansPipeline(t *testing.T) {
-	data := dataset.SIFTLike(800, 25)
-	res, err := GKMeans(data, PipelineConfig{
-		K:     20,
-		Graph: GraphConfig{Kappa: 10, Xi: 25, Tau: 5, Seed: 26},
-		Run:   Config{MaxIter: 20, Seed: 27},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Validate(data.N); err != nil {
-		t.Fatal(err)
-	}
-	if res.Graph == nil || res.GraphTime <= 0 {
-		t.Fatal("pipeline must report the graph and its build time")
-	}
-	// Distortion far better than a random labelling.
-	rng := rand.New(rand.NewSource(28))
-	randLabels := make([]int, data.N)
-	for i := range randLabels {
-		randLabels[i] = rng.Intn(20)
-	}
-	eRand := metrics.DistortionFromLabels(data, randLabels, 20)
-	eRes := metrics.AverageDistortion(data, res.Labels, res.Centroids)
-	if eRes > eRand*0.9 {
-		t.Fatalf("pipeline distortion %.2f not clearly below random %.2f", eRes, eRand)
-	}
-}
-
-func TestGKMeansPipelinePropagatesErrors(t *testing.T) {
-	data := dataset.Uniform(30, 4, 1)
-	if _, err := GKMeans(data, PipelineConfig{K: 31, Graph: GraphConfig{Tau: 1}}); err == nil {
-		t.Fatal("invalid k should propagate")
-	}
-	if _, err := GKMeans(dataset.Uniform(1, 4, 1), PipelineConfig{K: 1}); err == nil {
-		t.Fatal("tiny data should propagate graph error")
-	}
-}

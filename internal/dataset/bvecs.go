@@ -147,29 +147,6 @@ func LoadBvecsU8(path string, maxN int) (*vec.U8Matrix, error) {
 	return ReadBvecsU8(f, maxN)
 }
 
-// SplitU8 partitions a uint8 matrix exactly like Split: the same strided
-// held-out query rows, so a uint8 load and a widened load of the same file
-// produce element-identical corpus/query splits.
-func SplitU8(m *vec.U8Matrix, nQueries int) (data, queries *vec.U8Matrix) {
-	if nQueries >= m.N {
-		nQueries = m.N - 1
-	}
-	if nQueries <= 0 {
-		return m.Clone(), &vec.U8Matrix{Dim: m.Dim}
-	}
-	stride := m.N / nQueries
-	dataIdx := make([]int, 0, m.N-nQueries)
-	queryIdx := make([]int, 0, nQueries)
-	for i := 0; i < m.N; i++ {
-		if i%stride == 0 && len(queryIdx) < nQueries {
-			queryIdx = append(queryIdx, i)
-		} else {
-			dataIdx = append(dataIdx, i)
-		}
-	}
-	return m.SubsetRows(dataIdx), m.SubsetRows(queryIdx)
-}
-
 // Split partitions a matrix into a reference set and an evenly strided
 // held-out query set of nQueries rows — the standard way this repository
 // derives in-distribution ANN query sets. nQueries is clamped to [0, N-1].

@@ -109,11 +109,6 @@ func TestReadBvecsU8MatchesWidened(t *testing.T) {
 	if u8Trunc.N != 4 {
 		t.Fatalf("read %d vectors", u8Trunc.N)
 	}
-	dataF, queriesF := Split(wide, 5)
-	dataU, queriesU := SplitU8(u8, 5)
-	if !dataU.Widen().Equal(dataF) || !queriesU.Widen().Equal(queriesF) {
-		t.Fatal("SplitU8 does not match Split")
-	}
 }
 
 func TestReadBvecsU8RejectsGarbage(t *testing.T) {

@@ -63,10 +63,6 @@ func TestVariantsDeterministicAcrossRuns(t *testing.T) {
 			c.PlusPlus = true
 			return Lloyd(data, c)
 		}},
-		{"Elkan", func() (*Result, error) { return Elkan(data, cfg) }},
-		{"Hamerly", func() (*Result, error) { return Hamerly(data, cfg) }},
-		{"Bisecting", func() (*Result, error) { return Bisecting(data, cfg) }},
-		{"AKM", func() (*Result, error) { return AKM(data, AKMConfig{Config: cfg}) }},
 		{"MiniBatch", func() (*Result, error) { return MiniBatch(data, MiniBatchConfig{Config: cfg, BatchSize: 128}) }},
 	}
 	for _, v := range variants {
@@ -82,10 +78,8 @@ func TestVariantsWorkerCountIndependent(t *testing.T) {
 		run  runner
 	}{
 		{"Lloyd", func(w int) (*Result, error) { return Lloyd(data, Config{K: 12, MaxIter: 15, Seed: 7, Workers: w}) }},
-		{"Elkan", func(w int) (*Result, error) { return Elkan(data, Config{K: 12, MaxIter: 15, Seed: 7, Workers: w}) }},
-		{"Hamerly", func(w int) (*Result, error) { return Hamerly(data, Config{K: 12, MaxIter: 15, Seed: 7, Workers: w}) }},
-		{"AKM", func(w int) (*Result, error) {
-			return AKM(data, AKMConfig{Config: Config{K: 12, MaxIter: 15, Seed: 7, Workers: w}})
+		{"MiniBatch", func(w int) (*Result, error) {
+			return MiniBatch(data, MiniBatchConfig{Config: Config{K: 12, MaxIter: 15, Seed: 7, Workers: w}, BatchSize: 128})
 		}},
 	}
 	for _, v := range variants {

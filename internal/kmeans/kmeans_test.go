@@ -2,7 +2,6 @@ package kmeans
 
 import (
 	"gkmeans/internal/splitmix"
-	"math"
 	"testing"
 
 	"gkmeans/internal/dataset"
@@ -199,71 +198,6 @@ func TestMiniBatchWorseThanLloydOnHardData(t *testing.T) {
 func TestMiniBatchBadConfig(t *testing.T) {
 	data := dataset.Uniform(10, 2, 1)
 	if _, err := MiniBatch(data, MiniBatchConfig{Config: Config{K: 0}}); err == nil {
-		t.Fatal("expected error")
-	}
-}
-
-func TestElkanMatchesLloydAssignments(t *testing.T) {
-	data, _ := separated(300, 16, 5, 10)
-	cfg := Config{K: 5, MaxIter: 40, Seed: 11}
-	ll, err := Lloyd(data, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ek, err := Elkan(data, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ll.Labels {
-		if ll.Labels[i] != ek.Labels[i] {
-			t.Fatalf("sample %d: lloyd=%d elkan=%d", i, ll.Labels[i], ek.Labels[i])
-		}
-	}
-}
-
-func TestHamerlyMatchesLloydAssignments(t *testing.T) {
-	data, _ := separated(300, 16, 5, 12)
-	cfg := Config{K: 5, MaxIter: 40, Seed: 13}
-	ll, err := Lloyd(data, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hm, err := Hamerly(data, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ll.Labels {
-		if ll.Labels[i] != hm.Labels[i] {
-			t.Fatalf("sample %d: lloyd=%d hamerly=%d", i, ll.Labels[i], hm.Labels[i])
-		}
-	}
-}
-
-func TestElkanHamerlyDistortionCloseToLloydOnRandomData(t *testing.T) {
-	// On unstructured data ties/rounding may flip an assignment; the
-	// resulting distortion must still match Lloyd's within float noise.
-	data := dataset.GloVeLike(600, 14)
-	cfg := Config{K: 12, MaxIter: 30, Seed: 15}
-	ll, _ := Lloyd(data, cfg)
-	ek, _ := Elkan(data, cfg)
-	hm, _ := Hamerly(data, cfg)
-	eL := metrics.AverageDistortion(data, ll.Labels, ll.Centroids)
-	eE := metrics.AverageDistortion(data, ek.Labels, ek.Centroids)
-	eH := metrics.AverageDistortion(data, hm.Labels, hm.Centroids)
-	if math.Abs(eE-eL) > 0.02*eL {
-		t.Fatalf("elkan distortion %v vs lloyd %v", eE, eL)
-	}
-	if math.Abs(eH-eL) > 0.02*eL {
-		t.Fatalf("hamerly distortion %v vs lloyd %v", eH, eL)
-	}
-}
-
-func TestElkanBadConfig(t *testing.T) {
-	data := dataset.Uniform(5, 2, 1)
-	if _, err := Elkan(data, Config{K: 9}); err == nil {
-		t.Fatal("expected error")
-	}
-	if _, err := Hamerly(data, Config{K: 0}); err == nil {
 		t.Fatal("expected error")
 	}
 }

@@ -1,8 +1,8 @@
-// Package kmeans implements the exact-assignment baselines of the paper's
-// evaluation: Lloyd's k-means [5], k-means++ seeding [14], Mini-Batch
-// k-means [20], and the triangle-inequality accelerated Elkan [29] and
-// Hamerly variants. All of them produce identical Result structures so the
-// experiment harness can sweep methods uniformly.
+// Package kmeans implements the k-means baselines of the paper's
+// evaluation: Lloyd's k-means [5] with random or k-means++ [14] seeding,
+// and Mini-Batch k-means [20]. Every clusterer in this repository returns
+// the Result defined here, so the experiment harness can sweep methods
+// uniformly.
 package kmeans
 
 import (
@@ -48,7 +48,7 @@ func (r *Result) Validate(n int) error {
 	return nil
 }
 
-// Config carries the options shared by the exact baselines.
+// Config carries the options shared by Lloyd and Mini-Batch.
 type Config struct {
 	K        int
 	MaxIter  int   // maximum number of iterations; <=0 selects 100

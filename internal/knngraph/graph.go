@@ -144,34 +144,6 @@ func (g *Graph) RecallSampled(exact *Graph, nodes []int) float64 {
 	return float64(hits) / float64(total)
 }
 
-// RecallAtK returns the average fraction of each node's true top-k
-// neighbours that appear in this graph's list.
-func (g *Graph) RecallAtK(exact *Graph, k int) float64 {
-	var sum float64
-	total := 0
-	for i := range g.Lists {
-		truth := exact.Lists[i]
-		if len(truth) > k {
-			truth = truth[:k]
-		}
-		if len(truth) == 0 {
-			continue
-		}
-		total++
-		hit := 0
-		for _, nb := range truth {
-			if g.Contains(i, nb.ID) {
-				hit++
-			}
-		}
-		sum += float64(hit) / float64(len(truth))
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(sum) / float64(total)
-}
-
 // saltRandom tags the per-node splitmix streams of Random so they never
 // collide with other derivations from the same seed.
 const saltRandom uint64 = 0x52414e44 // "RAND"

@@ -122,9 +122,6 @@ func TestBruteForceSelfRecallIsOne(t *testing.T) {
 	if r := g.Recall(g); r != 1 {
 		t.Fatalf("exact graph recall against itself = %v", r)
 	}
-	if r := g.RecallAtK(g, 4); r != 1 {
-		t.Fatalf("recall@4 = %v", r)
-	}
 }
 
 func TestRandomGraph(t *testing.T) {

@@ -5,10 +5,10 @@ import (
 	"math"
 )
 
-// External clustering-quality measures: when ground-truth classes exist
-// (e.g. the latent components of a synthetic mixture), these quantify how
-// well a predicted clustering recovers them. They complement the paper's
-// internal measure (average distortion) in tests and experiments.
+// An external clustering-quality measure: when ground-truth classes exist
+// (e.g. the latent components of a synthetic mixture), NMI quantifies how
+// well a predicted clustering recovers them. It complements the paper's
+// internal measure (average distortion) in tests.
 
 // contingency builds the k×c co-occurrence table of predicted clusters and
 // truth classes, plus the marginals.
@@ -60,57 +60,4 @@ func NMI(pred, truth []int) (float64, error) {
 		return 0, nil
 	}
 	return mi / ((hp + ht) / 2), nil
-}
-
-// ARI returns the adjusted Rand index: chance-corrected pair-counting
-// agreement between two partitions, 1 for identical, ≈0 for random.
-func ARI(pred, truth []int) (float64, error) {
-	table, ps, ts, n, err := contingency(pred, truth)
-	if err != nil {
-		return 0, err
-	}
-	if n < 2 {
-		return 0, nil
-	}
-	choose2 := func(x int) float64 { return float64(x) * float64(x-1) / 2 }
-	var sumTable, sumPred, sumTruth float64
-	for _, c := range table {
-		sumTable += choose2(c)
-	}
-	for _, c := range ps {
-		sumPred += choose2(c)
-	}
-	for _, c := range ts {
-		sumTruth += choose2(c)
-	}
-	total := choose2(n)
-	expected := sumPred * sumTruth / total
-	maxIdx := (sumPred + sumTruth) / 2
-	if maxIdx == expected {
-		return 0, nil
-	}
-	return (sumTable - expected) / (maxIdx - expected), nil
-}
-
-// Purity returns the weighted fraction of each predicted cluster occupied
-// by its majority truth class, in (0,1].
-func Purity(pred, truth []int) (float64, error) {
-	table, ps, _, n, err := contingency(pred, truth)
-	if err != nil {
-		return 0, err
-	}
-	if n == 0 {
-		return 0, nil
-	}
-	best := make(map[int]int)
-	for key, c := range table {
-		if c > best[key[0]] {
-			best[key[0]] = c
-		}
-	}
-	var sum int
-	for p := range ps {
-		sum += best[p]
-	}
-	return float64(sum) / float64(n), nil
 }

@@ -36,13 +36,6 @@ func (m *U8Matrix) Row(i int) []uint8 {
 	return m.Data[i*m.Dim : (i+1)*m.Dim : (i+1)*m.Dim]
 }
 
-// Clone returns a deep copy of the matrix.
-func (m *U8Matrix) Clone() *U8Matrix {
-	c := &U8Matrix{Data: make([]uint8, len(m.Data)), N: m.N, Dim: m.Dim}
-	copy(c.Data, m.Data)
-	return c
-}
-
 // SubsetRows returns a new matrix containing the given rows, in order.
 func (m *U8Matrix) SubsetRows(idx []int) *U8Matrix {
 	s := NewU8Matrix(len(idx), m.Dim)

@@ -128,27 +128,6 @@ func (m *Matrix) Equal(o *Matrix) bool {
 	return true
 }
 
-// Add accumulates src into dst element-wise. Used for composite vectors.
-func Add(dst, src []float32) {
-	for i, v := range src {
-		dst[i] += v
-	}
-}
-
-// Sub subtracts src from dst element-wise.
-func Sub(dst, src []float32) {
-	for i, v := range src {
-		dst[i] -= v
-	}
-}
-
-// Scale multiplies every element of dst by s.
-func Scale(dst []float32, s float32) {
-	for i := range dst {
-		dst[i] *= s
-	}
-}
-
 // SqNorm returns the squared Euclidean norm of x.
 func SqNorm(x []float32) float32 { return Dot(x, x) }
 

@@ -203,23 +203,6 @@ func TestNearestRowPanicsOnEmpty(t *testing.T) {
 	NearestRow(&Matrix{Dim: 2}, []float32{1, 2})
 }
 
-func TestAddSubScale(t *testing.T) {
-	a := []float32{1, 2, 3}
-	Add(a, []float32{1, 1, 1})
-	if a[0] != 2 || a[2] != 4 {
-		t.Fatalf("Add got %v", a)
-	}
-	Sub(a, []float32{2, 3, 4})
-	if a[0] != 0 || a[1] != 0 || a[2] != 0 {
-		t.Fatalf("Sub got %v", a)
-	}
-	b := []float32{2, 4}
-	Scale(b, 0.5)
-	if b[0] != 1 || b[1] != 2 {
-		t.Fatalf("Scale got %v", b)
-	}
-}
-
 func TestNorms(t *testing.T) {
 	m := FromRows([][]float32{{3, 4}, {0, 0}})
 	n := m.Norms()
