@@ -57,10 +57,10 @@
 // benchmark (go run ./benchmark) measures latency percentiles, batch
 // throughput and recall.
 //
-// Every Index has one shape: a header (the full dataset, the build
-// options, an optional router and clustering) over a list of segments,
-// each a k-NN graph over a contiguous range of rows. Build makes one
-// segment — the monolithic index, whose graph spans the whole dataset and
+// Every Index has one shape: a header (the build options, an optional
+// router and clustering) over a list of segments, each a run of rows and
+// the k-NN graph over them; the rows are stored once, in their segment.
+// Build makes one segment — the monolithic index, whose graph spans the whole dataset and
 // which is therefore the one that can cluster. WithShards makes several,
 // Append adds one, Compact folds several into one; "monolithic" and
 // "sharded" are the one- and many-segment cases of the same type, and

@@ -14,6 +14,7 @@ import (
 	"gkmeans/internal/knngraph"
 	"gkmeans/internal/router"
 	"gkmeans/internal/store"
+	"gkmeans/internal/vec"
 )
 
 // Index is an immutable bundle of a dataset, its approximate k-NN graph and
@@ -25,18 +26,18 @@ import (
 // The dataset and graph are shared, not copied; callers must not mutate
 // them after handing them to Build or NewIndex.
 //
-// Every Index has the same shape: a header — the full dataset, the
-// optional router, the id bound, the optional clustering, the build
-// options and the probe counters — over a list of one or more segments,
-// each a k-NN graph over a contiguous row range of the dataset. Search
-// probes segments and merges what they return. Build makes one segment,
+// Every Index has the same shape: a header — the optional router, the id
+// bound, the optional clustering, the build options and the probe counters
+// — over a list of one or more segments, each a run of rows and the k-NN
+// graph over them. The rows live only in the segments; the dataset is
+// their concatenation in segment order. Search probes segments and merges
+// what they return. Build makes one segment,
 // WithShards(n) makes n, Append adds one, Compact folds several into one.
 // A monolithic index is simply the one-segment case in which row i is
 // external id i; its graph is then a graph over the whole dataset, so that
 // is when Graph, Cluster and WithClusters are available.
 type Index struct {
-	data rowStore // the full dataset; segments hold row-range views of it
-	segs []seg    // never empty
+	segs []seg // never empty
 
 	// route holds the per-segment routing centroids of a WithRouting build
 	// (nil for unrouted indexes); probes counts the queries answered and
@@ -67,7 +68,7 @@ type Index struct {
 // share it by pointer, so a searcher is built at most once however many
 // index values a segment lives through.
 type segCore struct {
-	rows    rowStore
+	rows    vec.Rows
 	graph   *Graph
 	entries int // requested entry points, see WithEntryPoints
 
@@ -93,19 +94,19 @@ type seg struct {
 // newSegCore validates rows and g as one segment. The graph may come from
 // anywhere (a file, NN-Descent, …); a structurally broken one is rejected
 // here rather than panicking inside the first search or clustering call,
-// and with that every invariant anns.NewSearcher checks holds.
-func newSegCore(rows rowStore, g *Graph, entries int) (*segCore, error) {
-	if rows.n == 0 {
+// and with that every invariant anns.New checks holds.
+func newSegCore(rows vec.Rows, g *Graph, entries int) (*segCore, error) {
+	if rows.N == 0 {
 		return nil, fmt.Errorf("gkmeans: an index needs a non-empty dataset")
 	}
-	if int64(rows.n) > math.MaxInt32 {
-		return nil, fmt.Errorf("gkmeans: dataset has %d rows; sample ids are int32", rows.n)
+	if int64(rows.N) > math.MaxInt32 {
+		return nil, fmt.Errorf("gkmeans: dataset has %d rows; sample ids are int32", rows.N)
 	}
 	if g == nil {
 		return nil, fmt.Errorf("gkmeans: an index needs a graph")
 	}
-	if g.N() != rows.n {
-		return nil, fmt.Errorf("gkmeans: graph has %d nodes for %d samples", g.N(), rows.n)
+	if g.N() != rows.N {
+		return nil, fmt.Errorf("gkmeans: graph has %d nodes for %d samples", g.N(), rows.N)
 	}
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("gkmeans: invalid graph: %w", err)
@@ -138,7 +139,10 @@ func (s *seg) id(l int) int32 {
 // it as bytes — same graphs and results, 4x less dataset memory.
 func Build(ctx context.Context, data *Matrix, opts ...Option) (*Index, error) {
 	cfg := applyOptions(config{}, opts)
-	rows, err := rowsOf(data, cfg.dtype)
+	if cfg.dtype > DTypeUint8 {
+		return nil, fmt.Errorf("gkmeans: WithDType(%s): unsupported dtype", cfg.dtype)
+	}
+	rows, err := vec.NewRows(data, cfg.dtype == DTypeUint8)
 	if err != nil {
 		return nil, fmt.Errorf("gkmeans: WithDType(%s): %w", cfg.dtype, err)
 	}
@@ -149,20 +153,19 @@ func Build(ctx context.Context, data *Matrix, opts ...Option) (*Index, error) {
 // segments (one; WithShards' even contiguous split; or WithRouting's
 // spatial partition, see route.go), build one graph per segment, then the
 // optional router and clustering.
-func build(ctx context.Context, data rowStore, cfg config) (*Index, error) {
+func build(ctx context.Context, data vec.Rows, cfg config) (*Index, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if data.n == 0 {
+	if data.N == 0 {
 		return nil, fmt.Errorf("gkmeans: Build needs a non-empty dataset")
 	}
 	// Sample ids are int32 throughout (neighbour lists, CSR adjacency, the
 	// .gkx format). Refusing oversized datasets here makes every downstream
 	// narrowing a checked invariant rather than a potential truncation.
-	if int64(data.n) > math.MaxInt32 {
-		return nil, fmt.Errorf("gkmeans: dataset has %d rows; sample ids are int32", data.n)
+	if int64(data.N) > math.MaxInt32 {
+		return nil, fmt.Errorf("gkmeans: dataset has %d rows; sample ids are int32", data.N)
 	}
-	cfg.dtype = data.dtype()
 	// Checked before the segment-count clamp: an option conflict must error
 	// even when a tiny dataset would clamp the request down to one segment.
 	switch {
@@ -173,30 +176,26 @@ func build(ctx context.Context, data rowStore, cfg config) (*Index, error) {
 	case cfg.routing > 0 && cfg.shards <= 1:
 		return nil, fmt.Errorf("gkmeans: WithRouting routes across shards; combine it with WithShards(n), n > 1")
 	}
-	n := clampShards(cfg.shards, data.n)
+	n := clampShards(cfg.shards, data.N)
 	if n == 1 {
 		// A dataset too small to split has nothing to route, so the router
 		// request is dropped with the shards.
 		cfg.routing = 0
 	}
-	x := &Index{data: data, probes: &probeStats{}, cfg: cfg}
-	sizes := make([]int, n)
+	x := &Index{probes: &probeStats{}, cfg: cfg}
+	parts := make([]vec.Rows, n)
 	var idmaps [][]int32
 	var err error
 	if cfg.routing > 0 {
-		if x.data, idmaps, err = routedLayout(data, cfg, n); err != nil {
+		if parts, idmaps, err = routedLayout(data, cfg, n); err != nil {
 			return nil, err
 		}
-		for s, ids := range idmaps {
-			sizes[s] = len(ids)
-		}
 	} else {
-		for s := range sizes {
-			lo, hi := shardBounds(s, n, data.n)
-			sizes[s] = hi - lo
+		for s := range parts {
+			parts[s] = data.View(shardBounds(s, n, data.N))
 		}
 	}
-	if x.segs, x.graphTime, err = buildSegs(ctx, x.data, cfg, sizes); err != nil {
+	if x.segs, x.graphTime, err = buildSegs(ctx, parts, cfg); err != nil {
 		return nil, err
 	}
 	row := 0
@@ -205,7 +204,7 @@ func build(ctx context.Context, data rowStore, cfg config) (*Index, error) {
 		if idmaps != nil {
 			x.segs[s].ids, x.segs[s].base = idmaps[s], idmaps[s][0]
 		}
-		row += sizes[s]
+		row += parts[s].N
 	}
 	x.nextID = checked.Int32(row)
 	if cfg.routing > 0 {
@@ -215,7 +214,7 @@ func build(ctx context.Context, data rowStore, cfg config) (*Index, error) {
 				return nil, err
 			}
 		}
-		if x.route, err = router.New(cfg.routing, data.dim, cents); err != nil {
+		if x.route, err = router.New(cfg.routing, data.Dim, cents); err != nil {
 			return nil, fmt.Errorf("gkmeans: assembling shard router: %w", err)
 		}
 	}
@@ -227,21 +226,20 @@ func build(ctx context.Context, data rowStore, cfg config) (*Index, error) {
 	return x, nil
 }
 
-// buildSegs builds one segment per entry of sizes over consecutive views
-// of parent, which the sizes must cover exactly — sequentially, so at most
-// one build pipeline (and its scratch memory) is in flight, each using the
-// full WithWorkers parallelism. A uint8 segment widens its view
-// transiently for graph construction and keeps only the byte view
-// resident. cfg.progress, when set, sees one "graph" stream across all
-// segments: segment s's rounds land at s·τ + done out of len(sizes)·τ.
-// Callers: build, and the single-segment builds of Append and Compact.
-func buildSegs(ctx context.Context, parent rowStore, cfg config, sizes []int) ([]seg, time.Duration, error) {
-	segs := make([]seg, len(sizes))
+// buildSegs builds one segment over each of parts — sequentially, so at
+// most one build pipeline (and its scratch memory) is in flight, each
+// using the full WithWorkers parallelism. A uint8 segment widens its rows
+// transiently for graph construction and keeps only the bytes resident.
+// cfg.progress, when set, sees one "graph" stream across all segments:
+// segment s's rounds land at s·τ + done out of len(parts)·τ. Callers:
+// build, and the single-segment builds of Append and Compact.
+func buildSegs(ctx context.Context, parts []vec.Rows, cfg config) ([]seg, time.Duration, error) {
+	segs := make([]seg, len(parts))
 	var graphTime time.Duration
 	tau := cfg.resolvedTau()
 	lo := 0
-	for s, size := range sizes {
-		hi := lo + size
+	for s, rows := range parts {
+		hi := lo + rows.N
 		gc := core.GraphConfig{
 			Kappa:     cfg.kappa,
 			Xi:        cfg.xi,
@@ -253,15 +251,13 @@ func buildSegs(ctx context.Context, parent rowStore, cfg config, sizes []int) ([
 		}
 		if cfg.progress != nil {
 			progress, first := cfg.progress, s*tau
-			gc.OnRound = func(t int, _ *knngraph.Graph, _ []int) { progress("graph", first+t, len(sizes)*tau) }
+			gc.OnRound = func(t int, _ *knngraph.Graph, _ []int) { progress("graph", first+t, len(parts)*tau) }
 		}
-		rows := parent.view(lo, hi)
-		wide := rows.widen()
 		start := time.Now()
-		g, err := core.BuildGraph(wide, gc)
+		g, err := core.BuildGraph(rows.Widen(), gc)
 		if err != nil {
-			if len(sizes) > 1 {
-				err = fmt.Errorf("gkmeans: building shard %d/%d (rows %d..%d): %w", s, len(sizes), lo, hi, err)
+			if len(parts) > 1 {
+				err = fmt.Errorf("gkmeans: building shard %d/%d (rows %d..%d): %w", s, len(parts), lo, hi, err)
 			}
 			return nil, 0, err
 		}
@@ -277,20 +273,37 @@ func buildSegs(ctx context.Context, parent rowStore, cfg config, sizes []int) ([
 // anything. The graph must cover exactly the samples of data.
 func NewIndex(data *Matrix, g *Graph, opts ...Option) (*Index, error) {
 	cfg := applyOptions(config{}, opts)
-	rows := f32Rows(data)
-	sc, err := newSegCore(rows, g, cfg.entries)
+	sc, err := newSegCore(vec.RowsF32(data), g, cfg.entries)
 	if err != nil {
 		return nil, err
 	}
 	cfg.dtype = DTypeFloat32
-	return &Index{data: rows, segs: []seg{{segCore: sc}}, probes: &probeStats{},
-		nextID: checked.Int32(rows.n), cfg: cfg}, nil
+	return &Index{segs: []seg{{segCore: sc}}, probes: &probeStats{}, nextID: checked.Int32(data.N), cfg: cfg}, nil
 }
 
-// Data returns the indexed float32 dataset, or nil for a uint8 index
-// (whose byte dataset is available from DataU8). Treat it as read-only.
-// It is the full dataset; the segments hold row-range views of it.
-func (x *Index) Data() *Matrix { return x.data.f32 }
+// Data returns the indexed float32 dataset in segment order, or nil for a
+// uint8 index (see DataU8). Treat it as read-only: on a one-segment index
+// it is the segment's own rows, otherwise a fresh concatenation of every
+// segment's.
+func (x *Index) Data() *Matrix { return x.rows(DTypeFloat32).F32() }
+
+// rows returns every row of an index of element type dt in segment order —
+// the one segment's own store, or a fresh concatenation of all of them — and
+// the empty store for an index of the other type.
+func (x *Index) rows(dt DType) vec.Rows {
+	switch {
+	case x.DType() != dt:
+		return vec.Rows{}
+	case len(x.segs) == 1:
+		return x.segs[0].rows
+	}
+	all, row := x.segs[0].rows.Alloc(x.N()), 0
+	for _, s := range x.segs {
+		all.Copy(row, s.rows, 0, s.rows.N)
+		row += s.rows.N
+	}
+	return all
+}
 
 // mono reports the one-segment case in which row i is external id i: the
 // segment's graph is then a graph over the whole dataset in id order.
@@ -319,10 +332,16 @@ func (x *Index) Sharded() bool { return !x.mono() }
 func (x *Index) Shards() int { return len(x.segs) }
 
 // N returns the number of indexed samples.
-func (x *Index) N() int { return x.data.n }
+func (x *Index) N() int {
+	n := 0
+	for _, s := range x.segs {
+		n += s.rows.N
+	}
+	return n
+}
 
 // Dim returns the dimensionality of the indexed samples.
-func (x *Index) Dim() int { return x.data.dim }
+func (x *Index) Dim() int { return x.segs[0].rows.Dim }
 
 // Clusters returns the clustering computed at Build time via WithClusters,
 // or nil when none was requested.
@@ -369,7 +388,7 @@ func (x *Index) Cluster(ctx context.Context, k int, opts ...Option) (*Result, er
 		progress := cfg.progress
 		cc.OnEpoch = func(epoch, maxIter int) { progress("cluster", epoch, maxIter) }
 	}
-	res, err := core.Cluster(x.data.f32, s.graph, cc)
+	res, err := core.Cluster(s.rows.F32(), s.graph, cc)
 	if err != nil {
 		return nil, err
 	}

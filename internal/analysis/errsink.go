@@ -26,6 +26,7 @@ var errSinkMethods = map[string]bool{
 	"WriteTo":      true,
 	"WriteSection": true,
 	"WriteMatrix":  true,
+	"WriteRows":    true,
 	"Flush":        true,
 }
 
@@ -36,9 +37,10 @@ var ErrSink = &Analyzer{
 	Name: "errsink",
 	Doc: "persistence writes must not discard their error results\n\n" +
 		"In the .gkx/graph/matrix serialisation packages, every Write,\n" +
-		"WriteTo, WriteSection, WriteMatrix, Flush and encoding/binary call\n" +
-		"returns an error that must be propagated; a discarded error turns an\n" +
-		"I/O failure into a silently truncated artefact.",
+		"WriteTo, WriteSection, WriteMatrix, WriteRows, Flush and\n" +
+		"encoding/binary call returns an error that must be propagated; a\n" +
+		"discarded error turns an I/O failure into a silently truncated\n" +
+		"artefact.",
 	Run: runErrSink,
 }
 

@@ -36,7 +36,7 @@ func groupedFixture(tb testing.TB, n, nEntry int) (*Searcher, *vec.Matrix) {
 // can be skipped.
 func TestGroupedSeedingMatchesFlatScan(t *testing.T) {
 	s, queries := groupedFixture(t, 3100, 512)
-	truth := ExactTruth(s.data, queries, 10, 0)
+	truth := ExactTruth(s.rows.F32(), queries, 10, 0)
 	var flatDist, groupedDist int
 	for _, ef := range []int{32, 64, 128} {
 		measure := func(flat bool) (recall float64, work Stats) {
@@ -65,7 +65,7 @@ func TestGroupedSeedingMatchesFlatScan(t *testing.T) {
 	}
 
 	// With |E| <= ef the grouped path is the flat scan.
-	small, err := NewSearcher(s.data, s.g, 48)
+	small, err := NewSearcher(s.rows.F32(), s.g, 48)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,60 +127,81 @@ func TestEntryGroupsDeterministic(t *testing.T) {
 	}
 }
 
-// Concurrent grouped searches share one searcher; each must answer as it
-// does alone. Run under -race this also proves the per-query group ranking
-// lives in per-goroutine scratch.
+// byteTwin is a searcher over the byte narrowing of s's rows and the same
+// graph and entry count.
+func byteTwin(tb testing.TB, s *Searcher) *Searcher {
+	tb.Helper()
+	u8, err := vec.U8FromMatrix(s.rows.F32())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	b, err := New(vec.RowsU8(u8), s.g, len(s.entry))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+// Concurrent grouped searches share one searcher, over float32 rows or
+// over bytes; each must answer as it does alone. Run under -race this also
+// proves the per-query group ranking and the readied query live in
+// per-goroutine scratch.
 func TestConcurrentGroupedSearch(t *testing.T) {
 	data := dataset.SIFTLike(800, 17)
 	g := knngraph.BruteForce(data, 8, 0)
-	s, err := NewSearcher(data, g, 128)
+	f32, err := NewSearcher(data, g, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
 	queries := dataset.SIFTLike(32, 71)
-	want := make([][]knngraph.Neighbor, queries.N)
-	for qi := range want {
-		want[qi] = s.Search(queries.Row(qi), 10, 32)
-	}
-	var wg sync.WaitGroup
-	errs := make(chan string, 4)
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for rep := 0; rep < 5; rep++ {
-				for qi := w; qi < queries.N; qi++ {
-					got := s.Search(queries.Row(qi), 10, 32)
-					for i := range want[qi] {
-						if got[i] != want[qi][i] {
-							errs <- "concurrent search diverged from the sequential answer"
-							return
+	for _, s := range []*Searcher{f32, byteTwin(t, f32)} {
+		want := make([][]knngraph.Neighbor, queries.N)
+		for qi := range want {
+			want[qi] = s.Search(queries.Row(qi), 10, 32)
+		}
+		var wg sync.WaitGroup
+		errs := make(chan string, 4)
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for rep := 0; rep < 5; rep++ {
+					for qi := w; qi < queries.N; qi++ {
+						got := s.Search(queries.Row(qi), 10, 32)
+						for i := range want[qi] {
+							if got[i] != want[qi][i] {
+								errs <- "concurrent search diverged from the sequential answer"
+								return
+							}
 						}
 					}
 				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Fatal(e)
+			}(w)
+		}
+		wg.Wait()
+		close(errs)
+		for e := range errs {
+			t.Fatal(e)
+		}
 	}
 }
 
 // BenchmarkSearchEntries times one query at the benchmark's monolithic
 // operating point (512 entries, ef 64) with the flat entry scan and with
-// the grouped one.
+// the grouped one, and the grouped one over the same rows as bytes — the
+// one timing of the integer search loop outside the serving benchmark.
 func BenchmarkSearchEntries(b *testing.B) {
 	s, queries := groupedFixture(b, 12100, 512)
+	u8 := byteTwin(b, s)
 	for _, bc := range []struct {
 		name string
+		s    *Searcher
 		flat bool
-	}{{"flat", true}, {"grouped", false}} {
+	}{{"flat", s, true}, {"grouped", s, false}, {"grouped-uint8", u8, false}} {
 		b.Run(bc.name, func(b *testing.B) {
 			var dist int
 			for i := 0; i < b.N; i++ {
-				_, st := s.search(queries.Row(i%queries.N), 10, 64, false, bc.flat)
+				_, st := bc.s.search(queries.Row(i%queries.N), 10, 64, false, bc.flat)
 				dist += st.Dist
 			}
 			b.ReportMetric(float64(dist)/float64(b.N), "dist/op")

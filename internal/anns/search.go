@@ -26,6 +26,11 @@
 // distances are computed with an early-abandoning kernel that stops
 // mid-vector once the partial sum proves the candidate cannot enter the
 // pool.
+//
+// The rows are a vec.Rows, float32 or bytes (SIFT1B-style data, scanned with
+// exact integer kernels). vec readies each query for them and makes both
+// distance calls, so one loop serves both element types and returns the
+// same results and counters on bytes as on their widened floats.
 package anns
 
 import (
@@ -48,11 +53,7 @@ import (
 // through a sync.Pool, so a single Searcher is safe for concurrent use from
 // any number of goroutines.
 type Searcher struct {
-	data *vec.Matrix   // float32 rows; nil on a uint8 searcher
-	u8   *vec.U8Matrix // uint8 rows; nil on a float32 searcher
-	n    int           // rows in whichever matrix backs the searcher
-	dim  int
-
+	rows  vec.Rows
 	g     *knngraph.Graph
 	entry []int32 // fixed, evenly spread entry points
 
@@ -104,9 +105,9 @@ type searchScratch struct {
 	visited []int32
 	stamp   int32
 	pool    []candidate
-	// q8 is the byte view of the current query on a uint8 searcher,
-	// preallocated here so the per-query narrowing never allocates.
-	q8 []uint8
+	// q is the current query readied for the rows' kernels; it keeps its
+	// buffers across queries, so readying one never allocates.
+	q vec.Query
 	// rank orders the entry groups by centroid distance to the current
 	// query, one slot each (id is the group index).
 	rank []candidate
@@ -138,23 +139,17 @@ const entriesPerGroup, groupSeed = 4, 0x2e
 // grouped in fours by the 2M tree, and a query with more entries than ef
 // scores only the groups that can still enter its pool.
 func NewSearcher(data *vec.Matrix, g *knngraph.Graph, nEntry int) (*Searcher, error) {
-	return newSearcher(&Searcher{data: data, n: data.N, dim: data.Dim, g: g}, nEntry)
+	return New(vec.RowsF32(data), g, nEntry)
 }
 
-// NewSearcherU8 builds a searcher over a uint8 dataset: identical graph,
-// entry-point and pool machinery, with candidate distances computed by the
-// exact integer kernels (L2SqrU8/L2SqrBoundU8) directly on the byte rows.
-// Queries stay []float32 at the API, but every value must be an exact byte
-// (an integer in [0,255]) — Search panics otherwise, the same contract as a
-// dimension mismatch.
-func NewSearcherU8(data *vec.U8Matrix, g *knngraph.Graph, nEntry int) (*Searcher, error) {
-	return newSearcher(&Searcher{u8: data, n: data.N, dim: data.Dim, g: g}, nEntry)
-}
-
-func newSearcher(s *Searcher, nEntry int) (*Searcher, error) {
-	n := s.n
-	if s.g.N() != n {
-		return nil, fmt.Errorf("anns: graph has %d nodes for %d samples", s.g.N(), n)
+// New is NewSearcher over rows of either element type. Over bytes the
+// candidate distances are the exact integer kernels', and every query value
+// must be an exact byte (an integer in [0,255]): Search panics otherwise,
+// the same contract as a dimension mismatch.
+func New(rows vec.Rows, g *knngraph.Graph, nEntry int) (*Searcher, error) {
+	s, n := &Searcher{rows: rows, g: g}, rows.N
+	if g.N() != n {
+		return nil, fmt.Errorf("anns: graph has %d nodes for %d samples", g.N(), n)
 	}
 	if n == 0 {
 		return nil, fmt.Errorf("anns: empty dataset")
@@ -170,13 +165,8 @@ func newSearcher(s *Searcher, nEntry int) (*Searcher, error) {
 	if nEntry > n {
 		nEntry = n
 	}
-	isU8, dim := s.u8 != nil, s.dim
 	s.scratch.New = func() any {
-		sc := &searchScratch{visited: make([]int32, n), rank: make([]candidate, len(s.groups))}
-		if isU8 {
-			sc.q8 = make([]uint8, dim)
-		}
-		return sc
+		return &searchScratch{visited: make([]int32, n), rank: make([]candidate, len(s.groups))}
 	}
 	if err := s.buildCSR(); err != nil {
 		return nil, err
@@ -214,12 +204,7 @@ func (s *Searcher) groupEntries() error {
 	for i, e := range s.entry {
 		idx[i] = int(e)
 	}
-	var rows *vec.Matrix
-	if s.u8 != nil {
-		rows = s.u8.SubsetRows(idx).Widen()
-	} else {
-		rows = s.data.SubsetRows(idx)
-	}
+	rows := s.rows.Subset(idx).Widen()
 	k := (len(idx) + entriesPerGroup - 1) / entriesPerGroup
 	labels, err := twomeans.Cluster(rows, twomeans.Config{K: k, Seed: groupSeed})
 	if err != nil {
@@ -231,7 +216,7 @@ func (s *Searcher) groupEntries() error {
 	}
 	s.grouped = make([]int32, 0, len(idx))
 	s.groups = make([]entryGroup, k)
-	s.cents = vec.NewMatrix(k, s.dim)
+	s.cents = vec.NewMatrix(k, s.rows.Dim)
 	for g, m := range members {
 		c := rows.Mean(m)
 		s.cents.SetRow(g, c)
@@ -251,7 +236,7 @@ func (s *Searcher) groupEntries() error {
 // a fill pass writes forward edges then the reverse edges missing from the
 // target's own list. Built once per Searcher; every query reads it.
 func (s *Searcher) buildCSR() error {
-	g, n := s.g, s.n
+	g, n := s.g, s.rows.N
 	deg := make([]int32, n)
 	for i, list := range g.Lists {
 		deg[i] += int32(len(list))
@@ -308,7 +293,7 @@ func (s *Searcher) Entries() int { return len(s.entry) }
 // an iterative DFS (the CSR holds both edge directions, so directed reach
 // equals undirected components).
 func (s *Searcher) components() []int32 {
-	n := s.n
+	n := s.rows.N
 	comp := make([]int32, n)
 	for i := range comp {
 		comp[i] = -1
@@ -389,13 +374,7 @@ func (s *Searcher) search(q []float32, topK, ef int, exhaust, flat bool) ([]knng
 	}
 	sc.stamp++
 	stamp := sc.stamp
-	// On a uint8 searcher, narrow the query once into the scratch byte
-	// buffer; the candidate loop then runs the exact integer kernels.
-	u8 := s.u8 != nil
-	q8 := sc.q8
-	if u8 {
-		convertQueryU8(q, q8)
-	}
+	s.rows.Prepare(&sc.q, q)
 
 	// cur is the index of the first unexpanded pool entry: entries before it
 	// are all expanded, so each iteration resumes there instead of rescanning
@@ -427,11 +406,7 @@ func (s *Searcher) search(q []float32, topK, ef int, exhaust, flat bool) ([]knng
 			}
 			sc.visited[e] = stamp
 			st.Dist++
-			if u8 {
-				insert(e, float32(vec.L2SqrU8(q8, s.u8.Row(int(e)))))
-			} else {
-				insert(e, vec.L2Sqr(q, s.data.Row(int(e))))
-			}
+			insert(e, s.rows.Dist(&sc.q, int(e)))
 		}
 	}
 	if flat || len(s.entry) <= ef {
@@ -498,16 +473,7 @@ func (s *Searcher) search(q []float32, topK, ef int, exhaust, flat bool) ([]knng
 				bound = pool[len(pool)-1].dist
 			}
 			st.Dist++
-			var d float32
-			if u8 {
-				// U8Bound never abandons a candidate the float32 kernel
-				// would admit, and integer L2 on byte data is exact, so the
-				// pool the uint8 path builds is identical to the float path's
-				// whenever the widened data equals the byte data.
-				d = float32(vec.L2SqrBoundU8(q8, s.u8.Row(int(id)), vec.U8Bound(bound)))
-			} else {
-				d = vec.L2SqrBound(q, s.data.Row(int(id)), bound)
-			}
+			d := s.rows.DistBound(&sc.q, int(id), bound)
 			if d >= bound {
 				continue
 			}
@@ -531,24 +497,14 @@ func (s *Searcher) search(q []float32, topK, ef int, exhaust, flat bool) ([]knng
 		out[i] = knngraph.Neighbor{ID: pool[i].id, Dist: pool[i].dist}
 	}
 	sc.pool = pool // keep the grown capacity for the next query
+	// Drop the query but keep its buffer: a pooled scratch must not pin the
+	// caller's slice.
+	s.rows.Prepare(&sc.q, nil)
 	s.scratch.Put(sc)
 	s.nQueries.Add(1)
 	s.nDist.Add(uint64(st.Dist))
 	s.nExpanded.Add(uint64(st.Expanded))
 	return out, st
-}
-
-// convertQueryU8 narrows a float32 query onto dst for the integer kernels.
-// A query that is not exact bytes has no exact integer distance to byte
-// data, so narrowing it would silently change results; panicking matches
-// the dimension-mismatch contract (a caller bug, not a data condition).
-func convertQueryU8(q []float32, dst []uint8) {
-	for i, v := range q {
-		if !(v >= 0 && v <= 255) || v != float32(uint8(v)) {
-			panic(fmt.Sprintf("anns: query value %v at dim %d is not an exact byte (uint8 searcher)", v, i))
-		}
-		dst[i] = uint8(v)
-	}
 }
 
 // RecallAt evaluates the searcher on a query set against exact ground truth

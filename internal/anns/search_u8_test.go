@@ -29,7 +29,7 @@ func u8Fixture(t *testing.T, n int, seed int64, nEntry int) (f32 *Searcher, u8 *
 	if err != nil {
 		t.Fatal(err)
 	}
-	u8, err = NewSearcherU8(dataU8, g, nEntry)
+	u8, err = New(vec.RowsU8(dataU8), g, nEntry)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,13 +98,13 @@ func TestU8SearcherRejectsNonByteQuery(t *testing.T) {
 	u8.Search(q, 1, 8)
 }
 
-func TestNewSearcherU8Errors(t *testing.T) {
+func TestNewU8Errors(t *testing.T) {
 	small := dataset.SIFTLike(5, 1)
 	g, err := core.BuildGraph(small, core.GraphConfig{Kappa: 2, Xi: 4, Tau: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewSearcherU8(vec.NewU8Matrix(10, 4), g, 4); err == nil {
+	if _, err := New(vec.RowsU8(vec.NewU8Matrix(10, 4)), g, 4); err == nil {
 		t.Fatal("node-count mismatch should error")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"gkmeans/internal/vec"
@@ -14,48 +15,33 @@ import (
 // little-endian int32 dimension header followed by that many uint8 values.
 // ReadBvecs widens vectors to float32 on load, which is how every public
 // SIFT1B consumer treats them; ReadBvecsU8 keeps them as bytes for the
-// uint8 distance path (4x less memory, exact integer L2).
+// uint8 distance path (4x less memory, exact integer L2). Both run the one
+// parser below.
 
 // ReadBvecs decodes a bvecs stream into a float32 matrix. maxN > 0 limits
-// the number of vectors read.
+// the number of vectors read. Unlike ReadBvecsU8 it accepts any
+// dimensionality, vec.MaxU8Dim included and beyond: the widened rows never
+// meet the integer kernels that cap exists for.
 func ReadBvecs(r io.Reader, maxN int) (*vec.Matrix, error) {
-	br := bufio.NewReader(r)
-	var rows [][]float32
-	dim := -1
-	for maxN <= 0 || len(rows) < maxN {
-		var d int32
-		err := binary.Read(br, binary.LittleEndian, &d)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("dataset: reading bvecs header: %w", err)
-		}
-		if d <= 0 {
-			return nil, fmt.Errorf("dataset: bvecs vector %d has dimension %d", len(rows), d)
-		}
-		if dim == -1 {
-			dim = int(d)
-		} else if int(d) != dim {
-			return nil, fmt.Errorf("dataset: bvecs vector %d has dimension %d, want %d", len(rows), d, dim)
-		}
-		raw := make([]uint8, d)
-		if _, err := io.ReadFull(br, raw); err != nil {
-			return nil, fmt.Errorf("dataset: reading bvecs vector %d: %w", len(rows), err)
-		}
-		row := make([]float32, d)
-		for i, b := range raw {
-			row[i] = float32(b)
-		}
-		rows = append(rows, row)
+	m, err := readBvecs(r, maxN, math.MaxInt32)
+	if err != nil {
+		return nil, err
 	}
-	return vec.FromRows(rows), nil
+	return m.Widen(), nil
 }
 
 // ReadBvecsU8 decodes a bvecs stream into a uint8 matrix without widening:
 // the same wire format as ReadBvecs, kept in the bytes the file actually
-// holds. maxN > 0 limits the number of vectors read.
+// holds. maxN > 0 limits the number of vectors read; a dimensionality above
+// vec.MaxU8Dim is refused.
 func ReadBvecsU8(r io.Reader, maxN int) (*vec.U8Matrix, error) {
+	return readBvecs(r, maxN, vec.MaxU8Dim)
+}
+
+// readBvecs is the bvecs parser: up to maxN vectors (all when maxN <= 0),
+// each of one dimensionality no larger than maxDim. An empty stream is an
+// empty matrix of Dim 0.
+func readBvecs(r io.Reader, maxN int, maxDim int32) (*vec.U8Matrix, error) {
 	br := bufio.NewReader(r)
 	var data []uint8
 	n, dim := 0, -1
@@ -71,8 +57,8 @@ func ReadBvecsU8(r io.Reader, maxN int) (*vec.U8Matrix, error) {
 		if d <= 0 {
 			return nil, fmt.Errorf("dataset: bvecs vector %d has dimension %d", n, d)
 		}
-		if d > vec.MaxU8Dim {
-			return nil, fmt.Errorf("dataset: bvecs dimension %d exceeds the uint8 kernel cap %d", d, vec.MaxU8Dim)
+		if d > maxDim {
+			return nil, fmt.Errorf("dataset: bvecs dimension %d exceeds the uint8 kernel cap %d", d, maxDim)
 		}
 		if dim == -1 {
 			dim = int(d)
@@ -85,11 +71,8 @@ func ReadBvecsU8(r io.Reader, maxN int) (*vec.U8Matrix, error) {
 		}
 		n++
 	}
-	if dim == -1 {
-		dim = 0
-	}
 	if n == 0 {
-		return &vec.U8Matrix{Dim: dim}, nil
+		return &vec.U8Matrix{}, nil
 	}
 	return &vec.U8Matrix{Data: data, N: n, Dim: dim}, nil
 }

@@ -2,9 +2,12 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"gkmeans/internal/vec"
 )
 
 func TestBvecsRoundTrip(t *testing.T) {
@@ -122,6 +125,38 @@ func TestReadBvecsU8RejectsGarbage(t *testing.T) {
 	raw := buf.Bytes()
 	if _, err := ReadBvecsU8(bytes.NewReader(raw[:len(raw)-3]), 0); err == nil {
 		t.Fatal("truncated payload should error")
+	}
+}
+
+// An empty stream is an empty matrix on both loaders, and widening the
+// byte one (Dim 0) must not panic.
+func TestReadBvecsEmptyStream(t *testing.T) {
+	wide, err := ReadBvecs(bytes.NewReader(nil), 0)
+	if err != nil || wide.N != 0 || len(wide.Data) != 0 {
+		t.Fatalf("ReadBvecs of an empty stream: %+v, %v", wide, err)
+	}
+	u8, err := ReadBvecsU8(bytes.NewReader(nil), 5)
+	if err != nil || u8.N != 0 || len(u8.Data) != 0 {
+		t.Fatalf("ReadBvecsU8 of an empty stream: %+v, %v", u8, err)
+	}
+	if w := u8.Widen(); w.N != 0 || !w.Equal(wide) {
+		t.Fatalf("widened empty byte matrix %+v, want %+v", w, wide)
+	}
+}
+
+// Above vec.MaxU8Dim only the widening loader reads a file: the byte one
+// would hand the integer kernels rows they cannot sum exactly.
+func TestReadBvecsAboveByteKernelCap(t *testing.T) {
+	d := vec.MaxU8Dim + 1
+	raw := binary.LittleEndian.AppendUint32(nil, uint32(d))
+	raw = append(raw, make([]byte, d)...)
+	raw[4] = 7
+	wide, err := ReadBvecs(bytes.NewReader(raw), 0)
+	if err != nil || wide.N != 1 || wide.Dim != d || wide.At(0, 0) != 7 {
+		t.Fatalf("ReadBvecs of one %d-d vector: %v", d, err)
+	}
+	if _, err := ReadBvecsU8(bytes.NewReader(raw), 0); err == nil {
+		t.Fatalf("ReadBvecsU8 accepted a %d-d vector, above the kernel cap %d", d, vec.MaxU8Dim)
 	}
 }
 

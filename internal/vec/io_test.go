@@ -2,6 +2,8 @@ package vec
 
 import (
 	"bytes"
+	"math"
+	"strconv"
 	"testing"
 )
 
@@ -68,12 +70,15 @@ func TestReadMatrixRejectsTruncated(t *testing.T) {
 func TestWriteMatrixRejectsOversizedShape(t *testing.T) {
 	// The header stores N and Dim as uint32; a shape that cannot round-trip
 	// must be refused up front rather than silently truncated.
+	shapes := []*Matrix{{N: -1, Dim: 4}}
+	// A shape past uint32 exists only where int is 64 bits wide; built at
+	// run time, the case compiles on 32-bit targets too.
+	if strconv.IntSize == 64 {
+		over := int64(math.MaxUint32) + 1
+		shapes = append(shapes, &Matrix{N: int(over), Dim: 4}, &Matrix{N: 4, Dim: int(over)})
+	}
 	var buf bytes.Buffer
-	for _, m := range []*Matrix{
-		{N: 1 << 33, Dim: 4},
-		{N: 4, Dim: 1 << 33},
-		{N: -1, Dim: 4},
-	} {
+	for _, m := range shapes {
 		if _, err := WriteMatrix(&buf, m); err == nil {
 			t.Errorf("WriteMatrix accepted shape %d×%d", m.N, m.Dim)
 		}

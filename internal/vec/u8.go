@@ -36,33 +36,16 @@ func (m *U8Matrix) Row(i int) []uint8 {
 	return m.Data[i*m.Dim : (i+1)*m.Dim : (i+1)*m.Dim]
 }
 
-// SubsetRows returns a new matrix containing the given rows, in order.
-func (m *U8Matrix) SubsetRows(idx []int) *U8Matrix {
-	s := NewU8Matrix(len(idx), m.Dim)
-	for out, i := range idx {
-		copy(s.Row(out), m.Row(i))
-	}
-	return s
-}
-
-// Equal reports whether two matrices have identical shape and contents.
-func (m *U8Matrix) Equal(o *U8Matrix) bool {
-	if m.N != o.N || m.Dim != o.Dim {
-		return false
-	}
-	for i, v := range m.Data {
-		if v != o.Data[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Widen returns a float32 copy of the matrix. Every byte is exactly
 // representable in float32, so the result is the matrix every pre-uint8
 // consumer of bvecs data would have loaded — graph construction over the
-// widened copy is bit-identical to the float32 path.
+// widened copy is bit-identical to the float32 path. Zero rows widen to an
+// empty matrix, also at the Dim 0 of an empty bvecs stream, which
+// NewMatrix refuses.
 func (m *U8Matrix) Widen() *Matrix {
+	if m.N == 0 {
+		return &Matrix{Dim: m.Dim}
+	}
 	w := NewMatrix(m.N, m.Dim)
 	for i, b := range m.Data {
 		w.Data[i] = float32(b)
@@ -80,7 +63,7 @@ func U8FromMatrix(m *Matrix) (*U8Matrix, error) {
 	}
 	u := NewU8Matrix(m.N, m.Dim)
 	for i, v := range m.Data {
-		if !(v >= 0 && v <= 255) || v != float32(uint8(v)) {
+		if !ExactByte(v) {
 			return nil, fmt.Errorf("vec: value %v at row %d col %d is not an exact byte", v, i/m.Dim, i%m.Dim)
 		}
 		u.Data[i] = uint8(v)

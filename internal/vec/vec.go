@@ -1,7 +1,8 @@
-// Package vec provides the dense float32 vector substrate used by every
-// algorithm in this repository: a flat row-major matrix type and the squared
-// Euclidean / inner-product kernels that dominate k-means and k-NN graph
-// construction run time.
+// Package vec provides the dense vector substrate used by every algorithm in
+// this repository: flat row-major float32 and uint8 matrix types, the
+// squared Euclidean / inner-product kernels that dominate k-means, k-NN
+// graph construction and search run time, and Rows — the one dataset value
+// that holds either element type and picks the kernel for it.
 //
 // All distances in this code base are squared Euclidean (no square roots);
 // the paper's average distortion (Eqn. 4) is defined on squared distances,

@@ -8,6 +8,7 @@ import (
 	"gkmeans/internal/checked"
 	"gkmeans/internal/router"
 	"gkmeans/internal/store"
+	"gkmeans/internal/vec"
 )
 
 // Mutation: Append, Delete and Compact grow, shrink and consolidate an
@@ -60,7 +61,7 @@ func (x *Index) ShardInfos() []ShardInfo {
 	out := make([]ShardInfo, len(x.segs))
 	for i := range x.segs {
 		s := &x.segs[i]
-		out[i] = ShardInfo{Rows: s.rows.n, Deleted: s.dead(), Live: s.rows.n - s.dead(), Gen: s.gen}
+		out[i] = ShardInfo{Rows: s.rows.N, Deleted: s.dead(), Live: s.rows.N - s.dead(), Gen: s.gen}
 	}
 	return out
 }
@@ -98,7 +99,7 @@ func (x *Index) locate(id int32) (at, local int, ok bool) {
 			}
 			continue
 		}
-		if id >= s.base && int(id-s.base) < s.rows.n {
+		if id >= s.base && int(id-s.base) < s.rows.N {
 			return at, int(id - s.base), true
 		}
 	}
@@ -130,8 +131,8 @@ func (x *Index) Append(ctx context.Context, vectors *Matrix) (*Index, error) {
 	if vectors == nil || vectors.N == 0 {
 		return nil, fmt.Errorf("gkmeans: Append needs a non-empty vector set")
 	}
-	if vectors.Dim != x.data.dim {
-		return nil, fmt.Errorf("gkmeans: appending %d-dimensional vectors to a %d-dimensional index", vectors.Dim, x.data.dim)
+	if vectors.Dim != x.Dim() {
+		return nil, fmt.Errorf("gkmeans: appending %d-dimensional vectors to a %d-dimensional index", vectors.Dim, x.Dim())
 	}
 	if vectors.N < minShardRows {
 		return nil, fmt.Errorf("gkmeans: Append needs at least %d vectors to build a shard graph, got %d", minShardRows, vectors.N)
@@ -143,28 +144,18 @@ func (x *Index) Append(ctx context.Context, vectors *Matrix) (*Index, error) {
 	if int64(bound)+int64(vectors.N) > math.MaxInt32 {
 		return nil, fmt.Errorf("gkmeans: appending %d vectors would overflow the int32 id space at %d", vectors.N, bound)
 	}
-	// On a uint8 index the incoming vectors are narrowed up front — every
-	// value must be an exact byte, like a query — and the appended segment
-	// stays bytes end to end.
-	fresh, err := rowsOf(vectors, x.DType())
+	// The new segment gets its own copy of the vectors, never the caller's
+	// matrix — narrowed up front on a uint8 index, where every value must be
+	// an exact byte like a query's. It is the only copy Append makes: the
+	// receiver's rows stay in its segments.
+	own, err := vec.NewRows(vectors.Clone(), x.DType() == DTypeUint8)
 	if err != nil {
 		return nil, fmt.Errorf("gkmeans: Append on a %s index: %w", x.DType(), err)
 	}
 
-	// The parent dataset is rebuilt as old rows + new rows (persistence and
-	// Data()/DataU8() expect one contiguous dataset), but the new segment
-	// is built over its own copy of the vectors: a segment must not pin a
-	// whole concatenated matrix in memory once a later Append replaces it,
-	// nor alias the caller's.
-	full := x.data.allocLike(x.data.n + fresh.n)
-	full.copyRows(0, x.data, 0, x.data.n)
-	full.copyRows(x.data.n, fresh, 0, fresh.n)
-	own := fresh.allocLike(fresh.n)
-	own.copyRows(0, fresh, 0, fresh.n)
-
 	cfg := x.cfg
 	cfg.progress = nil
-	built, graphTime, err := buildSegs(ctx, own, cfg, []int{own.n})
+	built, graphTime, err := buildSegs(ctx, []vec.Rows{own}, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -172,7 +163,6 @@ func (x *Index) Append(ctx context.Context, vectors *Matrix) (*Index, error) {
 	built[0].base, built[0].gen = bound, x.maxGen()+1
 
 	y := *x
-	y.data = full
 	y.segs = append(x.segs[:n:n], built[0]) // full slice expression: always copies
 	y.graphTime += graphTime
 	y.nextID = checked.Int32(int(bound) + vectors.N)
@@ -188,7 +178,7 @@ func (x *Index) Append(ctx context.Context, vectors *Matrix) (*Index, error) {
 		if err != nil {
 			return nil, err
 		}
-		if y.route, err = router.New(x.route.K(), x.data.dim, append(cents, m)); err != nil {
+		if y.route, err = router.New(x.route.K(), x.Dim(), append(cents, m)); err != nil {
 			return nil, fmt.Errorf("gkmeans: extending shard router: %w", err)
 		}
 	}
@@ -223,7 +213,7 @@ func (x *Index) Delete(ids ...int32) (*Index, error) {
 		s := &y.segs[at]
 		if !owned[at] {
 			if s.tomb == nil {
-				s.tomb = store.NewBits(s.rows.n)
+				s.tomb = store.NewBits(s.rows.N)
 			} else {
 				s.tomb = s.tomb.Clone()
 			}
@@ -273,7 +263,7 @@ func (x *Index) Compact(ctx context.Context, targets ...int) (*Index, error) {
 		return nil, fmt.Errorf("gkmeans: Compact on an index with a Build-time clustering; rebuild without WithClusters")
 	}
 
-	live := func(s int) int { return x.segs[s].rows.n - x.segs[s].dead() }
+	live := func(s int) int { return x.segs[s].rows.N - x.segs[s].dead() }
 	mergedLive := 0
 	for s := 0; s < n; s++ {
 		if inTarget[s] {
@@ -286,7 +276,7 @@ func (x *Index) Compact(ctx context.Context, targets ...int) (*Index, error) {
 	for mergedLive > 0 && mergedLive < minShardRows {
 		best := -1
 		for s := 0; s < n; s++ {
-			if !inTarget[s] && (best < 0 || x.segs[s].rows.n < x.segs[best].rows.n) {
+			if !inTarget[s] && (best < 0 || x.segs[s].rows.N < x.segs[best].rows.N) {
 				best = s
 			}
 		}
@@ -299,44 +289,28 @@ func (x *Index) Compact(ctx context.Context, targets ...int) (*Index, error) {
 	keptRows := 0
 	for s := 0; s < n; s++ {
 		if !inTarget[s] {
-			keptRows += x.segs[s].rows.n
+			keptRows += x.segs[s].rows.N
 		}
 	}
 	if keptRows+mergedLive == 0 {
 		return nil, fmt.Errorf("gkmeans: compaction would empty the index (every row is deleted)")
 	}
 
-	// Lay out the new parent dataset in segment order, the merged live rows
-	// taking the first target's place, and collect their external ids.
-	full := x.data.allocLike(keptRows + mergedLive)
+	// Gather the targets' live rows in segment order — the only rows
+	// Compact lays out anew — and their external ids.
+	merged := x.segs[0].rows.Alloc(mergedLive)
 	mergedIDs := make([]int32, 0, mergedLive)
-	row, mergedLo := 0, -1
 	for s := 0; s < n; s++ {
-		switch {
-		case !inTarget[s]:
-			full.copyRows(row, x.segs[s].rows, 0, x.segs[s].rows.n)
-			row += x.segs[s].rows.n
-		case mergedLo < 0:
-			mergedLo = row
-			for t := s; t < n; t++ {
-				if !inTarget[t] {
-					continue
-				}
-				sg := &x.segs[t]
-				for l := 0; l < sg.rows.n; l++ {
-					if sg.tomb != nil && sg.tomb.Get(l) {
-						continue
-					}
-					full.copyRows(row, sg.rows, l, l+1)
-					mergedIDs = append(mergedIDs, sg.id(l))
-					row++
-				}
+		sg := &x.segs[s]
+		for l := 0; inTarget[s] && l < sg.rows.N; l++ {
+			if sg.tomb == nil || !sg.tomb.Get(l) {
+				merged.Copy(len(mergedIDs), sg.rows, l, l+1)
+				mergedIDs = append(mergedIDs, sg.id(l))
 			}
 		}
 	}
 
 	y := *x
-	y.data = full
 	y.segs = make([]seg, 0, n)
 	var cents []*Matrix
 	placed := false
@@ -350,7 +324,7 @@ func (x *Index) Compact(ctx context.Context, targets ...int) (*Index, error) {
 		case !placed && mergedLive > 0:
 			cfg := x.cfg
 			cfg.progress = nil
-			built, graphTime, err := buildSegs(ctx, full.view(mergedLo, mergedLo+mergedLive), cfg, []int{mergedLive})
+			built, graphTime, err := buildSegs(ctx, []vec.Rows{merged}, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -380,7 +354,7 @@ func (x *Index) Compact(ctx context.Context, targets ...int) (*Index, error) {
 	}
 	if x.route != nil {
 		var err error
-		if y.route, err = router.New(x.route.K(), x.data.dim, cents); err != nil {
+		if y.route, err = router.New(x.route.K(), x.Dim(), cents); err != nil {
 			return nil, fmt.Errorf("gkmeans: reassembling shard router: %w", err)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"gkmeans/internal/dataset"
@@ -16,11 +17,11 @@ func liveSearch(idx *Index, q []float32, topK int) []Neighbor {
 	var all []Neighbor
 	for s := range idx.segs {
 		sg := &idx.segs[s]
-		for l := 0; l < sg.rows.n; l++ {
+		for l := 0; l < sg.rows.N; l++ {
 			if sg.tomb != nil && sg.tomb.Get(l) {
 				continue
 			}
-			all = append(all, Neighbor{ID: sg.id(l), Dist: vec.L2Sqr(q, sg.rows.f32.Row(l))})
+			all = append(all, Neighbor{ID: sg.id(l), Dist: vec.L2Sqr(q, sg.rows.F32().Row(l))})
 		}
 	}
 	return mergeShardResults([][]Neighbor{all}, topK)
@@ -77,6 +78,38 @@ func TestAppendGrowsIndex(t *testing.T) {
 	}
 }
 
+// Append copies only the vectors it is handed: the receiver's rows stay in
+// its segments, shared with the result, and are never laid out again.
+func TestAppendDoesNotCopyReceiverRows(t *testing.T) {
+	data, extra := Split(dataset.SIFTLike(4008, 67), 8)
+	for _, dt := range []DType{DTypeFloat32, DTypeUint8} {
+		idx, err := Build(context.Background(), data, WithDType(dt), WithKappa(6), WithXi(12), WithTau(2), WithSeed(67))
+		if err != nil {
+			t.Fatal(err)
+		}
+		width := uint64(4)
+		if dt == DTypeUint8 {
+			width = 1
+		}
+		rowBytes := uint64(idx.N()*idx.Dim()) * width
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		grown, err := idx.Append(context.Background(), extra)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alloc := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: Append of %d rows allocated %d bytes beside %d bytes of receiver rows", dt, extra.N, alloc, rowBytes)
+		if alloc >= rowBytes/2 {
+			t.Errorf("%s: Append of %d rows allocated %d bytes, as if it copied the receiver's %d bytes of rows", dt, extra.N, alloc, rowBytes)
+		}
+		if grown.segs[0].segCore != idx.segs[0].segCore {
+			t.Errorf("%s: the appended index does not share the receiver's segment", dt)
+		}
+	}
+}
+
 func TestAppendErrors(t *testing.T) {
 	data := dataset.SIFTLike(60, 43)
 	idx, err := Build(context.Background(), data, WithKappa(6), WithTau(3), WithSeed(43))
@@ -89,7 +122,7 @@ func TestAppendErrors(t *testing.T) {
 	if _, err := idx.Append(context.Background(), NewMatrix(2, data.Dim+1)); err == nil {
 		t.Fatal("Append with wrong dimensionality did not error")
 	}
-	one := shardView(data, 0, 1)
+	one := vec.RowsF32(data).View(0, 1).F32()
 	if _, err := idx.Append(context.Background(), one); err == nil {
 		t.Fatal("Append of a single vector did not error (a shard graph needs two rows)")
 	}
@@ -97,7 +130,7 @@ func TestAppendErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := clustered.Append(context.Background(), shardView(data, 0, 4)); err == nil {
+	if _, err := clustered.Append(context.Background(), vec.RowsF32(data).View(0, 4).F32()); err == nil {
 		t.Fatal("Append on a clustered index did not error")
 	}
 }
@@ -188,7 +221,7 @@ func TestDeleteSurfacesNextBest(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := queries.Row(0)
-	exact := ExactNeighbors(data, shardView(queries, 0, 1), 5)[0]
+	exact := ExactNeighbors(data, vec.RowsF32(queries).View(0, 1).F32(), 5)[0]
 	idx, err := base.Delete(exact...)
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +263,7 @@ func TestCompactPreservesResults(t *testing.T) {
 	// Tombstone ~40% of shard 1 and a few rows of shard 2.
 	var doomed []int32
 	lo := base.segs[1].base
-	for i := int32(0); i < int32(base.segs[1].rows.n*2/5); i++ {
+	for i := int32(0); i < int32(base.segs[1].rows.N*2/5); i++ {
 		doomed = append(doomed, lo+i)
 	}
 	doomed = append(doomed, base.segs[2].base+1, base.segs[2].base+7)
@@ -455,7 +488,7 @@ func TestMutatedPersistRoundTrip(t *testing.T) {
 
 	// A monolithic index with tombstones round-trips too, and further
 	// mutation of the loaded index works.
-	mono, err := NewIndex(base.segs[0].rows.f32, base.segs[0].graph)
+	mono, err := NewIndex(base.segs[0].rows.F32(), base.segs[0].graph)
 	if err != nil {
 		t.Fatal(err)
 	}

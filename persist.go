@@ -26,8 +26,9 @@ import (
 //	uint32  magic "GKIX", version (6), flags (flag* below), requested entry
 //	        points (0 = default), dtype word (must agree with flagU8),
 //	        segment count (>= 1), id bound (>= row count)
-//	matrix  full dataset (vec.WriteMatrix or vec.WriteU8Matrix by dtype;
-//	        the segments are consecutive row ranges of it)
+//	matrix  dataset: every segment's rows in segment order, as one matrix
+//	        block of the dtype's width (vec.WriteRows); each segment owns
+//	        the next table Rows rows of it
 //	table   one segmentEntry per segment
 //	per segment: graph (knngraph.WriteSection, exactly the table's Size
 //	        bytes), then — when its segFlag* say so — ceil(rows/64) uint64
@@ -121,12 +122,13 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 	// 0; an absurd one is clamped — the searcher caps entry points at the
 	// dataset size anyway, so the loaded index behaves identically.
 	entries := checked.U32(min(max(int64(x.cfg.entries), 0), math.MaxUint32))
-	table := make([]segmentEntry, len(x.segs))
+	table, rows := make([]segmentEntry, len(x.segs)), make([]vec.Rows, len(x.segs))
 	parts := []any{[]uint32{indexMagic, indexVersion, flags, entries, flagIf(u8, dtypeWordU8),
-		checked.U32(len(x.segs)), uint32(x.nextID)}, x.data, table}
+		checked.U32(len(x.segs)), uint32(x.nextID)}, rows, table}
 	for s := range x.segs {
 		sg := &x.segs[s]
-		table[s] = segmentEntry{Rows: checked.U32(sg.rows.n), Size: uint64(sg.graph.SectionSize()), Gen: sg.gen,
+		rows[s] = sg.rows
+		table[s] = segmentEntry{Rows: checked.U32(sg.rows.N), Size: uint64(sg.graph.SectionSize()), Gen: sg.gen,
 			Base: uint32(sg.base), Flags: flagIf(sg.dead() > 0, segFlagTombs) | flagIf(sg.ids != nil, segFlagIDMap)}
 		parts = append(parts, sg.graph)
 		if sg.dead() > 0 {
@@ -153,8 +155,8 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 	for _, part := range parts {
 		var err error
 		switch p := part.(type) {
-		case rowStore:
-			err = p.write(cw)
+		case []vec.Rows:
+			_, err = vec.WriteRows(cw, p...)
 		case *Graph:
 			var n int64
 			if n, err = p.WriteSection(cw); err == nil && n != p.SectionSize() {
@@ -227,20 +229,20 @@ func readBody(r io.Reader, h gkxHeader) (*Index, error) {
 	case h.idBound > math.MaxInt32:
 		return nil, fmt.Errorf("gkmeans: id bound %d overflows int32", h.idBound)
 	}
-	data, err := readRows(r, h.dtype)
+	data, err := vec.ReadRows(r, h.dtype == DTypeUint8)
 	if err != nil {
 		return nil, err
 	}
 	if h.idBound < 0 {
-		h.idBound = int64(data.n)
+		h.idBound = int64(data.N)
 	}
-	if h.idBound < int64(data.n) {
-		return nil, fmt.Errorf("gkmeans: id bound %d below row count %d", h.idBound, data.n)
+	if h.idBound < int64(data.N) {
+		return nil, fmt.Errorf("gkmeans: id bound %d below row count %d", h.idBound, data.N)
 	}
 	nextID := int32(h.idBound)
 	var table []segmentEntry
 	if h.table != nil {
-		table, r, err = h.table(r, h.segs, data.n)
+		table, r, err = h.table(r, h.segs, data.N)
 	} else {
 		table = make([]segmentEntry, h.segs)
 		err = binary.Read(r, binary.LittleEndian, table)
@@ -252,10 +254,10 @@ func readBody(r io.Reader, h gkxHeader) (*Index, error) {
 	for _, e := range table {
 		totalRows += int64(e.Rows)
 	}
-	if totalRows != int64(data.n) {
-		return nil, fmt.Errorf("gkmeans: segment table covers %d rows, dataset has %d (segment-count mismatch or corrupt table)", totalRows, data.n)
+	if totalRows != int64(data.N) {
+		return nil, fmt.Errorf("gkmeans: segment table covers %d rows, dataset has %d (segment-count mismatch or corrupt table)", totalRows, data.N)
 	}
-	x := &Index{data: data, segs: make([]seg, h.segs), probes: &probeStats{}, nextID: nextID,
+	x := &Index{segs: make([]seg, h.segs), probes: &probeStats{}, nextID: nextID,
 		cfg: config{entries: h.entries, dtype: h.dtype}}
 	row := 0
 	for s, e := range table {
@@ -275,7 +277,7 @@ func readBody(r io.Reader, h gkxHeader) (*Index, error) {
 		if lr.N != 0 {
 			return nil, fmt.Errorf("gkmeans: segment %d consumed %d bytes, table says %d", s, e.Size-uint64(lr.N), e.Size)
 		}
-		sc, err := newSegCore(data.view(row, row+rows), g, h.entries)
+		sc, err := newSegCore(data.View(row, row+rows), g, h.entries)
 		if err != nil {
 			return nil, fmt.Errorf("gkmeans: segment %d: %w", s, err)
 		}
@@ -313,7 +315,7 @@ func readBody(r io.Reader, h gkxHeader) (*Index, error) {
 		return nil, fmt.Errorf("gkmeans: monolithic v%d index with base %d", h.version, table[0].Base)
 	}
 	if routed {
-		if x.route, err = readRouting(r, data.dim, table); err != nil {
+		if x.route, err = readRouting(r, data.Dim, table); err != nil {
 			return nil, err
 		}
 		x.cfg.routing = x.route.K()
@@ -323,7 +325,7 @@ func readBody(r io.Reader, h gkxHeader) (*Index, error) {
 		if !monolithic || h.dtype != DTypeFloat32 || x.Deleted() > 0 {
 			return nil, fmt.Errorf("gkmeans: clustering flag on a sharded, uint8 or tombstoned index (flags %#x, %d deleted rows)", h.flags, x.Deleted())
 		}
-		if x.clusters, err = readClustering(r, data.f32, x.segs[0].graph); err != nil {
+		if x.clusters, err = readClustering(r, data.F32(), x.segs[0].graph); err != nil {
 			return nil, err
 		}
 	}

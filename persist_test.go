@@ -150,11 +150,11 @@ func gkxLayout(tb testing.TB, x *Index) ([]byte, gkxOffsets) {
 		tombs, ids := -1, -1
 		if sg.dead() > 0 {
 			tombs = off
-			off += 8 * ((sg.rows.n + 63) / 64)
+			off += 8 * ((sg.rows.N + 63) / 64)
 		}
 		if sg.ids != nil {
 			ids = off
-			off += 4 * sg.rows.n
+			off += 4 * sg.rows.N
 		}
 		o.tombs, o.ids = append(o.tombs, tombs), append(o.ids, ids)
 	}

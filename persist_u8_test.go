@@ -105,7 +105,7 @@ func TestU8MonoRoundTrip(t *testing.T) {
 	if loaded.DataU8() == nil || loaded.Data() != nil {
 		t.Fatal("loaded uint8 index carries the wrong dataset kind")
 	}
-	if !loaded.DataU8().Equal(idx.DataU8()) {
+	if !loaded.DataU8().Widen().Equal(idx.DataU8().Widen()) {
 		t.Fatal("loaded byte dataset differs")
 	}
 	assertSearchEqual(t, idx, loaded, u8Queries(10))

@@ -24,9 +24,9 @@ import (
 // shards make every shard equally close to every query, so skipping any of
 // them just discards recall. A routed build therefore first groups similar
 // rows into the same shard with a two-level clustering pass (see
-// routePartition), reorders the parent matrix so each group is one
-// contiguous shard, and keeps per-shard id maps so external ids still name
-// the original input rows (the same machinery a compacted shard uses).
+// routePartition), gathers each group's rows into its own shard, and keeps
+// per-shard id maps so external ids still name the original input rows
+// (the same machinery a compacted shard uses).
 
 // saltRouting tags the splitmix streams that seed the routing layer —
 // the coarse partition and every shard's centroid build — away from the
@@ -274,36 +274,32 @@ func assignBalanced(shardOf []int, micro *kmeans.Result, anchors *Matrix, nRows,
 
 // routedLayout is the WithRouting half of build's segment layout:
 // coarse-partition the rows into nShards spatially coherent groups and
-// return a reordered copy of the dataset in which each group is one
-// contiguous run, with each group's original row indices as its id map —
-// so result id i always names row i of the matrix the caller passed to
-// Build. The partition k-means runs over a transient widened copy of a
-// byte dataset; the reordered parent keeps the caller's element type.
-func routedLayout(data rowStore, cfg config, nShards int) (rowStore, [][]int32, error) {
-	groups, err := routePartition(data.widen(), cfg, nShards)
+// return each group's rows, gathered into a store of their own, with the
+// group's original row indices as its id map — so result id i always names
+// row i of the matrix the caller passed to Build. The partition k-means
+// runs over a transient widened copy of a byte dataset; the gathered rows
+// keep the caller's element type.
+func routedLayout(data vec.Rows, cfg config, nShards int) ([]vec.Rows, [][]int32, error) {
+	groups, err := routePartition(data.Widen(), cfg, nShards)
 	if err != nil {
-		return rowStore{}, nil, err
+		return nil, nil, err
 	}
-	parent := data.allocLike(data.n)
-	idmaps := make([][]int32, nShards)
-	row := 0
+	parts, idmaps := make([]vec.Rows, nShards), make([][]int32, nShards)
 	for s, g := range groups {
-		ids := make([]int32, len(g))
+		parts[s] = data.Subset(g)
+		idmaps[s] = make([]int32, len(g))
 		for i, src := range g {
-			parent.copyRows(row, data, src, src+1)
-			ids[i] = checked.Int32(src)
-			row++
+			idmaps[s][i] = checked.Int32(src)
 		}
-		idmaps[s] = ids
 	}
-	return parent, idmaps, nil
+	return parts, idmaps, nil
 }
 
 // routingCentroids computes the cfg.routing routing centroids of one
 // segment's rows (widened transiently when they are bytes), seeded by the
 // segment's build generation and its slot in the segment list.
-func routingCentroids(rows rowStore, cfg config, gen uint64, slot int) (*Matrix, error) {
-	m, err := router.BuildShard(rows.widen(), cfg.routing, routingSeed(cfg.seed, gen, slot), cfg.workers)
+func routingCentroids(rows vec.Rows, cfg config, gen uint64, slot int) (*Matrix, error) {
+	m, err := router.BuildShard(rows.Widen(), cfg.routing, routingSeed(cfg.seed, gen, slot), cfg.workers)
 	if err != nil {
 		return nil, fmt.Errorf("gkmeans: routing centroids for segment %d: %w", slot, err)
 	}

@@ -15,7 +15,7 @@ import (
 // the build already established the only invariants anns checks.
 func (c *segCore) ensureSearcher() *anns.Searcher {
 	c.once.Do(func() {
-		s, err := c.rows.newSearcher(c.graph, c.entries)
+		s, err := anns.New(c.rows, c.graph, c.entries)
 		if err != nil {
 			// Unreachable by construction; keep the invariant loud.
 			panic("gkmeans: index searcher: " + err.Error())
@@ -40,13 +40,17 @@ func defaultEf(topK, ef int) int {
 	return ef
 }
 
-// checkQueryDim rejects a query whose dimensionality does not match the
-// indexed data. Search has no error return (a mismatch is a programming
-// error, like an out-of-range slice index), so the violation is a panic
-// with a message that names both sides.
-func (x *Index) checkQueryDim(dim int) {
-	if dim != x.data.dim {
-		panic(fmt.Sprintf("gkmeans: query dimensionality %d, index dimensionality %d", dim, x.data.dim))
+// checkQuery rejects a query of the wrong dimensionality, or one holding a
+// value CheckByteValues refuses. Search has no error return (either is a
+// programming error, like an out-of-range slice index), so it panics — here,
+// on the caller's goroutine, and never in a fan-out or batch worker, where a
+// panic would end the process.
+func (x *Index) checkQuery(q []float32) {
+	if len(q) != x.Dim() {
+		panic(fmt.Sprintf("gkmeans: query dimensionality %d, index dimensionality %d", len(q), x.Dim()))
+	}
+	if err := x.CheckByteValues(q); err != nil {
+		panic(err.Error())
 	}
 }
 
@@ -60,8 +64,9 @@ func (x *Index) checkQueryDim(dim int) {
 // current top-topK results and a further patience window of expansions has
 // not improved them either, so easy queries finish well below the ef
 // budget while hard ones use all of it. topK larger than the index returns
-// all indexed samples. q must have the index's dimensionality; a mismatch
-// panics. Safe to call from any goroutine.
+// all indexed samples. q must have the index's dimensionality, and on a
+// uint8 index exact byte values; anything else panics. Safe to call from
+// any goroutine.
 //
 // The query probes every segment (each bounded by the same topK and ef)
 // and the per-segment results merge into one global top-topK — unless the
@@ -85,7 +90,7 @@ func (x *Index) Search(q []float32, topK, ef int) []Neighbor {
 // past the segment count — or any value on an unrouted index — probes
 // everything, bit-identical to Search on an unrouted index.
 func (x *Index) SearchNProbe(q []float32, topK, ef, nprobe int) []Neighbor {
-	x.checkQueryDim(len(q))
+	x.checkQuery(q)
 	if topK <= 0 {
 		return nil
 	}
@@ -156,7 +161,7 @@ func (s *seg) search(q []float32, topK, ef int) []Neighbor {
 	if dead := s.dead(); dead == 0 {
 		res = s.ensureSearcher().Search(q, topK, ef)
 	} else {
-		k2 := min(topK+dead, s.rows.n)
+		k2 := min(topK+dead, s.rows.N)
 		all := s.ensureSearcher().Search(q, k2, max(ef, k2))
 		res = all[:0]
 		for _, nb := range all {
@@ -298,9 +303,9 @@ func (x *Index) SearchStats() SearchStats {
 // SearchBatch answers every query concurrently and returns one sorted
 // result list per query (an empty one each when topK <= 0). ef follows the
 // same defaulting as Search; the worker count comes from WithWorkers (<=0
-// selects GOMAXPROCS). Queries must have the index's dimensionality; a
-// mismatch panics. Safe to call from any goroutine, including concurrently
-// with Search.
+// selects GOMAXPROCS). Queries follow Search's contract, checked for every
+// query before any is searched. Safe to call from any goroutine, including
+// concurrently with Search.
 //
 // The workers parallelise across queries and each query scans its probed
 // segments in a query-determined order, so the merged results are
@@ -312,8 +317,8 @@ func (x *Index) SearchBatch(queries *Matrix, topK, ef int) [][]Neighbor {
 // SearchBatchNProbe is SearchBatch with an explicit per-call probe count
 // for routed indexes; nprobe follows the same resolution as SearchNProbe.
 func (x *Index) SearchBatchNProbe(queries *Matrix, topK, ef, nprobe int) [][]Neighbor {
-	if queries.N > 0 {
-		x.checkQueryDim(queries.Dim)
+	for qi := 0; qi < queries.N; qi++ {
+		x.checkQuery(queries.Row(qi))
 	}
 	out := make([][]Neighbor, queries.N)
 	if topK <= 0 {

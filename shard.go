@@ -40,8 +40,3 @@ func clampShards(requested, n int) int {
 func shardBounds(s, total, n int) (lo, hi int) {
 	return s * n / total, (s + 1) * n / total
 }
-
-// shardView returns rows [lo, hi) of m as a view aliasing m's storage.
-func shardView(m *Matrix, lo, hi int) *Matrix {
-	return &Matrix{Data: m.Data[lo*m.Dim : hi*m.Dim : hi*m.Dim], N: hi - lo, Dim: m.Dim}
-}

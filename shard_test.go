@@ -67,10 +67,10 @@ func TestShardedBuildShape(t *testing.T) {
 	}
 	rows := 0
 	for s, shard := range idx.segs {
-		if &shard.rows.f32.Data[0] != &data.Data[rows*data.Dim] {
+		if &shard.rows.F32().Data[0] != &data.Data[rows*data.Dim] {
 			t.Fatalf("shard %d dataset is a copy, want a view at row %d", s, rows)
 		}
-		rows += shard.rows.n
+		rows += shard.rows.N
 	}
 	if rows != data.N {
 		t.Fatalf("shards cover %d rows, want %d", rows, data.N)

@@ -231,6 +231,36 @@ func TestU8RejectsNonByteValues(t *testing.T) {
 	idx.Search(bad, 3, 16)
 }
 
+// A non-byte query panics on the caller's goroutine, where it can be
+// recovered, whichever entry point takes it. Raised in a batch worker or a
+// fan-out goroutine instead, the same panic would end the process.
+func TestU8NonByteQueryPanicsOnCaller(t *testing.T) {
+	idx, err := Build(context.Background(), dataset.SIFTLike(120, 61), WithDType(DTypeUint8),
+		WithShards(2), WithWorkers(2), WithKappa(5), WithXi(15), WithTau(3), WithSeed(61))
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := dataset.SIFTLike(8, 62)
+	queries.Set(5, 3, 0.5)
+	for _, c := range []struct {
+		name string
+		call func()
+	}{
+		{"SearchBatch", func() { idx.SearchBatch(queries, 3, 16) }},
+		{"SearchBatchNProbe", func() { idx.SearchBatchNProbe(queries, 3, 16, 1) }},
+		{"Search over two segments", func() { idx.Search(queries.Row(5), 3, 16) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted a non-byte query", c.name)
+				}
+			}()
+			c.call()
+		}()
+	}
+}
+
 // Append with non-byte vectors on a uint8 index must error cleanly.
 func TestU8AppendRejectsNonByteVectors(t *testing.T) {
 	data := dataset.SIFTLike(80, 59)
