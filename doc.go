@@ -186,7 +186,14 @@
 // WithWorkers bounds the goroutines used by the whole build pipeline —
 // random graph initialisation, NN-Descent local joins, the per-round
 // in-cluster refinement of the intertwined process, and the exact
-// ground-truth scans behind ExactNeighbors — as well as SearchBatch.
+// ground-truth scans behind ExactNeighbors — as well as SearchBatch. The
+// intertwined process grows each round's 2M tree, which reads no graph,
+// ahead of the round on whichever of those workers the current round
+// leaves idle, so the tree leaves the critical path without a build ever
+// keeping more than WithWorkers goroutines busy. Each tree in flight holds
+// its own gathered copy of the rows (n·d·4 bytes plus about 50 bytes of
+// per-row state on 64-bit), so peak build memory holds up to
+// min(workers, τ) of them.
 // Builds are worker-count deterministic: every random draw comes from a
 // per-node stream derived from (seed, round, node) and cross-node updates
 // merge in a fixed order, so the same WithSeed yields the bit-identical

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"gkmeans/internal/splitmix"
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -30,7 +31,7 @@ type GraphConfig struct {
 	Xi      int // target cluster size for the refinement clusters (ξ); <=0 selects 50
 	Tau     int // construction rounds (τ); <=0 selects 10 (nndescent: its own 30-round cap)
 	Seed    int64
-	Workers int // parallel workers for init, refinement and NN-Descent joins; <=0 selects GOMAXPROCS
+	Workers int // most goroutines a build keeps busy (round trees, init, refinement, NN-Descent joins); <=0 selects GOMAXPROCS
 
 	// Builder selects the construction algorithm: BuilderGKMeans (also the
 	// "" default) or BuilderNNDescent. Both honour Seed, Kappa, Tau and
@@ -46,8 +47,9 @@ type GraphConfig struct {
 	OnRound func(t int, g *knngraph.Graph, labels []int)
 
 	// Interrupt, when non-nil, is polled before every construction round;
-	// a non-nil return aborts the build with that error. Context
-	// cancellation is plumbed through this hook.
+	// a non-nil return aborts the build with that error, once the 2M trees
+	// already growing ahead have finished. Context cancellation is plumbed
+	// through this hook.
 	Interrupt func() error
 }
 
@@ -63,11 +65,16 @@ type GraphStats struct {
 	// builder's per-round clustering passes (2M tree and graph-supported
 	// epoch) are not counted here; TreeTime and EpochTime time them.
 	DistComps int64
-	// Where the gkmeans builder's rounds spent their wall time, summed over
-	// rounds: the 2M-tree initialisation, the graph-supported GK-means
-	// epoch, and in-cluster refinement. OnRound is excluded; the random
-	// initial graph is the remainder. Zero for nndescent.
+	// Where the gkmeans builder's round loop spent its wall time, summed
+	// over rounds: waiting for the round's 2M tree, the graph-supported
+	// GK-means epoch, and in-cluster refinement. With more than one worker
+	// the trees grow ahead on idle lanes, so TreeTime is the tree's share of
+	// the critical path, not its CPU time; on one worker the two are equal.
+	// OnRound is excluded; the random initial graph is the remainder. Zero
+	// for nndescent.
 	TreeTime, EpochTime, RefineTime time.Duration
+
+	peakLanes int // most lanes busy at once in a gkmeans build; never above Workers
 }
 
 // BuildGraph constructs an approximate k-NN graph by the paper's
@@ -96,8 +103,8 @@ func BuildGraphWithStats(data *vec.Matrix, cfg GraphConfig) (*knngraph.Graph, Gr
 }
 
 // buildIntertwined is Alg. 3, the paper's standard configuration.
-func buildIntertwined(data *vec.Matrix, cfg GraphConfig) (*knngraph.Graph, GraphStats, error) {
-	stats := GraphStats{Builder: BuilderGKMeans}
+func buildIntertwined(data *vec.Matrix, cfg GraphConfig) (_ *knngraph.Graph, stats GraphStats, _ error) {
+	stats.Builder = BuilderGKMeans
 	n := data.N
 	if n < 2 {
 		return nil, stats, fmt.Errorf("core: BuildGraph needs at least 2 samples, got %d", n)
@@ -122,30 +129,54 @@ func buildIntertwined(data *vec.Matrix, cfg GraphConfig) (*knngraph.Graph, Graph
 		k0 = 1
 	}
 
-	// Alg. 3 line 4: random initial graph, built across the worker pool.
-	g, initComps := knngraph.RandomN(data, kappa, cfg.Seed, cfg.Workers)
-	stats.DistComps = initComps
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+
 	// Per-round clustering seeds come from a stream salted away from the
 	// initial-graph streams derived from the same cfg.Seed inside RandomN.
+	// The seed varies per round so the 2M tree produces a fresh partition
+	// each time; diversity across rounds is what lets the union of
+	// in-cluster comparisons cover true neighbourhoods. The trees read no
+	// graph, so they grow ahead of the rounds on idle lanes.
 	rng := splitmix.New(cfg.Seed, saltRounds)
+	seeds := make([]int64, tau)
+	for t := range seeds {
+		seeds[t] = rng.Int63()
+	}
+	trees := newRoundTrees(data, k0, seeds, workers)
+	defer func() {
+		trees.stop()
+		stats.peakLanes = trees.peak
+	}()
+
+	// Alg. 3 line 4: random initial graph.
+	var g *knngraph.Graph
+	trees.wide(func(w int) { g, stats.DistComps = knngraph.RandomN(data, kappa, cfg.Seed, w) })
 	for t := 0; t < tau; t++ {
 		if cfg.Interrupt != nil {
 			if err := cfg.Interrupt(); err != nil {
 				return nil, stats, err
 			}
 		}
+		waitStart := time.Now()
+		labels, err := trees.wait(t)
+		stats.TreeTime += time.Since(waitStart)
+		if err != nil {
+			return nil, stats, fmt.Errorf("core: BuildGraph round %d: 2M tree: %w", t+1, err)
+		}
 		// Line 7: one GK-means pass (the inner iteration count is fixed to
-		// 1, §4.5). The seed varies per round so the 2M tree produces a
-		// fresh partition each time; diversity across rounds is what lets
-		// the union of in-cluster comparisons cover true neighbourhoods.
-		res, err := Cluster(data, g, Config{K: k0, MaxIter: 1, Seed: rng.Int63()})
+		// 1, §4.5) from the round's tree.
+		trees.add(1)
+		res, err := Cluster(data, g, Config{K: k0, MaxIter: 1, Seed: seeds[t], InitLabels: labels})
+		trees.add(-1)
 		if err != nil {
 			return nil, stats, fmt.Errorf("core: BuildGraph round %d: %w", t+1, err)
 		}
-		stats.TreeTime += res.InitTime
 		stats.EpochTime += res.IterTime
 		refineStart := time.Now()
-		stats.DistComps += refine(data, g, res.Labels, k0, cfg.Workers)
+		trees.wide(func(w int) { stats.DistComps += refine(data, g, res.Labels, k0, w) })
 		stats.RefineTime += time.Since(refineStart)
 		stats.Rounds = t + 1
 		if cfg.OnRound != nil {

@@ -12,8 +12,9 @@
 // visit, and two distances for the equal-size cut — 11 at the default 8
 // epochs, on each of the ≈log₂k levels a sample passes through. That is
 // O(d·n·log k), but not small: at n=2500, k=50, κ=20 a tree is ≈12 ms
-// against ≈2 ms for a graph-supported GK-means epoch, so BuildGraph's
-// rounds, which grow a fresh tree each, are still dominated by it.
+// against ≈2 ms for a graph-supported GK-means epoch. BuildGraph grows a
+// fresh tree every round; with more than one worker it grows them ahead
+// of the rounds on idle lanes, but on one worker they still dominate it.
 package twomeans
 
 import (

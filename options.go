@@ -56,11 +56,13 @@ func WithTau(tau int) Option { return func(c *config) { c.tau = tau } }
 func WithSeed(seed int64) Option { return func(c *config) { c.seed = seed } }
 
 // WithWorkers bounds parallelism across the whole build-and-serve
-// pipeline: random graph initialisation, NN-Descent local joins,
-// in-cluster refinement and batch search all run on at most this many
-// goroutines; <=0 uses GOMAXPROCS. The built graph is bit-identical for
-// every worker count — randomness is derived per node, never per worker —
-// so changing WithWorkers trades only wall-clock, never results.
+// pipeline: a graph build keeps at most this many goroutines busy between
+// random initialisation, NN-Descent local joins, in-cluster refinement and
+// the 2M trees that later rounds grow ahead on lanes the current round
+// leaves idle, and batch search runs on at most this many; <=0 uses
+// GOMAXPROCS. The built graph is bit-identical for every worker count —
+// randomness is derived per node or per round, never per worker — so
+// changing WithWorkers trades only wall-clock, never results.
 func WithWorkers(workers int) Option { return func(c *config) { c.workers = workers } }
 
 // Graph builder names for WithGraphBuilder, aliased from the core layer
