@@ -193,7 +193,9 @@
 // keeping more than WithWorkers goroutines busy. Each tree in flight holds
 // its own gathered copy of the rows (n·d·4 bytes plus about 50 bytes of
 // per-row state on 64-bit), so peak build memory holds up to
-// min(workers, τ) of them.
+// min(workers, τ) of them. The build also keeps every round's cluster
+// labels, τ·n·4 bytes by the last round, so that in-cluster refinement
+// never compares a pair that already shared a cluster in an earlier round.
 // Builds are worker-count deterministic: every random draw comes from a
 // per-node stream derived from (seed, round, node) and cross-node updates
 // merge in a fixed order, so the same WithSeed yields the bit-identical

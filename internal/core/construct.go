@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"gkmeans/internal/splitmix"
 	"runtime"
-	"sync/atomic"
 	"time"
 
 	"gkmeans/internal/knngraph"
 	"gkmeans/internal/nndescent"
-	"gkmeans/internal/parallel"
 	"gkmeans/internal/vec"
 )
 
@@ -59,11 +57,14 @@ type GraphConfig struct {
 type GraphStats struct {
 	Builder string // resolved builder name
 	Rounds  int    // construction rounds actually run
-	// DistComps counts the distance computations spent updating the graph:
+	// DistComps counts the distances actually computed to update the graph:
 	// random initialisation plus in-cluster refinement for the gkmeans
-	// builder, initialisation plus local joins for nndescent. The gkmeans
-	// builder's per-round clustering passes (2M tree and graph-supported
-	// epoch) are not counted here; TreeTime and EpochTime time them.
+	// builder, initialisation plus local joins for nndescent. Refinement
+	// computes a pair's distance at most once per build, however many
+	// rounds put the pair in one cluster, and not at all when either
+	// endpoint already stores it. The gkmeans builder's per-round clustering
+	// passes (2M tree and graph-supported epoch) are not counted here;
+	// TreeTime and EpochTime time them.
 	DistComps int64
 	// Where the gkmeans builder's round loop spent its wall time, summed
 	// over rounds: waiting for the round's 2M tree, the graph-supported
@@ -154,6 +155,10 @@ func buildIntertwined(data *vec.Matrix, cfg GraphConfig) (_ *knngraph.Graph, sta
 	// Alg. 3 line 4: random initial graph.
 	var g *knngraph.Graph
 	trees.wide(func(w int) { g, stats.DistComps = knngraph.RandomN(data, kappa, cfg.Seed, w) })
+	// Every round's labels, τ·n·4 B by the last round: refinement skips the
+	// pairs that already shared a cluster. The builder's own copy, so an
+	// OnRound hook that keeps or edits its labels cannot change it.
+	rounds := make([][]int32, 0, tau)
 	for t := 0; t < tau; t++ {
 		if cfg.Interrupt != nil {
 			if err := cfg.Interrupt(); err != nil {
@@ -176,7 +181,12 @@ func buildIntertwined(data *vec.Matrix, cfg GraphConfig) (_ *knngraph.Graph, sta
 		}
 		stats.EpochTime += res.IterTime
 		refineStart := time.Now()
-		trees.wide(func(w int) { stats.DistComps += refine(data, g, res.Labels, k0, w) })
+		cur := make([]int32, n)
+		for i, l := range res.Labels {
+			cur[i] = int32(l)
+		}
+		rounds = append(rounds, cur)
+		trees.wide(func(w int) { stats.DistComps += refine(data, g, rounds, k0, w) })
 		stats.RefineTime += time.Since(refineStart)
 		stats.Rounds = t + 1
 		if cfg.OnRound != nil {
@@ -214,56 +224,4 @@ func buildNNDescent(data *vec.Matrix, cfg GraphConfig) (*knngraph.Graph, GraphSt
 	stats.Rounds = ns.Rounds
 	stats.DistComps = ns.DistComps
 	return g, stats, nil
-}
-
-// refine performs Alg. 3 lines 8–14: exhaustive pairwise comparison within
-// each cluster, updating both endpoints' k-NN lists. Each sample belongs to
-// exactly one cluster, so refinement parallelises safely across clusters.
-// It returns the distances actually computed (lookups served from either
-// endpoint's list are free).
-func refine(data *vec.Matrix, g *knngraph.Graph, labels []int, k int, workers int) int64 {
-	var distComps atomic.Int64
-	clusters := make([][]int32, k)
-	for i, l := range labels {
-		clusters[l] = append(clusters[l], int32(i))
-	}
-	parallel.For(k, workers, func(lo, hi int) {
-		var comps int64
-		for c := lo; c < hi; c++ {
-			members := clusters[c]
-			for a := 0; a < len(members); a++ {
-				ia := members[a]
-				rowA := data.Row(int(ia))
-				for b := a + 1; b < len(members); b++ {
-					ib := members[b]
-					// The "visited" check (Alg. 3 line 10): never score an
-					// edge twice. If either endpoint already stores it,
-					// reuse that distance; only compute when the edge is
-					// entirely new.
-					d, inA := g.Lookup(int(ia), ib)
-					var inB bool
-					if !inA {
-						d, inB = g.Lookup(int(ib), ia)
-					} else {
-						inB = g.Contains(int(ib), ia)
-					}
-					if inA && inB {
-						continue
-					}
-					if !inA && !inB {
-						d = vec.L2Sqr(rowA, data.Row(int(ib)))
-						comps++
-					}
-					if !inA {
-						g.Insert(int(ia), ib, d)
-					}
-					if !inB {
-						g.Insert(int(ib), ia, d)
-					}
-				}
-			}
-		}
-		distComps.Add(comps)
-	})
-	return distComps.Load()
 }

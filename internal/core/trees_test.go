@@ -137,26 +137,35 @@ func checkNoGoroutineLeft(t *testing.T, base int) {
 	}
 }
 
-// BenchmarkBuildGraph is one intertwined build at the benchmark's offline
-// operating point (SIFTLike 2500, κ=20 ξ=50 τ=8) on GOMAXPROCS workers, so
-// -cpu 1,2 compares one lane with two. It reports where the round loop's
-// time went per build: waiting for its tree, the epoch, and refinement.
+// BenchmarkBuildGraph is one intertwined build at the benchmark's operating
+// point (SIFTLike, κ=20 ξ=50 τ=8) on GOMAXPROCS workers, so -cpu 1,2
+// compares one lane with two. n=2500 is the offline stage's build; n=256 is
+// the default memtable flush, the build a restart replays once per flush.
+// It reports where the round loop's time went per build — waiting for its
+// tree, the epoch, and refinement — and the distances the build computed.
 func BenchmarkBuildGraph(b *testing.B) {
-	data := dataset.SIFTLike(2500, 1)
-	cfg := GraphConfig{Kappa: 20, Xi: 50, Tau: 8, Seed: 1}
-	var tree, epoch, ref float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, st, err := BuildGraphWithStats(data, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tree += st.TreeTime.Seconds()
-		epoch += st.EpochTime.Seconds()
-		ref += st.RefineTime.Seconds()
+	for _, n := range []int{2500, 256} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			data := dataset.SIFTLike(n, 1)
+			cfg := GraphConfig{Kappa: 20, Xi: 50, Tau: 8, Seed: 1}
+			var tree, epoch, ref float64
+			var comps int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, st, err := BuildGraphWithStats(data, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				tree += st.TreeTime.Seconds()
+				epoch += st.EpochTime.Seconds()
+				ref += st.RefineTime.Seconds()
+				comps += st.DistComps
+			}
+			ms := 1e3 / float64(b.N)
+			b.ReportMetric(tree*ms, "tree-wait-ms/op")
+			b.ReportMetric(epoch*ms, "epoch-ms/op")
+			b.ReportMetric(ref*ms, "refine-ms/op")
+			b.ReportMetric(float64(comps)/float64(b.N), "dist-comps/op")
+		})
 	}
-	ms := 1e3 / float64(b.N)
-	b.ReportMetric(tree*ms, "tree-wait-ms/op")
-	b.ReportMetric(epoch*ms, "epoch-ms/op")
-	b.ReportMetric(ref*ms, "refine-ms/op")
 }

@@ -71,12 +71,6 @@ func (g *Graph) Insert(i int, id int32, dist float32) bool {
 			pos = j
 		}
 	}
-	// Entries after pos may still contain id; check before shifting.
-	for j := pos; j < len(list); j++ {
-		if list[j].ID == id {
-			return false
-		}
-	}
 	if len(list) < g.Kappa {
 		list = append(list, Neighbor{})
 	}
@@ -84,6 +78,32 @@ func (g *Graph) Insert(i int, id int32, dist float32) bool {
 	list[pos] = Neighbor{ID: id, Dist: dist}
 	g.Lists[i] = list
 	return true
+}
+
+// InsertAbsent is Insert for an id the caller knows is neither in node i's
+// list nor i itself, so it skips the duplicate scan. It lands where Insert
+// would and also reports the neighbour it pushed off a full list's tail, or
+// -1 when it evicted none (the list had room, or the offer was rejected).
+func (g *Graph) InsertAbsent(i int, id int32, dist float32) (inserted bool, evicted int32) {
+	list := g.Lists[i]
+	evicted = -1
+	if len(list) == g.Kappa {
+		if dist >= list[len(list)-1].Dist {
+			return false, -1
+		}
+		evicted = list[len(list)-1].ID
+	} else {
+		list = append(list, Neighbor{})
+	}
+	// Shift farther entries back from the tail; ties stay ahead of the new
+	// entry, as in Insert.
+	pos := len(list) - 1
+	for ; pos > 0 && dist < list[pos-1].Dist; pos-- {
+		list[pos] = list[pos-1]
+	}
+	list[pos] = Neighbor{ID: id, Dist: dist}
+	g.Lists[i] = list
+	return true, evicted
 }
 
 // Contains reports whether id is in node i's list.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -84,6 +85,46 @@ func TestInsertInvariantsQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestInsertAbsentMatchesInsert: offered ids that are absent, InsertAbsent
+// leaves every list exactly as Insert does — ties and equal-to-tail offers
+// included — and reports the tail a full list gave up.
+func TestInsertAbsentMatchesInsert(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		n := 2 + rng.Intn(40)
+		kappa := 1 + rng.Intn(8)
+		want, got := New(n, kappa), New(n, kappa)
+		for op := 0; op < 400; op++ {
+			i, id := rng.Intn(n), int32(rng.Intn(n))
+			if int(id) == i || got.Contains(i, id) {
+				continue
+			}
+			dist := float32(rng.Intn(6)) // few levels, so ties are common
+			list := got.Lists[i]
+			tail := int32(-1)
+			if len(list) == got.Kappa {
+				tail = list[len(list)-1].ID
+			}
+			ok, evicted := got.InsertAbsent(i, id, dist)
+			if wantOK := want.Insert(i, id, dist); ok != wantOK {
+				t.Fatalf("trial %d: InsertAbsent(%d, %d, %v) = %v, Insert = %v", trial, i, id, dist, ok, wantOK)
+			}
+			if !ok {
+				tail = -1
+			}
+			if evicted != tail {
+				t.Fatalf("trial %d: evicted %d, want %d", trial, evicted, tail)
+			}
+			if !slices.Equal(got.Lists[i], want.Lists[i]) {
+				t.Fatalf("trial %d node %d: %v, Insert made %v", trial, i, got.Lists[i], want.Lists[i])
+			}
+		}
+		if err := got.Validate(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
