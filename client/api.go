@@ -17,9 +17,9 @@ type Neighbor struct {
 // neighbours to return; Ef bounds the candidate pool and follows the
 // library defaulting (ef <= 0 selects max(4·topK, 32), ef < topK is raised
 // to topK). NProbe caps how many shards a routed index (gkmeans.WithRouting)
-// scans per query: 0 keeps the index's own default, values at or above the
-// shard count scan everything, and any positive value on an unrouted index
-// is rejected with 400 rather than silently ignored.
+// scans per query: 0 probes every shard, as do values at or above the shard
+// count, and any positive value on an unrouted index is rejected with 400
+// rather than silently ignored.
 type SearchRequest struct {
 	Query   []float32   `json:"query,omitempty"`
 	Queries [][]float32 `json:"queries,omitempty"`
@@ -140,9 +140,10 @@ type ListResponse struct {
 
 // IndexStats extends IndexInfo with serving counters
 // (GET /v1/indexes/{name}/stats). Queries counts every query answered
-// (single and batch rows); Batches counts SearchBatch executions on the hot
-// path, so Queries > Batches means the micro-batching coalescer merged
-// concurrent single-query requests.
+// (single queries, cache hits included, and batch rows); Batches counts
+// SearchBatch executions on the hot path, so Queries > Batches means the
+// micro-batching coalescer merged concurrent single-query requests. The
+// server's /metrics renders the same snapshot, one series per numeric field.
 type IndexStats struct {
 	IndexInfo
 	Path             string `json:"path,omitempty"`
@@ -152,6 +153,13 @@ type IndexStats struct {
 	BatchRequests    int64  `json:"batch_requests"`
 	ClusterRequests  int64  `json:"cluster_requests"`
 	CoalesceWindowNS int64  `json:"coalesce_window_ns"`
+
+	// Coalescer queueing: Queued counts the single queries that waited in a
+	// group for company, QueueWaitNS the total nanoseconds they waited before
+	// their batch started. A lone search never waits, so QueueWaitNS/Queued
+	// is the mean wait of the queries that did.
+	Queued      int64 `json:"queued"`
+	QueueWaitNS int64 `json:"queue_wait_ns"`
 
 	// Hot-path totals from the index itself: distance-kernel evaluations
 	// (the dominant per-query cost) and candidate expansions across every

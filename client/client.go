@@ -298,10 +298,9 @@ func (c *Client) Search(ctx context.Context, name string, q []float32, topK, ef 
 
 // SearchNProbe is Search with a per-query shard-probe cap for routed
 // indexes: only the nprobe shards whose routing centroids are closest to q
-// are scanned. nprobe 0 keeps the index's default (all shards unless the
-// server built it with gkmeans.WithNProbe); values at or above the shard
-// count are equivalent to Search. A positive nprobe against an unrouted
-// index is a 400 from the server.
+// are scanned. nprobe 0 probes every shard, and so do values at or above
+// the shard count: both are equivalent to Search. A positive nprobe against
+// an unrouted index is a 400 from the server.
 func (c *Client) SearchNProbe(ctx context.Context, name string, q []float32, topK, ef, nprobe int) ([]Neighbor, error) {
 	var out SearchResponse
 	req := SearchRequest{Query: q, TopK: topK, Ef: ef, NProbe: nprobe, TimeoutMS: timeoutMS(ctx)}

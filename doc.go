@@ -115,18 +115,17 @@
 //	idx, err := gkmeans.Build(ctx, data,
 //	        gkmeans.WithShards(4),
 //	        gkmeans.WithRouting(32),      // 32 routing centroids per shard
-//	        gkmeans.WithNProbe(2),        // default probe width, optional
 //	)
-//	nbs := idx.Search(q, 10, 64)              // probes the 2 nearest shards
-//	nbs  = idx.SearchNProbe(q, 10, 64, 1)     // per-call override
+//	nbs := idx.SearchNProbe(q, 10, 64, 2)     // probes the 2 nearest shards
 //	all := idx.SearchBatchNProbe(qs, 10, 64, 2)
+//	nbs  = idx.Search(q, 10, 64)              // probes all 4
 //
 // The trade is explicit: the benchmark's traced run reports the latency at
 // nprobe 1, 2 and all shards (gkmeans.search_np1_us, _np2_us, _npall_us)
 // and the recall given up at nprobe 2 (gkmeans.routing_recall_loss). An
-// nprobe of zero without a WithNProbe default, or at or past the shard
-// count, skips the router entirely and is bit-identical to the full
-// fan-out — results and work counters. SearchStats reports ShardsProbed
+// nprobe of zero or less, or at or past the shard count, skips the router
+// entirely and is bit-identical to the full fan-out — results and work
+// counters; so do Search and SearchBatch. SearchStats reports ShardsProbed
 // (segment searches executed, on every index) and RoutedQueries so the
 // probe behaviour is observable in production; Routed and RoutingCentroids
 // report the configuration. Append and Compact keep routing intact by

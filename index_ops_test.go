@@ -685,3 +685,43 @@ func TestSearchStatsCountSegmentSearches(t *testing.T) {
 		t.Fatalf("successor's query not visible on the predecessor: %+v", st)
 	}
 }
+
+// No counter of SearchStats falls along a mutation chain with no search in
+// flight: the segments Compact drops take their searchers' work totals out
+// of the index, and the shared counters keep them.
+func TestSearchStatsNeverFallAcrossMutations(t *testing.T) {
+	ctx := context.Background()
+	idx, queries := buildTestIndex(t, WithShards(2))
+	extra := dataset.SIFTLike(8, 91)
+	steps := []struct {
+		name string
+		op   func(*Index) (*Index, error)
+	}{
+		{"Append", func(x *Index) (*Index, error) { return x.Append(ctx, extra) }},
+		{"Delete", func(x *Index) (*Index, error) { return x.Delete(1, 2, 3, 700, 1001) }},
+		{"Compact(0)", func(x *Index) (*Index, error) { return x.Compact(ctx, 0) }},
+		{"Compact()", func(x *Index) (*Index, error) { return x.Compact(ctx) }},
+	}
+	atLeast := func(a, b SearchStats) bool {
+		return a.Queries >= b.Queries && a.DistanceComps >= b.DistanceComps &&
+			a.ExpandedCandidates >= b.ExpandedCandidates && a.ShardsProbed >= b.ShardsProbed &&
+			a.RoutedQueries >= b.RoutedQueries
+	}
+	for _, step := range steps {
+		for qi := 0; qi < queries.N; qi++ {
+			idx.Search(queries.Row(qi), 10, 64)
+		}
+		before := idx.SearchStats()
+		if before.DistanceComps == 0 || before.ExpandedCandidates == 0 {
+			t.Fatalf("before %s: searches counted no work: %+v", step.name, before)
+		}
+		next, err := step.op(idx)
+		if err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		if after := next.SearchStats(); !atLeast(after, before) {
+			t.Fatalf("%s lowered SearchStats:\nbefore %+v\nafter  %+v", step.name, before, after)
+		}
+		idx = next
+	}
+}

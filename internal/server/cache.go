@@ -196,26 +196,18 @@ func (c *queryCache) put(q []float32, topK, ef, nprobe int, epoch uint64, res []
 	}
 }
 
-// len reports the current entry count across shards (an O(shards) walk,
-// used by stats and metrics, not the hot path).
-func (c *queryCache) len() int {
+// counters snapshots hits/misses/evictions and the resident entry count
+// across shards (an O(shards) walk, for stats, not the hot path); all zero
+// for a disabled cache.
+func (c *queryCache) counters() (hits, misses, evictions int64, entries int) {
 	if c == nil {
-		return 0
+		return 0, 0, 0, 0
 	}
-	n := 0
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		n += sh.ll.Len()
+		entries += sh.ll.Len()
 		sh.mu.Unlock()
 	}
-	return n
-}
-
-// counters snapshots hits/misses/evictions (zeros for a disabled cache).
-func (c *queryCache) counters() (hits, misses, evictions int64) {
-	if c == nil {
-		return 0, 0, 0
-	}
-	return c.hits.Load(), c.misses.Load(), c.evictions.Load()
+	return c.hits.Load(), c.misses.Load(), c.evictions.Load(), entries
 }

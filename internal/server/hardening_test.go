@@ -55,10 +55,10 @@ func TestQueryCacheEpochSemantics(t *testing.T) {
 	if _, hit := c.get(q, 10, 32, 0, 4); hit {
 		t.Fatal("stale entry survived its cross-epoch lookup")
 	}
-	if c.len() != 0 {
-		t.Fatalf("cache holds %d entries, want 0", c.len())
+	hits, misses, _, entries := c.counters()
+	if entries != 0 {
+		t.Fatalf("cache holds %d entries, want 0", entries)
 	}
-	hits, misses, _ := c.counters()
 	if hits != 1 || misses != 4 {
 		t.Fatalf("counters: hits=%d misses=%d, want 1/4", hits, misses)
 	}
@@ -69,7 +69,7 @@ func TestQueryCacheEpochSemantics(t *testing.T) {
 	if _, hit := disabled.get(q, 10, 32, 0, 4); hit {
 		t.Fatal("nil cache hit")
 	}
-	if disabled.len() != 0 {
+	if _, _, _, n := disabled.counters(); n != 0 {
 		t.Fatal("nil cache has entries")
 	}
 }
@@ -80,9 +80,9 @@ func TestQueryCacheEviction(t *testing.T) {
 	for i := 0; i < n; i++ {
 		c.put([]float32{float32(i)}, 10, 32, 0, 1, nil)
 	}
-	_, _, evictions := c.counters()
-	if c.len() > cacheShardCount {
-		t.Fatalf("cache holds %d entries, cap is %d", c.len(), cacheShardCount)
+	_, _, evictions, entries := c.counters()
+	if entries > cacheShardCount {
+		t.Fatalf("cache holds %d entries, cap is %d", entries, cacheShardCount)
 	}
 	if evictions == 0 {
 		t.Fatalf("no evictions after %d inserts into a %d-entry cache", n, cacheShardCount)

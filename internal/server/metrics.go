@@ -1,12 +1,15 @@
 package server
 
 import (
+	"maps"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"gkmeans/client"
 )
 
 // durationBuckets are the upper bounds (seconds) of the request-latency
@@ -182,28 +185,20 @@ func (p *promWriter) sample(name string, labels []string, value float64) {
 
 // serveMetrics renders the Prometheus text-format exposition at /metrics:
 // the per-endpoint request counters and latency histograms, the in-flight
-// and shed gauges, and the per-index serving, mutation and cache series.
-// Every exported series is documented in OPERATIONS.md.
+// and shed gauges, and the per-index serving, mutation and cache series —
+// the latter from one entry.stats snapshot per index per scrape. Every
+// exported series is documented in OPERATIONS.md.
 func (s *Server) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.met.mu.Lock()
-	names := make([]string, 0, len(s.met.endpoints))
-	for name := range s.met.endpoints {
-		names = append(names, name)
-	}
+	names := slices.Sorted(maps.Keys(s.met.endpoints))
 	s.met.mu.Unlock()
-	sort.Strings(names)
 
 	p := &promWriter{}
 
 	p.family("gkserved_requests_total", "Requests served, by endpoint and HTTP status code.", "counter")
 	for _, name := range names {
 		codes, _, _, _ := s.met.endpoint(name).histSnapshot()
-		cs := make([]int, 0, len(codes))
-		for c := range codes {
-			cs = append(cs, c)
-		}
-		sort.Ints(cs)
-		for _, c := range cs {
+		for _, c := range slices.Sorted(maps.Keys(codes)) {
 			p.sample("gkserved_requests_total",
 				[]string{"endpoint", name, "code", strconv.Itoa(c)}, float64(codes[c]))
 		}
@@ -232,77 +227,86 @@ func (s *Server) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	p.sample("gkserved_deadline_exceeded_total", nil, float64(s.deadlineExceeded.Load()))
 
 	entries := s.reg.list()
-	indexGauge := func(name, help string, val func(*entry) float64) {
-		p.family(name, help, "gauge")
-		for _, e := range entries {
-			p.sample(name, []string{"index", e.name}, val(e))
+	snaps := make([]client.IndexStats, len(entries))
+	for i, e := range entries {
+		snaps[i] = e.stats()
+	}
+	for _, f := range indexFamilies {
+		p.family(f.name, f.help, f.typ)
+		for _, st := range snaps {
+			labels := []string{"index", st.Name}
+			if f.count == nil {
+				p.sample(f.name, labels, f.value(st))
+				continue
+			}
+			p.sample(f.name+"_sum", labels, f.value(st))
+			p.sample(f.name+"_count", labels, f.count(st))
 		}
-	}
-	indexCounter := func(name, help string, val func(*entry) float64) {
-		p.family(name, help, "counter")
-		for _, e := range entries {
-			p.sample(name, []string{"index", e.name}, val(e))
-		}
-	}
-
-	indexGauge("gkserved_index_epoch", "Epoch of the served index snapshot (bumps on every published mutation).",
-		func(e *entry) float64 { return float64(e.epoch()) })
-	indexGauge("gkserved_index_live_rows", "Searchable (non-tombstoned) rows.",
-		func(e *entry) float64 { return float64(e.index().Live()) })
-	indexGauge("gkserved_index_deleted_rows", "Tombstoned rows awaiting compaction.",
-		func(e *entry) float64 { return float64(e.index().Deleted()) })
-	indexGauge("gkserved_index_pending_rows", "Inserted rows buffered ahead of their shard build.",
-		func(e *entry) float64 { return float64(e.pending.Load()) })
-	indexCounter("gkserved_queries_total", "Queries answered (single and batch rows).",
-		func(e *entry) float64 {
-			q, _, _ := e.coal.Stats()
-			return float64(q + e.batchQueries.Load())
-		})
-	indexCounter("gkserved_coalesced_batches_total", "Search executions on the micro-batching path (SearchBatch calls and solo searches).",
-		func(e *entry) float64 {
-			_, b, _ := e.coal.Stats()
-			return float64(b)
-		})
-	// A summary without quantiles: the mean wait is rate(_sum)/rate(_count).
-	p.family("gkserved_coalescer_queue_wait_seconds",
-		"Time single queries spent collecting company before their batch started.", "summary")
-	for _, e := range entries {
-		p.sample("gkserved_coalescer_queue_wait_seconds_sum", []string{"index", e.name},
-			time.Duration(e.coal.queueWait.Load()).Seconds())
-		p.sample("gkserved_coalescer_queue_wait_seconds_count", []string{"index", e.name},
-			float64(e.coal.queued.Load()))
-	}
-	indexCounter("gkserved_distance_comps_total", "Distance-kernel evaluations across all searches.",
-		func(e *entry) float64 { return float64(e.index().SearchStats().DistanceComps) })
-	indexCounter("gkserved_inserts_total", "Vectors accepted by /insert.",
-		func(e *entry) float64 { return float64(e.inserts.Load()) })
-	indexCounter("gkserved_deletes_total", "Ids accepted by /delete.",
-		func(e *entry) float64 { return float64(e.deletes.Load()) })
-	indexCounter("gkserved_flushes_total", "Memtable flushes (incremental shard builds).",
-		func(e *entry) float64 { return float64(e.flushes.Load()) })
-	indexCounter("gkserved_compactions_total", "Compaction rounds applied.",
-		func(e *entry) float64 { return float64(e.compactions.Load()) })
-
-	p.family("gkserved_cache_hits_total", "Query-cache hits.", "counter")
-	for _, e := range entries {
-		h, _, _ := e.cache.counters()
-		p.sample("gkserved_cache_hits_total", []string{"index", e.name}, float64(h))
-	}
-	p.family("gkserved_cache_misses_total", "Query-cache misses (including epoch invalidations).", "counter")
-	for _, e := range entries {
-		_, ms, _ := e.cache.counters()
-		p.sample("gkserved_cache_misses_total", []string{"index", e.name}, float64(ms))
-	}
-	p.family("gkserved_cache_evictions_total", "Query-cache LRU evictions.", "counter")
-	for _, e := range entries {
-		_, _, ev := e.cache.counters()
-		p.sample("gkserved_cache_evictions_total", []string{"index", e.name}, float64(ev))
-	}
-	p.family("gkserved_cache_entries", "Query-cache resident entries.", "gauge")
-	for _, e := range entries {
-		p.sample("gkserved_cache_entries", []string{"index", e.name}, float64(e.cache.len()))
 	}
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.Write(p.buf)
+}
+
+// indexFamilies declares every per-index family of /metrics. Each renders
+// the IndexStats snapshot /stats returns, one row per numeric field, so the
+// two expositions cannot disagree: the row names the series, the snapshot
+// decides its value. A summary's value is its _sum and count its _count;
+// every other family has one sample per index.
+var indexFamilies = []struct {
+	name, typ, help string
+	value, count    func(client.IndexStats) float64
+}{
+	{"gkserved_index_rows", "gauge", "Indexed rows, live and tombstoned.",
+		func(s client.IndexStats) float64 { return float64(s.N) }, nil},
+	{"gkserved_index_dim", "gauge", "Dimensionality of the indexed vectors.",
+		func(s client.IndexStats) float64 { return float64(s.Dim) }, nil},
+	{"gkserved_index_shards", "gauge", "Shards a full fan-out searches.",
+		func(s client.IndexStats) float64 { return float64(s.Shards) }, nil},
+	{"gkserved_index_epoch", "gauge", "Epoch of the served index snapshot (bumps on every published mutation).",
+		func(s client.IndexStats) float64 { return float64(s.Epoch) }, nil},
+	{"gkserved_index_live_rows", "gauge", "Searchable (non-tombstoned) rows.",
+		func(s client.IndexStats) float64 { return float64(s.Live) }, nil},
+	{"gkserved_index_deleted_rows", "gauge", "Tombstoned rows awaiting compaction.",
+		func(s client.IndexStats) float64 { return float64(s.Deleted) }, nil},
+	{"gkserved_index_pending_rows", "gauge", "Inserted rows buffered ahead of their shard build.",
+		func(s client.IndexStats) float64 { return float64(s.Pending) }, nil},
+	{"gkserved_queries_total", "counter", "Queries answered (single queries, cache hits included, and batch rows).",
+		func(s client.IndexStats) float64 { return float64(s.Queries) }, nil},
+	{"gkserved_coalesced_batches_total", "counter", "Search executions on the micro-batching path (SearchBatch calls and solo searches).",
+		func(s client.IndexStats) float64 { return float64(s.Batches) }, nil},
+	{"gkserved_coalescer_max_batch", "gauge", "Largest batch the coalescer has executed.",
+		func(s client.IndexStats) float64 { return float64(s.MaxBatch) }, nil},
+	{"gkserved_batch_requests_total", "counter", "Explicit batch searches (they bypass the coalescer).",
+		func(s client.IndexStats) float64 { return float64(s.BatchRequests) }, nil},
+	{"gkserved_cluster_requests_total", "counter", "Cluster requests admitted.",
+		func(s client.IndexStats) float64 { return float64(s.ClusterRequests) }, nil},
+	// A summary without quantiles: the mean wait is rate(_sum)/rate(_count).
+	{"gkserved_coalescer_queue_wait_seconds", "summary", "Time single queries spent collecting company before their batch started.",
+		func(s client.IndexStats) float64 { return time.Duration(s.QueueWaitNS).Seconds() },
+		func(s client.IndexStats) float64 { return float64(s.Queued) }},
+	{"gkserved_distance_comps_total", "counter", "Distance-kernel evaluations across all searches.",
+		func(s client.IndexStats) float64 { return float64(s.DistanceComps) }, nil},
+	{"gkserved_expanded_candidates_total", "counter", "Pool candidates expanded through their graph neighbours.",
+		func(s client.IndexStats) float64 { return float64(s.ExpandedCandidates) }, nil},
+	{"gkserved_shards_probed_total", "counter", "Shard searches executed (one per probed shard per query).",
+		func(s client.IndexStats) float64 { return float64(s.ShardsProbed) }, nil},
+	{"gkserved_routed_queries_total", "counter", "Queries whose nprobe skipped at least one shard.",
+		func(s client.IndexStats) float64 { return float64(s.RoutedQueries) }, nil},
+	{"gkserved_inserts_total", "counter", "Vectors accepted by /insert.",
+		func(s client.IndexStats) float64 { return float64(s.Inserts) }, nil},
+	{"gkserved_deletes_total", "counter", "Ids accepted by /delete.",
+		func(s client.IndexStats) float64 { return float64(s.Deletes) }, nil},
+	{"gkserved_flushes_total", "counter", "Memtable flushes (incremental shard builds).",
+		func(s client.IndexStats) float64 { return float64(s.Flushes) }, nil},
+	{"gkserved_compactions_total", "counter", "Compaction rounds applied.",
+		func(s client.IndexStats) float64 { return float64(s.Compactions) }, nil},
+	{"gkserved_cache_hits_total", "counter", "Query-cache hits.",
+		func(s client.IndexStats) float64 { return float64(s.CacheHits) }, nil},
+	{"gkserved_cache_misses_total", "counter", "Query-cache misses (including epoch invalidations).",
+		func(s client.IndexStats) float64 { return float64(s.CacheMisses) }, nil},
+	{"gkserved_cache_evictions_total", "counter", "Query-cache LRU evictions.",
+		func(s client.IndexStats) float64 { return float64(s.CacheEvictions) }, nil},
+	{"gkserved_cache_entries", "gauge", "Query-cache resident entries.",
+		func(s client.IndexStats) float64 { return float64(s.CacheEntries) }, nil},
 }

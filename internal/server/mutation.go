@@ -3,11 +3,12 @@ package server
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"time"
 
 	"gkmeans"
@@ -125,7 +126,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, client.InsertResponse{
 		FirstID: firstID,
 		Count:   len(req.Vectors),
-		Epoch:   e.epoch(),
+		Epoch:   e.cur.Epoch(),
 		Flushed: flushed,
 		Pending: e.mem.Rows(),
 	})
@@ -200,7 +201,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	e.deletes.Add(int64(len(req.IDs)))
 	writeJSON(w, client.DeleteResponse{
 		Deleted: len(req.IDs),
-		Epoch:   e.epoch(),
+		Epoch:   e.cur.Epoch(),
 	})
 }
 
@@ -220,12 +221,7 @@ func (e *entry) flushLocked(ctx context.Context) error {
 		return err
 	}
 	if len(e.memDel) > 0 {
-		ids := make([]int32, 0, len(e.memDel))
-		for id := range e.memDel {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		if newIdx, err = newIdx.Delete(ids...); err != nil {
+		if newIdx, err = newIdx.Delete(e.memDelIDs()...); err != nil {
 			return err
 		}
 	}
@@ -236,6 +232,10 @@ func (e *entry) flushLocked(ctx context.Context) error {
 	e.flushes.Add(1)
 	return nil
 }
+
+// memDelIDs returns the buffered deletes in ascending id order, the order a
+// flush applies them and a WAL rewrite logs them. Caller holds e.mu.
+func (e *entry) memDelIDs() []int32 { return slices.Sorted(maps.Keys(e.memDel)) }
 
 // replayWAL re-applies every surviving log record to the entry's index and
 // memtable, reproducing exactly the in-memory state the server had when
@@ -368,7 +368,7 @@ func (s *Server) compactEntry(e *entry) (bool, error) {
 	e.cur.Swap(newIdx)
 	e.compactions.Add(1)
 	s.logf("index %q: compacted shards %v (%d live rows, epoch %d)",
-		e.name, plan, newIdx.Live(), e.epoch())
+		e.name, plan, newIdx.Live(), e.cur.Epoch())
 	if e.wal == nil {
 		return true, nil
 	}
@@ -406,12 +406,7 @@ func (s *Server) checkpointLocked(e *entry, idx *gkmeans.Index) error {
 		}
 	}
 	if len(e.memDel) > 0 {
-		ids := make([]int32, 0, len(e.memDel))
-		for id := range e.memDel {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		payload, err := wal.EncodeDelete(ids)
+		payload, err := wal.EncodeDelete(e.memDelIDs())
 		if err == nil {
 			err = nw.Append(payload)
 		}

@@ -51,6 +51,7 @@ type entry struct {
 	memDel    map[int32]bool
 	threshold int
 
+	durable bool         // wal != nil, fixed at registration, readable without mu
 	pending atomic.Int64 // mem.Rows(), readable without mu
 
 	batchRequests   atomic.Int64 // explicit batch searches (bypass the coalescer)
@@ -85,16 +86,12 @@ func (e *entry) index() *gkmeans.Index {
 	return idx
 }
 
-// epoch returns the current swap epoch (1 after registration, +1 per
-// flush, delete or compaction that published a new index).
-func (e *entry) epoch() uint64 {
-	_, ep := e.cur.Load()
-	return ep
-}
-
 // info snapshots the entry for the list endpoint.
-func (e *entry) info() client.IndexInfo {
-	idx := e.index()
+func (e *entry) info() client.IndexInfo { return e.infoAt(e.cur.Load()) }
+
+// infoAt describes the entry at one loaded (index, epoch) pair, so every
+// field of a reply comes from the same snapshot.
+func (e *entry) infoAt(idx *gkmeans.Index, epoch uint64) client.IndexInfo {
 	return client.IndexInfo{
 		Name:        e.name,
 		N:           idx.N(),
@@ -103,29 +100,35 @@ func (e *entry) info() client.IndexInfo {
 		Shards:      idx.Shards(),
 		HasClusters: idx.Clusters() != nil,
 		Routed:      idx.Routed(),
-		Epoch:       e.epoch(),
+		Epoch:       epoch,
 		Live:        idx.Live(),
 		Deleted:     idx.Deleted(),
 		Pending:     int(e.pending.Load()),
 	}
 }
 
-// stats snapshots the entry's serving counters, including the index's own
-// hot-path totals so operators can see the per-query search work (distance
-// computations, candidate expansions) the early-termination rule bounds.
-func (e *entry) stats(window time.Duration) client.IndexStats {
+// stats is the one reader of an entry's serving state: one load of the
+// versioned cell for the index and its epoch, then the coalescer, the cache
+// and the entry's own counters. It includes the index's hot-path totals, the
+// per-query search work (distance computations, candidate expansions) the
+// early-termination rule bounds. /stats returns the snapshot and /metrics
+// renders it (see indexFamilies).
+func (e *entry) stats() client.IndexStats {
+	idx, epoch := e.cur.Load()
 	queries, batches, maxBatch := e.coal.Stats()
-	hot := e.index().SearchStats()
-	hits, misses, evictions := e.cache.counters()
+	hot := idx.SearchStats()
+	hits, misses, evictions, entries := e.cache.counters()
 	return client.IndexStats{
-		IndexInfo:          e.info(),
+		IndexInfo:          e.infoAt(idx, epoch),
 		Path:               e.path,
 		Queries:            queries + e.batchQueries.Load() + hits,
 		Batches:            batches,
 		MaxBatch:           maxBatch,
 		BatchRequests:      e.batchRequests.Load(),
 		ClusterRequests:    e.clusterRequests.Load(),
-		CoalesceWindowNS:   int64(window),
+		CoalesceWindowNS:   int64(e.coal.window),
+		Queued:             e.coal.queued.Load(),
+		QueueWaitNS:        e.coal.queueWait.Load(),
 		DistanceComps:      hot.DistanceComps,
 		ExpandedCandidates: hot.ExpandedCandidates,
 		ShardsProbed:       hot.ShardsProbed,
@@ -134,11 +137,11 @@ func (e *entry) stats(window time.Duration) client.IndexStats {
 		Deletes:            e.deletes.Load(),
 		Flushes:            e.flushes.Load(),
 		Compactions:        e.compactions.Load(),
-		Durable:            e.wal != nil,
+		Durable:            e.durable,
 		CacheHits:          hits,
 		CacheMisses:        misses,
 		CacheEvictions:     evictions,
-		CacheEntries:       e.cache.len(),
+		CacheEntries:       entries,
 	}
 }
 

@@ -190,8 +190,8 @@ func (s *Server) registerIndex(name, path string, idx *gkmeans.Index) error {
 		return fmt.Errorf("invalid index name %q", name)
 	}
 	e := newEntry(name, path, idx, s.cfg.Window, s.cfg.MaxBatch, s.cfg.CacheSize)
-	e.threshold = s.cfg.MemtableThreshold
-	if s.cfg.DataDir != "" {
+	e.threshold, e.durable = s.cfg.MemtableThreshold, s.cfg.DataDir != ""
+	if e.durable {
 		if err := s.setupDurability(e); err != nil {
 			return fmt.Errorf("index %q: %w", name, err)
 		}
@@ -383,7 +383,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, e.stats(s.cfg.Window))
+	writeJSON(w, e.stats())
 }
 
 // searchContext derives the effective deadline for one search or cluster

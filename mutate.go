@@ -358,5 +358,11 @@ func (x *Index) Compact(ctx context.Context, targets ...int) (*Index, error) {
 			return nil, fmt.Errorf("gkmeans: reassembling shard router: %w", err)
 		}
 	}
+	// The targets leave the lineage here; their search work stays counted.
+	for s := 0; s < n; s++ {
+		if inTarget[s] {
+			x.probes.retire(&x.segs[s])
+		}
+	}
 	return &y, nil
 }

@@ -20,7 +20,6 @@ type config struct {
 	builder string
 	shards  int
 	routing int   // routing centroids per shard; 0 = no router
-	nprobe  int   // default shards probed per query; <=0 = all
 	dtype   DType // dataset element type; zero value = float32
 
 	maxIter     int
@@ -112,8 +111,8 @@ func WithShards(n int) Option { return func(c *config) { c.shards = n } }
 // seeded, worker-count-deterministic machinery as everything else), held in
 // the index and persisted with it. A routed index can answer a query by
 // probing only the nprobe shards whose centroids are closest instead of
-// broadcasting to all of them — see WithNProbe and Index.SearchNProbe for
-// the recall-vs-work trade. Routing changes how Build partitions the data:
+// broadcasting to all of them — see Index.SearchNProbe for the
+// recall-vs-work trade. Routing changes how Build partitions the data:
 // instead of slicing rows in input order, a coarse k-means pass groups
 // similar rows into the same shard (external ids still name the original
 // input rows, via per-shard id maps), because routing contiguous slices of
@@ -124,20 +123,12 @@ func WithShards(n int) Option { return func(c *config) { c.shards = n } }
 // dataset is too small to actually split, the clamp to a monolithic index
 // drops the router too (a monolithic index has nothing to route).
 //
-// The default keeps current behaviour: without WithRouting (or with
-// nprobe resolving to the shard count) every shard is searched, and the
+// Routing only ever narrows a search on request: Search, SearchBatch and
+// an nprobe of 0 or at least the shard count search every shard, and the
 // results are bit-identical to the unrouted full fan-out.
 func WithRouting(centroidsPerShard int) Option {
 	return func(c *config) { c.routing = centroidsPerShard }
 }
-
-// WithNProbe sets the default number of shards a routed index probes per
-// query: the nprobe shards whose routing centroids are closest to the query
-// are searched and merged, the rest are skipped. n <= 0 or n >= the shard
-// count probes every shard (bit-identical to the unrouted fan-out).
-// Ignored without WithRouting. Per-call values (SearchNProbe,
-// SearchBatchNProbe) override this default.
-func WithNProbe(n int) Option { return func(c *config) { c.nprobe = n } }
 
 // WithMaxIter caps the clustering optimisation epochs. Default 50; a run
 // stops earlier at the first epoch with no accepted move.

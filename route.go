@@ -76,12 +76,26 @@ func partitionSeed(seed int64, level uint64) int64 {
 // probeStats counts the queries an index answered and the segment searches
 // they cost. Every index has one, and the pointer is shared across
 // copy-on-write mutations (Append/Delete/Compact successors), so serving
-// layers see monotone counters across index swaps.
+// layers see monotone counters across index swaps. It also keeps the work
+// totals of the segments Compact retired, which no successor holds.
 type probeStats struct {
 	queries    atomic.Uint64 // queries answered
 	probed     atomic.Uint64 // segment searches actually executed
 	routed     atomic.Uint64 // queries where routing skipped >= 1 segment
 	routeComps atomic.Uint64 // centroid distance computations spent ranking
+
+	retiredComps    atomic.Uint64 // distance computations of retired segments
+	retiredExpanded atomic.Uint64 // candidate expansions of retired segments
+}
+
+// retire folds the search work of a segment Compact is dropping into the
+// shared totals, so SearchStats never falls when the segment goes.
+func (p *probeStats) retire(s *seg) {
+	if sr := s.searcher.Load(); sr != nil {
+		_, d, e := sr.Totals()
+		p.retiredComps.Add(d)
+		p.retiredExpanded.Add(e)
+	}
 }
 
 // note records one query that searched np of total segments, spending
@@ -109,20 +123,14 @@ func (x *Index) RoutingCentroids() int {
 }
 
 // resolveNProbe resolves a per-call nprobe against the index: a positive
-// per-call value wins, then the WithNProbe default, and anything
-// non-positive, at or past the segment count, or on an unrouted index means
-// "probe every segment" — the path that stays bit-identical to the
-// unrouted full fan-out.
-func (x *Index) resolveNProbe(perQuery int) int {
-	n := len(x.segs)
-	np := perQuery
-	if np <= 0 {
-		np = x.cfg.nprobe
-	}
-	if x.route == nil || np <= 0 || np >= n {
+// value below the segment count on a routed index probes that many
+// segments; anything else means "probe every segment" — the path that stays
+// bit-identical to the unrouted full fan-out.
+func (x *Index) resolveNProbe(nprobe int) int {
+	if n := len(x.segs); x.route == nil || nprobe <= 0 || nprobe >= n {
 		return n
 	}
-	return np
+	return nprobe
 }
 
 // routePartition groups the rows of data into nShards spatially coherent,

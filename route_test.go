@@ -148,20 +148,46 @@ func TestRoutedRecallByNProbe(t *testing.T) {
 	}
 }
 
-func TestWithNProbeDefault(t *testing.T) {
-	idx, _, queries := buildRoutedIndex(t, WithNProbe(2))
-	ref, _, _ := buildRoutedIndex(t)
-	// The index default applies when the per-call value is 0 and loses to a
-	// positive per-call value.
-	a := idx.Search(queries.Row(0), 10, 64)
-	b := ref.SearchNProbe(queries.Row(0), 10, 64, 2)
-	for j := range a {
-		if a[j] != b[j] {
-			t.Fatalf("WithNProbe(2) default result %d: %v vs explicit %v", j, a[j], b[j])
+// The probe width comes from the call alone: a positive nprobe below the
+// shard count of a routed index probes that many shards, and every other
+// value — negative, zero, past the shard count, or any value on an unrouted
+// index — probes them all and answers exactly as Search does.
+func TestSearchNProbeResolution(t *testing.T) {
+	routed, _, queries := buildRoutedIndex(t)
+	unrouted, _ := buildTestIndex(t, WithShards(3))
+	q := queries.Row(0)
+	for _, c := range []struct {
+		name          string
+		idx           *Index
+		nprobe, probe int
+	}{
+		{"routed nprobe -1", routed, -1, 4},
+		{"routed nprobe 0", routed, 0, 4},
+		{"routed nprobe 3", routed, 3, 3},
+		{"routed nprobe 9", routed, 9, 4},
+		{"unrouted nprobe 1", unrouted, 1, 3},
+	} {
+		before := c.idx.SearchStats()
+		got := c.idx.SearchNProbe(q, 10, 64, c.nprobe)
+		st := c.idx.SearchStats()
+		if probed := st.ShardsProbed - before.ShardsProbed; probed != uint64(c.probe) {
+			t.Fatalf("%s: probed %d shards, want %d", c.name, probed, c.probe)
 		}
-	}
-	if st := idx.SearchStats(); st.RoutedQueries != 1 || st.ShardsProbed != 2 {
-		t.Fatalf("stats %+v, want 1 routed query probing 2 shards", st)
+		if routedQ := st.RoutedQueries - before.RoutedQueries; (routedQ == 1) != (c.probe < c.idx.Shards()) {
+			t.Fatalf("%s: %d routed queries for %d of %d shards", c.name, routedQ, c.probe, c.idx.Shards())
+		}
+		if c.probe < c.idx.Shards() {
+			continue
+		}
+		want := c.idx.Search(q, 10, 64)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d results, Search gives %d", c.name, len(got), len(want))
+		}
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("%s result %d: %v, Search gives %v", c.name, j, got[j], want[j])
+			}
+		}
 	}
 }
 

@@ -69,11 +69,10 @@ func (x *Index) checkQuery(q []float32) {
 // any goroutine.
 //
 // The query probes every segment (each bounded by the same topK and ef)
-// and the per-segment results merge into one global top-topK — unless the
-// index carries a router and a WithNProbe default, in which case only the
-// nprobe nearest segments are searched (see SearchNProbe). Several probed
-// segments are searched concurrently, one goroutine each; a single one —
-// every query of a one-segment index — is searched on the calling
+// and the per-segment results merge into one global top-topK; SearchNProbe
+// searches only the nprobe nearest segments of a routed index. Several
+// probed segments are searched concurrently, one goroutine each; a single
+// one — every query of a one-segment index — is searched on the calling
 // goroutine and needs no merge.
 func (x *Index) Search(q []float32, topK, ef int) []Neighbor {
 	return x.SearchNProbe(q, topK, ef, 0)
@@ -86,9 +85,9 @@ func (x *Index) Search(q []float32, topK, ef int) []Neighbor {
 // nprobe means proportionally fewer distance computations at some recall
 // cost — the work/recall knob of a routed index, next to ef.
 //
-// nprobe <= 0 falls back to the WithNProbe default, and an nprobe at or
-// past the segment count — or any value on an unrouted index — probes
-// everything, bit-identical to Search on an unrouted index.
+// nprobe <= 0, an nprobe at or past the segment count, and any value on an
+// unrouted index probe everything, bit-identical to Search on an unrouted
+// index.
 func (x *Index) SearchNProbe(q []float32, topK, ef, nprobe int) []Neighbor {
 	x.checkQuery(q)
 	if topK <= 0 {
@@ -280,15 +279,17 @@ type SearchStats struct {
 // and probe counters are shared with every copy-on-write successor and
 // predecessor of the index, so they stay monotone across swaps; the work
 // counters are summed over the segments the index holds now (a searcher is
-// built lazily and the accessor does not force it). Safe to call from any
-// goroutine.
+// built lazily and the accessor does not force it) plus the totals of the
+// segments Compact retired along the way, so they never fall when a
+// successor replaces its predecessor. Safe to call from any goroutine.
 func (x *Index) SearchStats() SearchStats {
 	p := x.probes
 	out := SearchStats{
-		Queries:       p.queries.Load(),
-		DistanceComps: p.routeComps.Load(),
-		ShardsProbed:  p.probed.Load(),
-		RoutedQueries: p.routed.Load(),
+		Queries:            p.queries.Load(),
+		DistanceComps:      p.routeComps.Load() + p.retiredComps.Load(),
+		ExpandedCandidates: p.retiredExpanded.Load(),
+		ShardsProbed:       p.probed.Load(),
+		RoutedQueries:      p.routed.Load(),
 	}
 	for i := range x.segs {
 		if s := x.segs[i].searcher.Load(); s != nil {
