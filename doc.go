@@ -106,8 +106,9 @@
 // by the shard count.
 //
 // WithRouting(k) removes that multiplier. A routed build partitions rows
-// into spatially coherent, size-balanced shards (a two-level k-means:
-// micro-cluster the data, then group whole micro-clusters; external ids
+// into spatially coherent, size-balanced shards (two levels: the 2M tree
+// of Alg. 1 plus one nearest-centre pass micro-clusters the data, then
+// whole micro-clusters are grouped onto k-means anchors; external ids
 // still name the caller's rows) and keeps k routing centroids per shard.
 // At search time the query is ranked against the centroids and only the
 // nprobe nearest shards are searched:

@@ -238,3 +238,36 @@ func TestTraceHistoryRecorded(t *testing.T) {
 		}
 	}
 }
+
+// InitLabels starts Lloyd from that labelling's means with no seeding: a
+// converged labelling is a fixed point (no moves, same centroids), the
+// caller's slice is left alone, and malformed labellings are refused.
+func TestLloydInitLabels(t *testing.T) {
+	data := dataset.SIFTLike(400, 4)
+	done, err := Lloyd(data, Config{K: 8, MaxIter: 100, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	init := append([]int(nil), done.Labels...)
+	res, err := Lloyd(data, Config{K: 8, MaxIter: 1, Seed: 9, Workers: 2, Trace: true, InitLabels: init})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Iters != 1 || res.History[0].Moves != 0 {
+		t.Fatalf("converged labels: %d iterations, %d moves; want 1 and 0", res.Iters, res.History[0].Moves)
+	}
+	assertSameResult(t, "from converged labels", done, res)
+	for i, l := range init {
+		if l != done.Labels[i] {
+			t.Fatal("InitLabels were mutated")
+		}
+	}
+	for name, bad := range map[string][]int{"short": init[:10], "negative": append([]int{-1}, init[1:]...), "past k": append([]int{8}, init[1:]...)} {
+		if _, err := Lloyd(data, Config{K: 8, InitLabels: bad}); err == nil {
+			t.Fatalf("%s init labels accepted", name)
+		}
+	}
+	if _, err := MiniBatch(data, MiniBatchConfig{Config: Config{K: 8, InitLabels: init}}); err == nil {
+		t.Fatal("MiniBatch accepted InitLabels")
+	}
+}

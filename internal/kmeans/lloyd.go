@@ -12,24 +12,31 @@ import (
 // Lloyd runs the classic batch k-means of the paper's "k-means" baseline:
 // assign every sample to its closest centroid, recompute centroids, repeat
 // until no assignment changes or MaxIter is reached. The assignment step is
-// the O(n·d·k) bottleneck the paper sets out to remove.
+// the O(n·d·k) bottleneck the paper sets out to remove. With
+// cfg.InitLabels the centroids start as that labelling's member means, and
+// the first iteration's moves count changes against it.
 func Lloyd(data *vec.Matrix, cfg Config) (*Result, error) {
 	if err := cfg.check(data.N); err != nil {
 		return nil, err
 	}
 	rng := splitmix.New(cfg.Seed)
 	start := time.Now()
-	var centroids *vec.Matrix
-	if cfg.PlusPlus {
-		centroids = PlusPlusSeed(data, cfg.K, &rng)
-	} else {
-		centroids = RandomSeed(data, cfg.K, &rng)
-	}
-	initTime := time.Since(start)
 	labels := make([]int, data.N)
 	for i := range labels {
 		labels[i] = -1
 	}
+	var centroids *vec.Matrix
+	switch {
+	case cfg.InitLabels != nil:
+		copy(labels, cfg.InitLabels)
+		centroids = vec.NewMatrix(cfg.K, data.Dim)
+		updateCentroids(data, labels, centroids, &rng)
+	case cfg.PlusPlus:
+		centroids = PlusPlusSeed(data, cfg.K, &rng)
+	default:
+		centroids = RandomSeed(data, cfg.K, &rng)
+	}
+	initTime := time.Since(start)
 	res := &Result{Labels: labels, Centroids: centroids, K: cfg.K, InitTime: initTime}
 	iterStart := time.Now()
 	for iter := 0; iter < cfg.maxIter(); iter++ {

@@ -25,6 +25,9 @@ func MiniBatch(data *vec.Matrix, cfg MiniBatchConfig) (*Result, error) {
 	if err := cfg.check(data.N); err != nil {
 		return nil, err
 	}
+	if cfg.InitLabels != nil {
+		return nil, fmt.Errorf("minibatch: InitLabels is a Lloyd option")
+	}
 	b := cfg.BatchSize
 	if b <= 0 {
 		b = 1024

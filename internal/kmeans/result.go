@@ -56,6 +56,11 @@ type Config struct {
 	Workers  int   // parallel workers; <=0 selects GOMAXPROCS
 	Trace    bool  // record History (costs one distortion pass per iteration)
 	PlusPlus bool  // k-means++ seeding instead of random distinct rows
+
+	// InitLabels, when non-nil, starts Lloyd from the member means of this
+	// labelling instead of seeding (as core.Config.InitLabels does for
+	// GK-means); copied, not mutated. Lloyd only: MiniBatch rejects it.
+	InitLabels []int
 }
 
 func (c *Config) maxIter() int {
@@ -71,6 +76,16 @@ func (c *Config) check(n int) error {
 	}
 	if c.K > n {
 		return fmt.Errorf("kmeans: k=%d exceeds n=%d", c.K, n)
+	}
+	if c.InitLabels != nil {
+		if len(c.InitLabels) != n {
+			return fmt.Errorf("kmeans: %d init labels for %d samples", len(c.InitLabels), n)
+		}
+		for i, l := range c.InitLabels {
+			if l < 0 || l >= c.K {
+				return fmt.Errorf("kmeans: init label %d of sample %d out of range [0,%d)", l, i, c.K)
+			}
+		}
 	}
 	return nil
 }

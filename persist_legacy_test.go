@@ -16,7 +16,9 @@ import (
 // code in this repository can write them any more: they were produced by the
 // writer of the last commit that chose among five layouts (dec0d17, "PR 23"),
 // from a clone of it, with this program (gkxState in persist_test.go rebuilds
-// the same five indexes in-process):
+// the same five indexes in-process; the two routed ones no longer come out
+// the same, because a routed build now partitions with the 2M tree instead
+// of k-means++ Lloyd):
 //
 //	ctx := context.Background()
 //	base := []gkmeans.Option{gkmeans.WithKappa(4), gkmeans.WithXi(10), gkmeans.WithTau(2), gkmeans.WithSeed(5)}
@@ -52,21 +54,80 @@ import (
 //	}
 //
 // (errors checked with log.Fatal in the original).
+//
+// An unrouted fixture must answer and re-save exactly like its rebuilt
+// state. A routed fixture is pinned to its own stored partition instead:
+// segs lists, per segment, the external id of every row and the ids
+// tombstoned there.
 var legacyFixtures = []struct {
 	name    string
 	version uint32
-	state   string // the gkxState built by the same operations
+	state   string // the gkxState built by the same operations; unrouted only
 
 	n, shards, deleted, clusters int
 	idBound                      int32
 	dtype                        DType
 	sharded, routed              bool
+	segs                         []legacySeg // routed only
 }{
-	{"v1-mono-clustered", indexVersionSingle, "clustered", 60, 1, 0, 3, 60, DTypeFloat32, false, false},
-	{"v2-sharded", indexVersionSharded, "sharded", 60, 2, 0, 0, 60, DTypeFloat32, true, false},
-	{"v3-mutated", indexVersionMutable, "mutated", 62, 2, 1, 0, 64, DTypeFloat32, true, false},
-	{"v4-routed", indexVersionRouted, "routed", 60, 2, 0, 0, 60, DTypeFloat32, true, true},
-	{"v5-u8-routed-mutated", indexVersionU8, "u8-routed-mutated", 63, 3, 2, 0, 64, DTypeUint8, true, true},
+	{"v1-mono-clustered", indexVersionSingle, "clustered", 60, 1, 0, 3, 60, DTypeFloat32, false, false, nil},
+	{"v2-sharded", indexVersionSharded, "sharded", 60, 2, 0, 0, 60, DTypeFloat32, true, false, nil},
+	{"v3-mutated", indexVersionMutable, "mutated", 62, 2, 1, 0, 64, DTypeFloat32, true, false, nil},
+	{"v4-routed", indexVersionRouted, "", 60, 2, 0, 0, 60, DTypeFloat32, true, true, []legacySeg{
+		{ids: []int32{0, 3, 4, 5, 6, 12, 13, 14, 15, 17, 21, 22, 23, 24, 25, 26, 29, 33, 35, 37, 38, 39, 44, 45, 46, 48, 49, 50, 52, 53, 55, 57, 59}},
+		{ids: []int32{1, 2, 7, 8, 9, 10, 11, 16, 18, 19, 20, 27, 28, 30, 31, 32, 34, 36, 40, 41, 42, 43, 47, 51, 54, 56, 58}},
+	}},
+	{"v5-u8-routed-mutated", indexVersionU8, "", 63, 3, 2, 0, 64, DTypeUint8, true, true, []legacySeg{
+		{ids: []int32{0, 3, 4, 6, 12, 13, 14, 15, 17, 21, 22, 23, 24, 25, 26, 29, 33, 35, 37, 38, 39, 44, 45, 46, 48, 49, 50, 52, 53, 55, 57, 59}},
+		{ids: []int32{1, 2, 7, 8, 9, 10, 11, 16, 18, 19, 20, 27, 28, 30, 31, 32, 34, 36, 40, 41, 42, 43, 47, 51, 54, 56, 58}, dead: []int32{1}},
+		{ids: []int32{60, 61, 62, 63}, dead: []int32{61}},
+	}},
+}
+
+// legacySeg is one stored segment of a routed fixture: the external id of
+// each row, in row order, and the tombstoned ids among them.
+type legacySeg struct {
+	ids, dead []int32
+}
+
+// assertStoredPartition checks x's segments against segs: the external id
+// of every row, the tombstones, and that every row holds the vector its id
+// names — row id of dataset.SIFTLike(60, 3) for a built row, the fixture
+// program's appended pattern for ids 60 and up.
+func assertStoredPartition(t *testing.T, x *Index, segs []legacySeg) {
+	t.Helper()
+	if len(x.segs) != len(segs) {
+		t.Fatalf("%d segments, want %d", len(x.segs), len(segs))
+	}
+	data := dataset.SIFTLike(60, 3)
+	for s, want := range segs {
+		sg := &x.segs[s]
+		rows := sg.rows.Widen()
+		if rows.N != len(want.ids) {
+			t.Fatalf("segment %d holds %d rows, want %d", s, rows.N, len(want.ids))
+		}
+		var dead []int32
+		for l, id := range want.ids {
+			if got := sg.id(l); got != id {
+				t.Fatalf("segment %d row %d has id %d, want %d", s, l, got, id)
+			}
+			if sg.tomb != nil && sg.tomb.Get(l) {
+				dead = append(dead, id)
+			}
+			for j, v := range rows.Row(l) {
+				w := float32((int(id-60)*rows.Dim + j) % 200)
+				if id < 60 {
+					w = data.Row(int(id))[j]
+				}
+				if v != w {
+					t.Fatalf("segment %d row %d (id %d) holds %v at dim %d, want %v", s, l, id, v, j, w)
+				}
+			}
+		}
+		if !reflect.DeepEqual(dead, want.dead) {
+			t.Fatalf("segment %d tombstones %v, want %v", s, dead, want.dead)
+		}
+	}
 }
 
 // gkxFixture returns a private copy of one golden file's bytes.
@@ -80,10 +141,12 @@ func gkxFixture(tb testing.TB, name string) []byte {
 }
 
 // Files written by every earlier release keep loading: each fixture comes
-// back in the state it was saved in, answers exactly like the same index
-// rebuilt from the same seed and operations, and is rewritten as v6 — the
-// very bytes the rebuilt index writes — which loads and answers the same
-// again. Deleting a fixture fails the test: versions 1–5 must all be here.
+// back in the state it was saved in and is rewritten as v6, which loads,
+// answers and re-saves byte for byte the same again. An unrouted fixture
+// also answers exactly like the same index rebuilt from the same seed and
+// operations, and re-saves as the very bytes that index writes; a routed
+// one holds the partition it was saved with. Deleting a fixture fails the
+// test: versions 1–5 must all be here.
 func TestLegacyFixtures(t *testing.T) {
 	entries, err := os.ReadDir(filepath.Join("testdata", "gkx"))
 	if err != nil {
@@ -124,25 +187,32 @@ func TestLegacyFixtures(t *testing.T) {
 					loaded.Sharded(), loaded.Routed(), f)
 			}
 
-			rebuilt := gkxState(t, f.state)
-			assertSameState(t, rebuilt, loaded)
-			assertSearchEqual(t, rebuilt, loaded, queries)
-			if f.routed {
-				for qi := 0; qi < queries.N; qi++ {
-					assertSameNeighbors(t, "nprobe 1", rebuilt.SearchNProbe(queries.Row(qi), 5, 40, 1),
-						loaded.SearchNProbe(queries.Row(qi), 5, 40, 1))
+			resaved := gkxBlob(t, loaded) // asserts version 6
+			if f.segs != nil {
+				assertStoredPartition(t, loaded, f.segs)
+			} else {
+				rebuilt := gkxState(t, f.state)
+				assertSameState(t, rebuilt, loaded)
+				assertSearchEqual(t, rebuilt, loaded, queries)
+				if !bytes.Equal(resaved, gkxBlob(t, rebuilt)) {
+					t.Fatal("the fixture re-saves to different bytes than the rebuilt index writes")
 				}
 			}
 
-			resaved := gkxBlob(t, loaded) // asserts version 6
-			if !bytes.Equal(resaved, gkxBlob(t, rebuilt)) {
-				t.Fatal("the fixture re-saves to different bytes than the rebuilt index writes")
-			}
 			again := roundTrip(t, resaved)
 			assertSameState(t, loaded, again)
 			assertSearchEqual(t, loaded, again, queries)
+			if f.routed {
+				for qi := 0; qi < queries.N; qi++ {
+					assertSameNeighbors(t, "nprobe 1", loaded.SearchNProbe(queries.Row(qi), 5, 40, 1),
+						again.SearchNProbe(queries.Row(qi), 5, 40, 1))
+				}
+			}
+			if !bytes.Equal(gkxBlob(t, again), resaved) {
+				t.Fatal("load → save as v6 → load → save is not byte-exact")
+			}
 			if c := loaded.Clusters(); c != nil {
-				w, g := rebuilt.Clusters(), again.Clusters()
+				w, g := c, again.Clusters()
 				if g == nil || g.K != w.K || g.Iters != w.Iters || !reflect.DeepEqual(g.Labels, w.Labels) || !g.Centroids.Equal(w.Centroids) {
 					t.Fatal("the v1 clustering did not survive load → save as v6 → load")
 				}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"testing"
 
 	"gkmeans/internal/dataset"
@@ -205,7 +206,12 @@ func TestReadU8CorruptInputs(t *testing.T) {
 	t.Run("truncations", func(t *testing.T) {
 		mustRejectCuts(t, v5, 120, 4, gkxDtypeOff, gkxDtypeOff+2, gkxHdrEnd, gkxHdrEnd+8, len(v5)-1)
 		mustRejectCuts(t, v6, 120, 4, gkxDtypeOff, gkxDtypeOff+2, gkxSegsOff, gkxHdrEnd, gkxHdrEnd+8, at.table, at.graph[0], len(v6)-1)
-		mustRejectCuts(t, routed, 120, rat.table, rat.ids[0], rat.tombs[1], rat.routing, rat.routing+4, rat.routing+12, len(routed)-1)
+		// Which segment holds a tombstone depends on the routed partition.
+		tombs := slices.IndexFunc(rat.tombs, func(off int) bool { return off >= 0 })
+		if tombs < 0 {
+			t.Fatal("the mutated routed state has no tombstone section")
+		}
+		mustRejectCuts(t, routed, 120, rat.table, rat.ids[0], rat.tombs[tombs], rat.routing, rat.routing+4, rat.routing+12, len(routed)-1)
 	})
 
 	t.Run("dtype words", func(t *testing.T) {
