@@ -1,58 +1,35 @@
 package vec
 
-// The kernels below are manually unrolled four wide. On amd64 the Go
-// compiler turns the unrolled float32 loops into SSE code that is within a
-// small factor of hand-written intrinsics, and these two functions account
-// for essentially all of the clustering run time.
+// The kernels below are the inner loop of k-means, graph construction and
+// search. Each reslices b to len(a) — the only bounds check in front of
+// the per-platform body — and calls that body. The bodies accumulate in
+// four stripes: stripe j sums the elements i ≡ j (mod 4), the tail joins
+// stripe 0, and the result is ((s0+s1)+s2)+s3 (scalar.go pins that order).
+// On amd64, dist_amd64.s keeps the four stripes in the four lanes of one
+// SSE2 register, lane j = stripe j; packed SUBPS/MULPS/ADDPS round each
+// lane exactly as the scalar SUBSS/MULSS/ADDSS the compiler emits for the
+// Go loops in dist_generic.go, so amd64 results have the bits the loops
+// gave there. Every other GOARCH runs the loops; where its compiler fuses
+// multiply-adds (arm64) they may round differently.
 
 // Dot returns the inner product a·b. The slices must have equal length.
 //
 //gk:hotpath
 func Dot(a, b []float32) float32 {
-	var s0, s1, s2, s3 float32
-	n := len(a)
-	b = b[:n] // eliminate bounds checks in the loop body
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		s0 += a[i] * b[i]
-		s1 += a[i+1] * b[i+1]
-		s2 += a[i+2] * b[i+2]
-		s3 += a[i+3] * b[i+3]
-	}
-	for ; i < n; i++ {
-		s0 += a[i] * b[i]
-	}
-	return s0 + s1 + s2 + s3
+	return dot(a, b[:len(a)])
 }
 
 // L2Sqr returns the squared Euclidean distance ‖a−b‖².
 //
 //gk:hotpath
 func L2Sqr(a, b []float32) float32 {
-	var s0, s1, s2, s3 float32
-	n := len(a)
-	b = b[:n]
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		d0 := a[i] - b[i]
-		d1 := a[i+1] - b[i+1]
-		d2 := a[i+2] - b[i+2]
-		d3 := a[i+3] - b[i+3]
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
-	}
-	for ; i < n; i++ {
-		d := a[i] - b[i]
-		s0 += d * d
-	}
-	return s0 + s1 + s2 + s3
+	return l2Sqr(a, b[:len(a)])
 }
 
 // abandonBlock is how many elements L2SqrBound accumulates between bound
 // checks: frequent enough to save most of the work on high-dimensional
 // rejects, rare enough that the extra branch is noise on accepts.
+// dist_amd64.s spells it as the literal 32.
 const abandonBlock = 32
 
 // L2SqrBound returns ‖a−b‖² like L2Sqr, unless the running sum reaches
@@ -67,34 +44,7 @@ const abandonBlock = 32
 //
 //gk:hotpath
 func L2SqrBound(a, b []float32, bound float32) float32 {
-	var s0, s1, s2, s3 float32
-	n := len(a)
-	b = b[:n]
-	i := 0
-	for i+4 <= n {
-		stop := i + abandonBlock
-		if stop+4 > n {
-			stop = n
-		}
-		for ; i+4 <= stop; i += 4 {
-			d0 := a[i] - b[i]
-			d1 := a[i+1] - b[i+1]
-			d2 := a[i+2] - b[i+2]
-			d3 := a[i+3] - b[i+3]
-			s0 += d0 * d0
-			s1 += d1 * d1
-			s2 += d2 * d2
-			s3 += d3 * d3
-		}
-		if s := s0 + s1 + s2 + s3; s >= bound {
-			return s
-		}
-	}
-	for ; i < n; i++ {
-		d := a[i] - b[i]
-		s0 += d * d
-	}
-	return s0 + s1 + s2 + s3
+	return l2SqrBound(a, b[:len(a)], bound)
 }
 
 // DotMixed returns the inner product of a float64 vector with a float32
@@ -104,20 +54,7 @@ func L2SqrBound(a, b []float32, bound float32) float32 {
 //
 //gk:hotpath
 func DotMixed(a []float64, b []float32) float64 {
-	var s0, s1, s2, s3 float64
-	n := len(a)
-	b = b[:n]
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		s0 += a[i] * float64(b[i])
-		s1 += a[i+1] * float64(b[i+1])
-		s2 += a[i+2] * float64(b[i+2])
-		s3 += a[i+3] * float64(b[i+3])
-	}
-	for ; i < n; i++ {
-		s0 += a[i] * float64(b[i])
-	}
-	return s0 + s1 + s2 + s3
+	return dotMixed(a, b[:len(a)])
 }
 
 // NearestRow returns the index of the row of m closest (squared Euclidean)

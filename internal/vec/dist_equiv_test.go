@@ -5,14 +5,16 @@ import (
 	"testing"
 )
 
-// Kernel-equivalence suite: the unrolled hot-path kernels must be
-// bit-identical to the scalar references in scalar.go at every length
-// 0..130 (every tail residue of the 4-wide loops and several abandonBlock
+// Kernel-equivalence suite: the hot-path kernels must be bit-identical to
+// the scalar references in scalar.go at every length 0..130 (every tail
+// residue of the 4-, 8- and 16-wide steps and several abandonBlock
 // boundaries), and the bounded kernels must equal the unbounded ones
-// whenever the full distance is below the bound. Float32 addition is not
-// associative, so these tests pin the accumulation order itself — any
-// rewrite that reorders a single addition fails here before it can break
-// the determinism and early-abandon tests upstream.
+// whenever the full distance is below the bound. The suite runs whichever
+// body the GOARCH compiles: the SSE2 assembly on amd64, the Go loops
+// elsewhere (386 among them). Float32 addition is not associative, so
+// these tests pin the accumulation order itself — any rewrite that
+// reorders a single addition fails here before it can break the
+// determinism and early-abandon tests upstream.
 
 // testLCG is a tiny deterministic generator for test vectors; the suite
 // must not depend on math/rand ordering across Go versions.
@@ -53,6 +55,41 @@ func testVecsU8(n int, seed uint64) (a, b []uint8) {
 	return a, b
 }
 
+// testVecsMixed returns a float64 composite-like vector (values carrying
+// all 53 significand bits) and a float32 sample for DotMixed.
+func testVecsMixed(n int, seed uint64) (a []float64, b []float32) {
+	g := testLCG(seed)
+	a = make([]float64, n)
+	b = make([]float32, n)
+	for i := range a {
+		a[i] = float64(int32(g.next())) / 3
+		b[i] = g.f32()
+	}
+	return a, b
+}
+
+// l2SqrBoundRef is the scalar reference for L2SqrBound, partial sums
+// included: l2SqrScalar's stripes, with the bound checked after every
+// abandonBlock elements of the 4-wide region and at its end.
+func l2SqrBoundRef(a, b []float32, bound float32) float32 {
+	var s [4]float32
+	n := len(a) &^ 3
+	for i := 0; i < n; i++ {
+		d := a[i] - b[i]
+		s[i%4] += d * d
+		if j := i + 1; j%abandonBlock == 0 || j == n {
+			if sum := ((s[0] + s[1]) + s[2]) + s[3]; sum >= bound {
+				return sum
+			}
+		}
+	}
+	for i := n; i < len(a); i++ {
+		d := a[i] - b[i]
+		s[0] += d * d
+	}
+	return ((s[0] + s[1]) + s[2]) + s[3]
+}
+
 // maxEquivLen covers all tail residues of the 4-wide loops plus several
 // abandonBlock (32) boundaries of the bounded kernels.
 const maxEquivLen = 130
@@ -79,6 +116,17 @@ func TestL2SqrMatchesScalarReference(t *testing.T) {
 	}
 }
 
+func TestDotMixedMatchesScalarReference(t *testing.T) {
+	for n := 0; n <= maxEquivLen; n++ {
+		a, b := testVecsMixed(n, uint64(n)+601)
+		got := DotMixed(a, b)
+		want := dotMixedScalar(a, b)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("len %d: DotMixed=%x scalar=%x", n, math.Float64bits(got), math.Float64bits(want))
+		}
+	}
+}
+
 func TestL2SqrU8MatchesScalarReference(t *testing.T) {
 	for n := 0; n <= maxEquivLen; n++ {
 		a, b := testVecsU8(n, uint64(n)+201)
@@ -91,7 +139,8 @@ func TestL2SqrU8MatchesScalarReference(t *testing.T) {
 // TestL2SqrBoundBelowBound pins the bit-identical-below-bound contract: at
 // every length and for bounds above the full distance, L2SqrBound returns
 // exactly L2Sqr's bits; for bounds at or below it, the partial it returns
-// is >= the bound.
+// is >= the bound and has l2SqrBoundRef's bits — the bound is checked at
+// the same points, so a partial sum is the same too.
 func TestL2SqrBoundBelowBound(t *testing.T) {
 	for n := 0; n <= maxEquivLen; n++ {
 		a, b := testVecs(n, uint64(n)+301)
@@ -104,9 +153,13 @@ func TestL2SqrBoundBelowBound(t *testing.T) {
 				t.Fatalf("len %d bound %g: L2SqrBound=%x L2Sqr=%x", n, bound, math.Float32bits(got), math.Float32bits(full))
 			}
 		}
-		for _, bound := range []float32{0, full / 2, full} {
-			if got := L2SqrBound(a, b, bound); got < bound {
+		for _, bound := range []float32{0, full / 8, full / 4, full / 2, full * 3 / 4, full, float32(math.NaN())} {
+			got := L2SqrBound(a, b, bound)
+			if got < bound {
 				t.Fatalf("len %d: abandoned partial %g below bound %g", n, got, bound)
+			}
+			if want := l2SqrBoundRef(a, b, bound); math.Float32bits(got) != math.Float32bits(want) {
+				t.Fatalf("len %d bound %g: L2SqrBound=%x reference=%x", n, bound, math.Float32bits(got), math.Float32bits(want))
 			}
 		}
 	}
@@ -149,6 +202,72 @@ func TestL2SqrU8MatchesWidenedFloat(t *testing.T) {
 	}
 }
 
+// TestKernelLengthContract pins the guard in front of every kernel body:
+// the exported kernels reslice b to len(a), so a b shorter than a (and
+// without the capacity to reslice) panics instead of being read past its
+// end, and a longer b is read only up to len(a). The inputs sit in buffers
+// whose elements past len(a) are poison (NaN, 0xff), so a body that read
+// one element too many of either slice would change the result.
+func TestKernelLengthContract(t *testing.T) {
+	nan := float32(math.NaN())
+	for n := 0; n <= maxEquivLen; n++ {
+		a, b := testVecs(n, uint64(n)+801)
+		am, _ := testVecsMixed(n, uint64(n)+801)
+		au, bu := testVecsU8(n, uint64(n)+801)
+		pa, pb, pam := poisoned(a, nan), poisoned(b, nan), poisoned(am, math.NaN())
+		pau, pbu := poisoned(au, 0xff), poisoned(bu, 0xff)
+		long, longU := pb[:n+16], pbu[:n+16]
+		full, fullU := L2Sqr(a, b), L2SqrU8(au, bu)
+		same := func(name string, got, want float64) {
+			t.Helper()
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("len %d: %s read past len(a): got %v, want %v", n, name, got, want)
+			}
+		}
+		same("Dot", float64(Dot(pa, long)), float64(Dot(a, b)))
+		same("L2Sqr", float64(L2Sqr(pa, long)), float64(full))
+		same("L2SqrBound", float64(L2SqrBound(pa, long, full/2)), float64(L2SqrBound(a, b, full/2)))
+		same("L2SqrBound(inf)", float64(L2SqrBound(pa, long, float32(math.Inf(1)))), float64(full))
+		same("DotMixed", DotMixed(pam, long), DotMixed(am, b))
+		same("L2SqrU8", float64(L2SqrU8(pau, longU)), float64(fullU))
+		same("L2SqrBoundU8", float64(L2SqrBoundU8(pau, longU, fullU/2)), float64(L2SqrBoundU8(au, bu, fullU/2)))
+		same("L2SqrBoundU8(max)", float64(L2SqrBoundU8(pau, longU, math.MaxInt32)), float64(fullU))
+		if n == 0 {
+			continue
+		}
+		short, shortU := b[:n-1:n-1], bu[:n-1:n-1]
+		for name, call := range map[string]func(){
+			"Dot":          func() { Dot(a, short) },
+			"L2Sqr":        func() { L2Sqr(a, short) },
+			"L2SqrBound":   func() { L2SqrBound(a, short, full+1) },
+			"DotMixed":     func() { DotMixed(am, short) },
+			"L2SqrU8":      func() { L2SqrU8(au, shortU) },
+			"L2SqrBoundU8": func() { L2SqrBoundU8(au, shortU, math.MaxInt32) },
+		} {
+			if !panics(call) {
+				t.Fatalf("len %d: %s with len(b) = len(a)-1 did not panic", n, name)
+			}
+		}
+	}
+}
+
+// poisoned copies v into a buffer with 16 poison elements after it and
+// returns the copy, of len(v) and capacity len(v)+16.
+func poisoned[T any](v []T, poison T) []T {
+	buf := make([]T, len(v)+16)
+	copy(buf, v)
+	for i := len(v); i < len(buf); i++ {
+		buf[i] = poison
+	}
+	return buf[:len(v)]
+}
+
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
+}
+
 // TestU8Bound pins the conversion's safety property: an integer partial
 // reaching U8Bound(b) implies its float32 view reaches b, so the integer
 // kernel never abandons a candidate the float kernel would have admitted.
@@ -188,7 +307,8 @@ func TestU8Bound(t *testing.T) {
 }
 
 // FuzzKernelEquivalence cross-checks every kernel against its scalar
-// reference (and the bounded kernels against the unbounded ones) on
+// reference (and the bounded kernels against the unbounded ones and, for
+// float32, against l2SqrBoundRef's partial sums) on
 // fuzzer-chosen vectors, lengths and bounds. Wired into the CI fuzz job.
 func FuzzKernelEquivalence(f *testing.F) {
 	f.Add([]byte{}, uint32(0))
@@ -232,6 +352,18 @@ func FuzzKernelEquivalence(f *testing.F) {
 		if full >= bound && got < bound {
 			t.Fatalf("abandoned partial %g below bound %g", got, bound)
 		}
+		if want := l2SqrBoundRef(a, b, bound); math.Float32bits(got) != math.Float32bits(want) {
+			t.Fatalf("L2SqrBound=%x reference=%x at bound %g", math.Float32bits(got), math.Float32bits(want), bound)
+		}
+
+		// A float64 composite with a fraction no float32 holds.
+		am := make([]float64, n)
+		for i := range am {
+			am[i] = float64(int8(au[i])) / 3
+		}
+		if got, want := DotMixed(am, b), dotMixedScalar(am, b); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("DotMixed=%x scalar=%x", math.Float64bits(got), math.Float64bits(want))
+		}
 
 		if bound > 0 && !math.IsNaN(float64(bound)) {
 			if t32 := U8Bound(bound); float64(t32) < float64(bound) && t32 != math.MaxInt32 {
@@ -257,7 +389,44 @@ func BenchmarkL2SqrU8128(b *testing.B) {
 	}
 }
 
+func BenchmarkDot128(b *testing.B) {
+	a, c := testVecs(128, 1)
+	b.SetBytes(2 * 4 * 128)
+	for i := 0; i < b.N; i++ {
+		sinkF = Dot(a, c)
+	}
+}
+
+func BenchmarkDotMixed128(b *testing.B) {
+	a, c := testVecsMixed(128, 1)
+	b.SetBytes((8 + 4) * 128)
+	for i := 0; i < b.N; i++ {
+		sinkD = DotMixed(a, c)
+	}
+}
+
+// The bound benchmarks give half the full distance as the bound, so the
+// kernel abandons part-way, as it does for most candidates of a search.
+func BenchmarkL2SqrBound128(b *testing.B) {
+	a, c := testVecs(128, 1)
+	bound := L2Sqr(a, c) / 2
+	b.SetBytes(2 * 4 * 128)
+	for i := 0; i < b.N; i++ {
+		sinkF = L2SqrBound(a, c, bound)
+	}
+}
+
+func BenchmarkL2SqrBoundU8128(b *testing.B) {
+	a, c := testVecsU8(128, 1)
+	bound := L2SqrU8(a, c) / 2
+	b.SetBytes(2 * 128)
+	for i := 0; i < b.N; i++ {
+		sinkI = L2SqrBoundU8(a, c, bound)
+	}
+}
+
 var (
+	sinkD float64
 	sinkF float32
 	sinkI int32
 )

@@ -5,33 +5,16 @@ import "math"
 // Integer distance kernels for U8Matrix rows. Each squared difference is at
 // most 255² = 65025 and U8Matrix caps Dim at MaxU8Dim, so the int32
 // accumulators can never overflow and the results are exact — no float
-// rounding anywhere. Because integer addition is associative, the 4-way
-// unrolling below changes nothing about the result, only the throughput.
+// rounding anywhere. Because integer addition is associative, the order in
+// which a body sums (16 bytes at a time in dist_amd64.s, four stripes in
+// dist_generic.go) changes nothing about the result, only the throughput.
 
 // L2SqrU8 returns the exact squared Euclidean distance between two byte
 // vectors as an int32. The slices must have equal length ≤ MaxU8Dim.
 //
 //gk:hotpath
 func L2SqrU8(a, b []uint8) int32 {
-	var s0, s1, s2, s3 int32
-	n := len(a)
-	b = b[:n] // eliminate bounds checks in the loop body
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		d0 := int32(a[i]) - int32(b[i])
-		d1 := int32(a[i+1]) - int32(b[i+1])
-		d2 := int32(a[i+2]) - int32(b[i+2])
-		d3 := int32(a[i+3]) - int32(b[i+3])
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
-	}
-	for ; i < n; i++ {
-		d := int32(a[i]) - int32(b[i])
-		s0 += d * d
-	}
-	return s0 + s1 + s2 + s3
+	return l2SqrU8(a, b[:len(a)])
 }
 
 // L2SqrBoundU8 returns L2SqrU8(a, b) unless the running sum reaches bound
@@ -43,34 +26,7 @@ func L2SqrU8(a, b []uint8) int32 {
 //
 //gk:hotpath
 func L2SqrBoundU8(a, b []uint8, bound int32) int32 {
-	var s0, s1, s2, s3 int32
-	n := len(a)
-	b = b[:n]
-	i := 0
-	for i+4 <= n {
-		stop := i + abandonBlock
-		if stop+4 > n {
-			stop = n
-		}
-		for ; i+4 <= stop; i += 4 {
-			d0 := int32(a[i]) - int32(b[i])
-			d1 := int32(a[i+1]) - int32(b[i+1])
-			d2 := int32(a[i+2]) - int32(b[i+2])
-			d3 := int32(a[i+3]) - int32(b[i+3])
-			s0 += d0 * d0
-			s1 += d1 * d1
-			s2 += d2 * d2
-			s3 += d3 * d3
-		}
-		if s := s0 + s1 + s2 + s3; s >= bound {
-			return s
-		}
-	}
-	for ; i < n; i++ {
-		d := int32(a[i]) - int32(b[i])
-		s0 += d * d
-	}
-	return s0 + s1 + s2 + s3
+	return l2SqrBoundU8(a, b[:len(a)], bound)
 }
 
 // U8Bound converts a float32 abandonment bound into an int32 bound for

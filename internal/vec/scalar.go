@@ -1,15 +1,16 @@
 package vec
 
-// Scalar reference kernels. These are the pinned semantics of the unrolled
-// hot-path kernels in dist.go and dist_u8.go: one element at a time, with
-// the exact accumulation order the unrolled loops produce. They are never
-// called on a hot path — the kernel-equivalence test suite (and the
-// FuzzKernelEquivalence target) diff the unrolled kernels against them
-// bit-for-bit at every tail residue, so any future rewrite of the unrolled
-// loops that changes a single ULP of any result fails the suite.
+// Scalar reference kernels. These are the pinned semantics of the hot-path
+// kernels in dist.go and dist_u8.go: one element at a time, with the exact
+// accumulation order of their bodies (the SSE2 lanes of dist_amd64.s, the
+// unrolled loops of dist_generic.go). They are never called on a hot path —
+// the kernel-equivalence test suite (and the FuzzKernelEquivalence target)
+// diff the kernels against them bit-for-bit at every tail residue, so any
+// rewrite of a body that changes a single ULP of any result fails the
+// suite.
 //
 // Float32 addition is not associative, so the float32 references must
-// replicate the unrolled loops' striped accumulation to be bit-identical:
+// replicate the bodies' striped accumulation to be bit-identical:
 // element i of the 4-wide region accumulates into lane i%4, the scalar tail
 // into lane 0, and the reduction is ((s0+s1)+s2)+s3. Integer addition is
 // associative, so the uint8 reference is a plain left-to-right loop.
@@ -39,6 +40,20 @@ func l2SqrScalar(a, b []float32) float32 {
 	for i := n; i < len(a); i++ {
 		d := a[i] - b[i]
 		s[0] += d * d
+	}
+	return ((s[0] + s[1]) + s[2]) + s[3]
+}
+
+// dotMixedScalar is the bit-exact scalar reference for DotMixed: the same
+// striping in float64, each float32 widened exactly before its product.
+func dotMixedScalar(a []float64, b []float32) float64 {
+	var s [4]float64
+	n := len(a) &^ 3
+	for i := 0; i < n; i++ {
+		s[i%4] += a[i] * float64(b[i])
+	}
+	for i := n; i < len(a); i++ {
+		s[0] += a[i] * float64(b[i])
 	}
 	return ((s[0] + s[1]) + s[2]) + s[3]
 }
