@@ -7,8 +7,13 @@ package gkmeans_test
 // cmd/experiments.
 
 import (
+	"bytes"
+	"context"
+	"path/filepath"
+	"sync"
 	"testing"
 
+	"gkmeans"
 	"gkmeans/internal/bench"
 	"gkmeans/internal/bkm"
 	"gkmeans/internal/core"
@@ -161,5 +166,107 @@ func BenchmarkGraphInsert(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.Insert(i%1000, int32((i*7)%1000), float32(i%97))
+	}
+}
+
+// --- the layers of a daemon restart: load, save, and a flush's build ---
+
+// restartShapes are the benchmark's two served indexes at its operating
+// point (κ20 ξ50 τ8, 256 entry points per shard): serve-mixed's routed
+// float32 index, whose restarts replay memtable flushes, and serve-read's
+// routed uint8 one.
+var restartShapes = []struct {
+	name string
+	n    int
+	opts []gkmeans.Option
+}{
+	{"serve-mixed", 10000, []gkmeans.Option{gkmeans.WithShards(4), gkmeans.WithRouting(16)}},
+	{"serve-read-u8", 12000, []gkmeans.Option{gkmeans.WithDType(gkmeans.DTypeUint8), gkmeans.WithShards(4), gkmeans.WithRouting(32)}},
+}
+
+// restartIndexes caches one build per shape across the benchmarks below.
+var restartIndexes sync.Map // shape name → *gkmeans.Index
+
+func restartIndex(b *testing.B, shape int) *gkmeans.Index {
+	b.Helper()
+	sh := restartShapes[shape]
+	if x, ok := restartIndexes.Load(sh.name); ok {
+		return x.(*gkmeans.Index)
+	}
+	opts := append([]gkmeans.Option{gkmeans.WithKappa(20), gkmeans.WithXi(50), gkmeans.WithTau(8),
+		gkmeans.WithSeed(1), gkmeans.WithEntryPoints(256)}, sh.opts...)
+	x, err := gkmeans.Build(context.Background(), dataset.SIFTLike(sh.n, 1), opts...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	restartIndexes.Store(sh.name, x)
+	return x
+}
+
+// BenchmarkLoadIndex times LoadIndex of a saved index: the first step of a
+// restart, before any WAL replay.
+func BenchmarkLoadIndex(b *testing.B) {
+	for shape, sh := range restartShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			path := filepath.Join(b.TempDir(), "idx.gkx")
+			if err := gkmeans.SaveIndex(path, restartIndex(b, shape)); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := gkmeans.LoadIndex(path); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSaveIndex times the encoding SaveIndex writes (Index.WriteTo),
+// into memory: the file and its fsync are the disk's cost, not the
+// encoder's. A compaction's checkpoint pays it under the entry's lock.
+func BenchmarkSaveIndex(b *testing.B) {
+	for shape, sh := range restartShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			x := restartIndex(b, shape)
+			var buf bytes.Buffer
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				if _, err := x.WriteTo(&buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.SetBytes(int64(buf.Len()))
+		})
+	}
+}
+
+// BenchmarkAppendLoaded times one memtable flush — Append of 256 rows — on
+// serve-mixed's index as built and on the same index saved and loaded
+// again, which is the index a restarted daemon flushes into. A loaded index
+// builds with the options it was saved with, so the two cost the same.
+func BenchmarkAppendLoaded(b *testing.B) {
+	built := restartIndex(b, 0)
+	var buf bytes.Buffer
+	if _, err := built.WriteTo(&buf); err != nil {
+		b.Fatal(err)
+	}
+	loaded, err := gkmeans.ReadIndexFrom(&buf)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows := dataset.SIFTLike(256, 2)
+	for _, tc := range []struct {
+		name string
+		x    *gkmeans.Index
+	}{{"in-memory", built}, {"loaded", loaded}} {
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := tc.x.Append(context.Background(), rows); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

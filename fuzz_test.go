@@ -2,6 +2,7 @@ package gkmeans
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 )
 
@@ -9,7 +10,8 @@ import (
 // The contract under fuzzing is the same one TestReadIndexFromCorruptInputs
 // checks pointwise: ReadIndexFrom either returns an error or an index whose
 // accessors are safe to call and which re-serialises cleanly — it never
-// panics and never allocates absurdly from a lying length field.
+// panics and never allocates absurdly from a lying length field (which
+// TestLyingLengthsAllocateBoundedly measures).
 //
 // CI runs this for a short budget: go test -fuzz=FuzzReadIndexFrom -fuzztime=20s .
 func FuzzReadIndexFrom(f *testing.F) {
@@ -61,4 +63,58 @@ func FuzzReadIndexFrom(f *testing.F) {
 			t.Fatalf("accepted index fails to re-serialise: %v", err)
 		}
 	})
+}
+
+// A length field that lies upward — a matrix row count, a graph's node
+// count, κ or a list length, a segment table's graph size, each set to 2³⁰ —
+// must cost no more memory than the bytes that did arrive: the readers
+// grow what they decode with the stream and never allocate from a header.
+// The bound is TotalAlloc ≤ 2× the blob + 1 MiB per read (the fixed part
+// covers read buffers and the index's small headers). Each lie but κ fails
+// the read. κ only caps the lists, and no list reaches it, so that file
+// loads — as it always has — and re-saves to exactly its own bytes.
+func TestLyingLengthsAllocateBoundedly(t *testing.T) {
+	const lie = 1 << 30
+	for _, name := range []string{"mono", "u8-routed-mutated"} {
+		blob, at := gkxLayout(t, gkxState(t, name))
+		for _, tc := range []struct {
+			field string
+			patch func([]byte)
+			loads bool
+		}{
+			{"matrix row count", put32(gkxHdrEnd, lie), false},
+			{"graph node count", put32(at.graph[0]+8+4, lie), false},
+			{"graph kappa", put32(at.graph[0]+8+8, lie), true},
+			{"first list length", put32(at.graph[0]+8+12, lie), false},
+			{"table graph size", put64(at.table+8, lie), false},
+		} {
+			b := bytes.Clone(blob)
+			tc.patch(b)
+			limit := 2*uint64(len(b)) + 1<<20
+			// The least of three reads: a collection or a runtime
+			// allocation landing inside one read is not the reader's.
+			var alloc uint64
+			for try := 0; try < 3; try++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				idx, err := ReadIndexFrom(bytes.NewReader(b))
+				runtime.ReadMemStats(&after)
+				if d := after.TotalAlloc - before.TotalAlloc; try == 0 || d < alloc {
+					alloc = d
+				}
+				switch {
+				case !tc.loads && err == nil:
+					t.Fatalf("%s: a lying %s was accepted", name, tc.field)
+				case tc.loads && err != nil:
+					t.Fatalf("%s: %s: %v", name, tc.field, err)
+				case tc.loads && !bytes.Equal(gkxBlob(t, idx), b):
+					t.Fatalf("%s: a file with a lying %s re-saves to other bytes", name, tc.field)
+				}
+			}
+			t.Logf("%s, lying %s: %d bytes allocated for a %d-byte blob (limit %d)", name, tc.field, alloc, len(b), limit)
+			if alloc > limit {
+				t.Errorf("%s, lying %s: read allocated %d bytes, limit 2×%d + 1 MiB = %d", name, tc.field, alloc, len(b), limit)
+			}
+		}
+	}
 }

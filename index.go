@@ -91,9 +91,11 @@ type seg struct {
 	tomb *store.Bits // deleted rows, skipped by every search; nil = none
 }
 
-// newSegCore validates rows and g as one segment. The graph may come from
-// anywhere (a file, NN-Descent, …); a structurally broken one is rejected
-// here rather than panicking inside the first search or clustering call,
+// newSegCore checks rows and g as one segment: non-empty, int32-addressable,
+// one graph node per row. The graph itself must already be valid
+// (Graph.Validate): knngraph.Read validates every graph it returns, and
+// NewIndex validates the caller's, so a structurally broken one is
+// rejected before it can panic inside the first search or clustering call,
 // and with that every invariant anns.New checks holds.
 func newSegCore(rows vec.Rows, g *Graph, entries int) (*segCore, error) {
 	if rows.N == 0 {
@@ -107,9 +109,6 @@ func newSegCore(rows vec.Rows, g *Graph, entries int) (*segCore, error) {
 	}
 	if g.N() != rows.N {
 		return nil, fmt.Errorf("gkmeans: graph has %d nodes for %d samples", g.N(), rows.N)
-	}
-	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("gkmeans: invalid graph: %w", err)
 	}
 	return &segCore{rows: rows, graph: g, entries: entries}, nil
 }
@@ -276,6 +275,11 @@ func NewIndex(data *Matrix, g *Graph, opts ...Option) (*Index, error) {
 	sc, err := newSegCore(vec.RowsF32(data), g, cfg.entries)
 	if err != nil {
 		return nil, err
+	}
+	// The one graph that reaches an index unvalidated: a loaded one was
+	// checked by knngraph.Read, a built one is valid by construction.
+	if err := g.Validate(); err != nil {
+		return nil, fmt.Errorf("gkmeans: invalid graph: %w", err)
 	}
 	cfg.dtype = DTypeFloat32
 	return &Index{segs: []seg{{segCore: sc}}, probes: &probeStats{}, nextID: checked.Int32(data.N), cfg: cfg}, nil

@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sync/atomic"
 
@@ -233,16 +234,20 @@ func BruteForce(data *vec.Matrix, kappa int, workers int) *Graph {
 	return g
 }
 
-// Validate checks the structural invariants of the graph (sorted lists,
-// unique ids, no self-loops, ids in range, lists within Kappa). Tests and
-// the property suite call it after every mutation-heavy operation.
+// Validate checks the structural invariants of the graph (lists within
+// Kappa, ids in range, no self-loops, unique ids, sorted lists — checked in
+// that order per node). Tests and the property suite call it after every
+// mutation-heavy operation, and Read before it returns a graph.
 func (g *Graph) Validate() error {
 	n := g.N()
+	// mark[id] == stamp(i) says node i's list already holds id: one slice
+	// for the whole graph instead of a set per node.
+	mark := make([]int32, n)
 	for i, list := range g.Lists {
 		if len(list) > g.Kappa {
 			return fmt.Errorf("node %d has %d neighbours, cap %d", i, len(list), g.Kappa)
 		}
-		seen := make(map[int32]bool, len(list))
+		stamp := checked.Int32(i + 1)
 		for j, nb := range list {
 			if int(nb.ID) < 0 || int(nb.ID) >= n {
 				return fmt.Errorf("node %d neighbour %d id %d out of range", i, j, nb.ID)
@@ -250,10 +255,10 @@ func (g *Graph) Validate() error {
 			if int(nb.ID) == i {
 				return fmt.Errorf("node %d has a self-loop", i)
 			}
-			if seen[nb.ID] {
+			if mark[nb.ID] == stamp {
 				return fmt.Errorf("node %d has duplicate neighbour %d", i, nb.ID)
 			}
-			seen[nb.ID] = true
+			mark[nb.ID] = stamp
 			if j > 0 && list[j-1].Dist > nb.Dist {
 				return fmt.Errorf("node %d list not sorted at %d", i, j)
 			}
@@ -264,87 +269,101 @@ func (g *Graph) Validate() error {
 
 const graphMagic = uint32(0x474b4e4e) // "GKNN"
 
-// Write serialises the graph in a compact little-endian binary format.
+// Write serialises the graph in a compact little-endian binary format: a
+// header of three uint32 words (magic, node count, κ), then per node a
+// uint32 list length and that many {int32 id, float32 dist} pairs.
 func (g *Graph) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for _, v := range []uint32{graphMagic, checked.U32(g.N()), checked.U32(g.Kappa)} {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
+	buf := make([]byte, 0, ioChunk)
+	buf = binary.LittleEndian.AppendUint32(buf, graphMagic)
+	buf = binary.LittleEndian.AppendUint32(buf, checked.U32(g.N()))
+	buf = binary.LittleEndian.AppendUint32(buf, checked.U32(g.Kappa))
 	for _, list := range g.Lists {
-		if err := binary.Write(bw, binary.LittleEndian, checked.U32(len(list))); err != nil {
-			return err
+		// Flush before a list that might not fit; a list longer than the
+		// buffer just grows it for one write.
+		if len(buf)+4+8*len(list) > ioChunk && len(buf) > 0 {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
 		}
-		if err := binary.Write(bw, binary.LittleEndian, list); err != nil {
-			return err
+		buf = binary.LittleEndian.AppendUint32(buf, checked.U32(len(list)))
+		for _, nb := range list {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(nb.ID))
+			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(nb.Dist))
 		}
 	}
-	return bw.Flush()
+	_, err := w.Write(buf)
+	return err
 }
 
-// readChunk bounds how many neighbours Read materialises per binary.Read:
-// allocation grows with bytes actually present in the stream, so a corrupt
-// header advertising billions of entries fails with a read error after a
-// few kilobytes instead of attempting a runaway allocation.
-const readChunk = 4096
+// ioChunk is the size of the buffered reads and writes of the wire format.
+const ioChunk = 1 << 16 // bytes (64 KiB)
 
-// Read deserialises a graph written by Write. The node count and list
-// lengths in the header are untrusted: every allocation is bounded by the
-// bytes actually read, so truncated or bit-flipped inputs return an error —
-// never a panic or an out-of-memory crash.
-func Read(r io.Reader) (*Graph, error) {
-	br := bufio.NewReader(r)
-	var hdr [3]uint32
-	if err := binary.Read(br, binary.LittleEndian, &hdr); err != nil {
+// Read deserialises a graph written by Write. The node count, κ and list
+// lengths in the stream are untrusted: the lists are decoded into one
+// backing array whose capacity doubles with the neighbours that actually
+// arrive (capped at n·κ), so truncated or bit-flipped inputs return an
+// error — never a panic or an out-of-memory crash.
+func Read(r io.Reader) (*Graph, error) { return read(r, math.MaxInt64) }
+
+// read is Read over a stream that holds at most size bytes of graph: size
+// sizes the read buffer and caps the neighbour array, so a section is
+// decoded with no slack.
+func read(r io.Reader, size int64) (*Graph, error) {
+	br := bufio.NewReaderSize(r, int(min(size, ioChunk)))
+	var hdr [12]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("knngraph: reading header: %w", err)
 	}
-	if hdr[0] != graphMagic {
-		return nil, fmt.Errorf("knngraph: bad magic %#x", hdr[0])
+	if magic := binary.LittleEndian.Uint32(hdr[0:]); magic != graphMagic {
+		return nil, fmt.Errorf("knngraph: bad magic %#x", magic)
 	}
-	n, kappa := int(hdr[1]), int(hdr[2])
+	n, kappa := int(binary.LittleEndian.Uint32(hdr[4:])), int(binary.LittleEndian.Uint32(hdr[8:]))
 	if kappa <= 0 || n < 0 {
 		return nil, fmt.Errorf("knngraph: invalid header n=%d kappa=%d", n, kappa)
 	}
-	listsCap := n
-	if listsCap > readChunk {
-		listsCap = readChunk // grow by appending; don't trust n up front
-	}
-	g := &Graph{Lists: make([][]Neighbor, 0, listsCap), Kappa: kappa}
-	var buf []Neighbor
+	// At most κ neighbours per node, and no more than the bytes after the
+	// header and the n length words hold.
+	limit := min(int64(n)*int64(kappa), max(size-12-4*int64(n), 0)/8)
+	var nbs []Neighbor // every list, back to back
+	ends := make([]int, 0, min(n, ioChunk/8))
+	buf := make([]byte, min(8*int64(kappa), ioChunk))
 	for i := 0; i < n; i++ {
-		var l uint32
-		if err := binary.Read(br, binary.LittleEndian, &l); err != nil {
+		if _, err := io.ReadFull(br, buf[:4]); err != nil {
 			return nil, fmt.Errorf("knngraph: reading list %d: %w", i, err)
 		}
-		if int(l) > kappa {
+		l := int64(binary.LittleEndian.Uint32(buf))
+		if l > int64(kappa) {
 			return nil, fmt.Errorf("knngraph: list %d has %d entries, cap %d", i, l, kappa)
 		}
-		if l <= readChunk {
-			list := make([]Neighbor, l)
-			if err := binary.Read(br, binary.LittleEndian, list); err != nil {
+		for left := int(l); left > 0; {
+			c := min(left, len(buf)/8)
+			chunk := buf[:8*c]
+			if _, err := io.ReadFull(br, chunk); err != nil {
 				return nil, fmt.Errorf("knngraph: reading list %d: %w", i, err)
 			}
-			g.Lists = append(g.Lists, list)
-			continue
-		}
-		// Oversized list (kappa is untrusted too): stream it chunk by chunk.
-		if buf == nil {
-			buf = make([]Neighbor, readChunk)
-		}
-		list := make([]Neighbor, 0, readChunk)
-		for remaining := int(l); remaining > 0; {
-			c := remaining
-			if c > readChunk {
-				c = readChunk
+			if len(nbs)+c > cap(nbs) {
+				grown := make([]Neighbor, len(nbs), max(min(max(2*int64(cap(nbs)), ioChunk/8), limit), int64(len(nbs)+c)))
+				copy(grown, nbs)
+				nbs = grown
 			}
-			if err := binary.Read(br, binary.LittleEndian, buf[:c]); err != nil {
-				return nil, fmt.Errorf("knngraph: reading list %d: %w", i, err)
+			for k := 0; k < len(chunk); k += 8 {
+				nbs = append(nbs, Neighbor{
+					ID:   int32(binary.LittleEndian.Uint32(chunk[k:])),
+					Dist: math.Float32frombits(binary.LittleEndian.Uint32(chunk[k+4:])),
+				})
 			}
-			list = append(list, buf[:c]...)
-			remaining -= c
+			left -= c
 		}
-		g.Lists = append(g.Lists, list)
+		ends = append(ends, len(nbs))
+	}
+	// Every list is now known: cut them from the one array, each with its
+	// capacity at its own end so an append can never spill into the next.
+	g := &Graph{Lists: make([][]Neighbor, n), Kappa: kappa}
+	lo := 0
+	for i, hi := range ends {
+		g.Lists[i] = nbs[lo:hi:hi]
+		lo = hi
 	}
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("knngraph: corrupt graph: %w", err)
@@ -399,11 +418,7 @@ func ReadSection(r io.Reader) (*Graph, error) {
 	if size > 1<<40 {
 		return nil, fmt.Errorf("knngraph: implausible section size %d", size)
 	}
-	g, err := Read(io.LimitReader(r, int64(size)))
-	if err != nil {
-		return nil, err
-	}
-	return g, nil
+	return read(io.LimitReader(r, int64(size)), int64(size))
 }
 
 // SaveFile writes the graph to a file on disk.

@@ -84,27 +84,27 @@ func ReadMatrix(r io.Reader) (*Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The shape is still untrusted: grow the payload with the bytes that
-	// actually arrive instead of allocating n×d up front, so a lying header
-	// over a short stream fails at EOF having allocated one chunk, not
-	// gigabytes (repeatedly zeroing huge reused spans is also what a fuzzer
-	// would otherwise spend all its time on).
 	total := int64(n) * int64(d)
 	data := make([]float32, 0, min(total, ioChunk/4))
-	buf := make([]byte, ioChunk)
-	for off := int64(0); off < total; off += ioChunk / 4 {
-		chunk := buf[:4*(min(off+ioChunk/4, total)-off)]
+	buf := make([]byte, 4*cap(data))
+	for int64(len(data)) < total {
+		c := int(min(total-int64(len(data)), ioChunk/4))
+		chunk := buf[:4*c]
 		if _, err := io.ReadFull(r, chunk); err != nil {
 			return nil, fmt.Errorf("vec: reading matrix payload: %w", err)
 		}
-		for i := 0; i < len(chunk); i += 4 {
-			data = append(data, math.Float32frombits(binary.LittleEndian.Uint32(chunk[i:])))
+		data = growPayload(data, c, total)
+		dst := data[len(data) : len(data)+c]
+		for i := range dst {
+			dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(chunk[4*i:]))
 		}
+		data = data[:len(data)+c]
 	}
 	return &Matrix{Data: data, N: n, Dim: d}, nil
 }
 
-// readU8Matrix is ReadMatrix for a byte payload.
+// readU8Matrix is ReadMatrix for a byte payload, which needs no decoding:
+// each chunk is read straight into the matrix.
 func readU8Matrix(r io.Reader) (*U8Matrix, error) {
 	n, d, err := readShape(r, 1)
 	if err != nil {
@@ -112,13 +112,29 @@ func readU8Matrix(r io.Reader) (*U8Matrix, error) {
 	}
 	total := int64(n) * int64(d)
 	data := make([]uint8, 0, min(total, ioChunk))
-	buf := make([]byte, ioChunk)
-	for off := int64(0); off < total; off += ioChunk {
-		chunk := buf[:min(off+ioChunk, total)-off]
-		if _, err := io.ReadFull(r, chunk); err != nil {
+	for int64(len(data)) < total {
+		c := int(min(total-int64(len(data)), ioChunk))
+		data = growPayload(data, c, total)
+		if _, err := io.ReadFull(r, data[len(data):len(data)+c]); err != nil {
 			return nil, fmt.Errorf("vec: reading matrix payload: %w", err)
 		}
-		data = append(data, chunk...)
+		data = data[:len(data)+c]
 	}
 	return &U8Matrix{Data: data, N: n, Dim: d}, nil
+}
+
+// growPayload makes room for c more values of a payload whose header
+// declares total. The header is untrusted, so the payload is never
+// allocated from it up front: capacity doubles with the values that have
+// actually arrived, capped at total. A lying header over a short stream
+// thus fails at EOF having allocated at most twice the bytes it read
+// (repeatedly zeroing huge spans is also what a fuzzer would otherwise
+// spend all its time on), and an honest one ends at exactly total.
+func growPayload[T float32 | uint8](data []T, c int, total int64) []T {
+	if len(data)+c <= cap(data) {
+		return data
+	}
+	grown := make([]T, len(data), int(min(max(2*int64(cap(data)), int64(len(data)+c)), total)))
+	copy(grown, data)
+	return grown
 }

@@ -75,6 +75,20 @@ type segmentEntry struct {
 	_     uint32
 }
 
+// segmentEntrySize is the encoded size of a segmentEntry.
+const segmentEntrySize = 32
+
+// append appends e's encoding — the fields in order, little-endian, and
+// the zero pad word — to b.
+func (e segmentEntry) append(b []byte) []byte {
+	b = binary.LittleEndian.AppendUint32(b, e.Rows)
+	b = binary.LittleEndian.AppendUint32(b, e.Flags)
+	b = binary.LittleEndian.AppendUint64(b, e.Size)
+	b = binary.LittleEndian.AppendUint64(b, e.Gen)
+	b = binary.LittleEndian.AppendUint32(b, e.Base)
+	return binary.LittleEndian.AppendUint32(b, 0)
+}
+
 // gkxHeader is what readBody needs from a container's header: ReadIndexFrom
 // fills it from a v6 header, readLegacy translates a v1–v5 one.
 type gkxHeader struct {
@@ -122,14 +136,17 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 	// 0; an absurd one is clamped — the searcher caps entry points at the
 	// dataset size anyway, so the loaded index behaves identically.
 	entries := checked.U32(min(max(int64(x.cfg.entries), 0), math.MaxUint32))
-	table, rows := make([]segmentEntry, len(x.segs)), make([]vec.Rows, len(x.segs))
+	rows, table := make([]vec.Rows, len(x.segs)), make([]byte, 0, segmentEntrySize*len(x.segs))
+	for s := range x.segs {
+		sg := &x.segs[s]
+		rows[s] = sg.rows
+		table = segmentEntry{Rows: checked.U32(sg.rows.N), Size: uint64(sg.graph.SectionSize()), Gen: sg.gen,
+			Base: uint32(sg.base), Flags: flagIf(sg.dead() > 0, segFlagTombs) | flagIf(sg.ids != nil, segFlagIDMap)}.append(table)
+	}
 	parts := []any{[]uint32{indexMagic, indexVersion, flags, entries, flagIf(u8, dtypeWordU8),
 		checked.U32(len(x.segs)), uint32(x.nextID)}, rows, table}
 	for s := range x.segs {
 		sg := &x.segs[s]
-		rows[s] = sg.rows
-		table[s] = segmentEntry{Rows: checked.U32(sg.rows.N), Size: uint64(sg.graph.SectionSize()), Gen: sg.gen,
-			Base: uint32(sg.base), Flags: flagIf(sg.dead() > 0, segFlagTombs) | flagIf(sg.ids != nil, segFlagIDMap)}
 		parts = append(parts, sg.graph)
 		if sg.dead() > 0 {
 			parts = append(parts, sg.tomb.Words())
@@ -164,7 +181,9 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 			}
 		case *Matrix:
 			_, err = vec.WriteMatrix(cw, p)
-		default: // header words, table, tombstone words, ids, labels
+		case []byte: // the encoded segment table
+			_, err = cw.Write(p)
+		default: // header words, tombstone words, ids, labels
 			err = binary.Write(cw, binary.LittleEndian, p)
 		}
 		if err != nil {
