@@ -15,7 +15,7 @@ import (
 //
 // CI runs this for a short budget: go test -fuzz=FuzzReadIndexFrom -fuzztime=20s .
 func FuzzReadIndexFrom(f *testing.F) {
-	// One v6 blob per state an Index can be in, then one golden file per
+	// One v7 blob per state an Index can be in, then one golden file per
 	// legacy layout (testdata/gkx, see persist_legacy_test.go); the committed
 	// corpus under testdata/fuzz adds a v1 blob of its own.
 	blobs := map[string][]byte{}
@@ -42,9 +42,13 @@ func FuzzReadIndexFrom(f *testing.F) {
 	corrupt("routed", func(b []byte) []byte { return b[:len(b)-7] }) // truncated routing trailer
 	corrupt("clustered", func(b []byte) []byte { return b[:len(b)-7] })
 	// A lying dtype word exercises the double-pinned dtype check (header flag
-	// AND dtype word must agree), in v6 and in v5.
+	// AND dtype word must agree), in v7, v6 and v5.
 	corrupt("u8-mono", func(b []byte) []byte { b[gkxDtypeOff] ^= 0xff; return b })
 	corrupt("v5-u8-routed-mutated", func(b []byte) []byte { b[gkxDtypeOff] ^= 0xff; return b })
+	corrupt("v6-u8-routed-mutated", func(b []byte) []byte { b[gkxDtypeOff] ^= 0xff; return b })
+	// Lying build options: κ past int32, a builder word naming no builder.
+	corrupt("routed", func(b []byte) []byte { b[gkxOptsOff+3] |= 0x80; return b })
+	corrupt("mono", func(b []byte) []byte { b[gkxOptsOff+20] = 9; return b })
 	// The uint8 flag forced onto float blobs exercises the inverse check.
 	corrupt("mono", func(b []byte) []byte { b[gkxFlagsOff] |= byte(flagU8); return b })
 	corrupt("v1-mono-clustered", func(b []byte) []byte { b[gkxFlagsOff] |= byte(flagU8); return b })

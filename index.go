@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -269,9 +270,14 @@ func buildSegs(ctx context.Context, parts []vec.Rows, cfg config) ([]seg, time.D
 
 // NewIndex wraps a dataset and a pre-built graph (from another index's
 // Graph, a loaded file, NN-Descent, …) into an Index without constructing
-// anything. The graph must cover exactly the samples of data.
+// anything. The graph must cover exactly the samples of data. The build
+// options given are kept for the shards Append and Compact build, so a
+// WithGraphBuilder naming no builder is refused here.
 func NewIndex(data *Matrix, g *Graph, opts ...Option) (*Index, error) {
 	cfg := applyOptions(config{}, opts)
+	if !slices.Contains(builderWords[:], cfg.builder) {
+		return nil, fmt.Errorf("gkmeans: unknown graph builder %q (want %q or %q)", cfg.builder, BuilderGKMeans, BuilderNNDescent)
+	}
 	sc, err := newSegCore(vec.RowsF32(data), g, cfg.entries)
 	if err != nil {
 		return nil, err

@@ -377,19 +377,24 @@ func TestReadIndexFromRejectsCorruptHeader(t *testing.T) {
 	idx, _ := buildTestIndex(t)
 	blob := gkxBlob(t, idx)
 	v1 := gkxFixture(t, "v1-mono-clustered")
-	for name, b := range map[string][]byte{"v6": blob, "v1": v1} {
+	for name, b := range map[string][]byte{"v7": blob, "v1": v1} {
 		mustRejectPatches(t, b, []gkxPatch{
 			// A version past the current one names the likely cause; 0 never
 			// existed. Both list what this release reads.
-			{name + " version 99", func(b []byte) { b[4] = 99 }, "unsupported index version 99: written by a newer release (this one reads versions 1 to 6)"},
-			{name + " version 7", func(b []byte) { b[4] = 7 }, "written by a newer release"},
-			{name + " version 0", func(b []byte) { b[4] = 0 }, "unsupported index version 0 (want 1 to 6)"},
+			{name + " version 99", func(b []byte) { b[4] = 99 }, "unsupported index version 99: written by a newer release (this one reads versions 1 to 7)"},
+			{name + " version 8", func(b []byte) { b[4] = 8 }, "written by a newer release"},
+			{name + " version 0", func(b []byte) { b[4] = 0 }, "unsupported index version 0 (want 1 to 7)"},
 			{name + " magic", func(b []byte) { b[3] ^= 0x20 }, "bad index magic"},
 		})
 	}
-	// Every strict prefix of the v6 header fails as a header.
+	// Every strict prefix of the v7 header fails as a header: its first
+	// 28 bytes, then its build options.
 	for cut := 0; cut < gkxHdrEnd; cut++ {
-		mustRejectGkx(t, fmt.Sprintf("header cut at %d", cut), blob[:cut], "reading index header")
+		want := "reading index header"
+		if cut >= gkxOptsOff {
+			want = "reading build options"
+		}
+		mustRejectGkx(t, fmt.Sprintf("header cut at %d", cut), blob[:cut], want)
 	}
 }
 

@@ -113,17 +113,16 @@ func (x *Index) locate(id int32) (at, local int, ok bool) {
 // the caller swaps the new one in. The appended vectors are assigned the
 // external ids IDBound()..IDBound()+vectors.N-1, in order.
 //
-// The new shard is built through the same pipeline as WithShards shards,
-// with the receiver's Build-time options (seed, workers, builder, κ/ξ/τ)
-// when the receiver descends from Build or NewIndex in this process. An
-// index from LoadIndex or ReadIndexFrom keeps only its entry count, dtype
-// and routing K — the .gkx format stores no other option — so its shards
-// build with the defaults: κ=50, ξ=50, τ=10, seed 0, the GK-means builder
-// and GOMAXPROCS workers. vectors needs at least two rows (a k-NN graph
-// needs a neighbour); serving layers buffer single inserts until a build
-// is due. An index carrying a Build-time clustering refuses Append — the
-// labels cannot cover rows that did not exist — as does one whose id
-// space would overflow int32.
+// The new shard is built with the receiver's Build-time options (seed,
+// workers, builder, κ/ξ/τ) through the same pipeline as WithShards
+// shards. An index from LoadIndex or ReadIndexFrom has them from its file
+// — all but workers, which default to GOMAXPROCS and never change a
+// graph — so a loaded index grows exactly as the saved one would have.
+// vectors needs at least two rows (a k-NN graph needs a neighbour);
+// serving layers buffer single inserts until a build is due. An index
+// carrying a Build-time clustering refuses Append — the labels cannot
+// cover rows that did not exist — as does one whose id space would
+// overflow int32.
 //
 // Every Append adds a shard, and every shard adds per-query fan-out
 // work; pair Append with Compact (or the serving compactor) to fold
@@ -237,12 +236,12 @@ func (x *Index) Delete(ids ...int32) (*Index, error) {
 // the ids are no longer contiguous), so the only observable change is
 // that searches stop paying for dead rows and extra fan-out.
 //
-// The merged shard is built with the receiver's Build-time options, or
-// with the defaults when the receiver was loaded from a file (see
-// Append); on a serving path, run Compact off the request path and swap
-// the result in (the background compactor in gkmeans/internal/server does
-// exactly that). Compacting away every row of the index is refused, as is
-// a selection whose live remainder is too small to carry a graph.
+// The merged shard is built with the receiver's Build-time options (a
+// loaded index's included, see Append); on a serving path, run Compact off
+// the request path and swap the result in (the background compactor in
+// gkmeans/internal/server does exactly that). Compacting away every row of
+// the index is refused, as is a selection whose live remainder is too
+// small to carry a graph.
 func (x *Index) Compact(ctx context.Context, targets ...int) (*Index, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"gkmeans/internal/checked"
 	"gkmeans/internal/knngraph"
@@ -20,12 +21,17 @@ import (
 // sections), the mutation and routing state and the optional Build-time
 // clustering. Derived search structures are rebuilt on load from the
 // persisted entry-point count, so a loaded index answers queries identically
-// to the saved one. WriteTo writes one layout, version 6, for every state an
-// Index can be in (little-endian; ARCHITECTURE.md has the full reference):
+// to the saved one, and the persisted build options (κ, ξ, τ, seed,
+// builder), so the shards Append and Compact build on a loaded index come
+// out as they would have on the saved one. WriteTo writes one layout,
+// version 7, for every state an Index can be in (little-endian;
+// ARCHITECTURE.md has the full reference):
 //
-//	uint32  magic "GKIX", version (6), flags (flag* below), requested entry
+//	uint32  magic "GKIX", version (7), flags (flag* below), requested entry
 //	        points (0 = default), dtype word (must agree with flagU8),
 //	        segment count (>= 1), id bound (>= row count)
+//	options uint32 κ, ξ, τ (0 = default, each <= MaxInt32), int64 seed,
+//	        uint32 builder word (index into builderWords)
 //	matrix  dataset: every segment's rows in segment order, as one matrix
 //	        block of the dtype's width (vec.WriteRows); each segment owns
 //	        the next table Rows rows of it
@@ -40,11 +46,18 @@ import (
 //
 // The table states every graph's exact byte size up front, so a truncated or
 // inconsistent file fails with a clear error instead of a misaligned read.
-// Versions 1–5, written by earlier releases, are read (persist_legacy.go
-// translates their headers into readBody's input) and never written.
+// No count in the file is trusted for an allocation before the bytes it
+// counts have arrived: payloads and neighbour lists grow with the stream
+// (at most doubling), so a lying length costs at most about twice the bytes
+// actually read. Versions 1–6, written by earlier releases, are read
+// (persist_legacy.go translates their headers into readBody's input) and
+// never written; they carry no build options, so their indexes build with
+// the defaults.
 const (
 	indexMagic   = uint32(0x474b4958) // "GKIX"
-	indexVersion = uint32(6)
+	indexVersion = uint32(7)
+	// indexHeaderSize is the byte size of a v7 header, options included.
+	indexHeaderSize = 52
 
 	flagClusters = uint32(1 << 0) // clustering trailer present
 	flagSharded  = uint32(1 << 1) // clear exactly for one segment whose row i is id i
@@ -89,13 +102,18 @@ func (e segmentEntry) append(b []byte) []byte {
 	return binary.LittleEndian.AppendUint32(b, 0)
 }
 
+// builderWords numbers the graph builders a header can name. Word 0 is the
+// unset option, which builds with the default, kept apart from naming that
+// default so that a loaded index holds exactly the options it was saved
+// with.
+var builderWords = [...]string{"", BuilderGKMeans, BuilderNNDescent}
+
 // gkxHeader is what readBody needs from a container's header: ReadIndexFrom
-// fills it from a v6 header, readLegacy translates a v1–v5 one.
+// fills it from a v7 header, readLegacy translates a v1–v6 one.
 type gkxHeader struct {
 	version uint32 // as found in the file, for error messages
-	flags   uint32 // in v6 terms
-	entries int
-	dtype   DType
+	flags   uint32 // in v7 terms
+	cfg     config // entry points, dtype and (v7) κ, ξ, τ, seed and builder
 	segs    int
 	idBound int64 // -1: the header predates the id bound, which is the row count
 	// table, when set, produces the segment table of a layout that stores it
@@ -123,7 +141,7 @@ func flagIf(on bool, bit uint32) uint32 {
 	return 0
 }
 
-// WriteTo serialises the whole index to w in the v6 layout and returns the
+// WriteTo serialises the whole index to w in the v7 layout and returns the
 // number of bytes written (io.WriterTo). It is the package's one writer: it
 // lists the file's parts in layout order — header, dataset, segment table
 // (computable up front from the graphs' encoded sizes), segment bodies, the
@@ -136,6 +154,11 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 	// 0; an absurd one is clamped — the searcher caps entry points at the
 	// dataset size anyway, so the loaded index behaves identically.
 	entries := checked.U32(min(max(int64(x.cfg.entries), 0), math.MaxUint32))
+	// The graph options alike: every builder reads a non-positive value as
+	// its default and caps κ at the rows, so a clamped option builds the same.
+	opt := func(v int) uint32 { return checked.U32(min(max(int64(v), 0), math.MaxInt32)) }
+	// Build and NewIndex accept only the names builderWords lists.
+	builder := checked.U32(slices.Index(builderWords[:], x.cfg.builder))
 	rows, table := make([]vec.Rows, len(x.segs)), make([]byte, 0, segmentEntrySize*len(x.segs))
 	for s := range x.segs {
 		sg := &x.segs[s]
@@ -143,8 +166,14 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 		table = segmentEntry{Rows: checked.U32(sg.rows.N), Size: uint64(sg.graph.SectionSize()), Gen: sg.gen,
 			Base: uint32(sg.base), Flags: flagIf(sg.dead() > 0, segFlagTombs) | flagIf(sg.ids != nil, segFlagIDMap)}.append(table)
 	}
-	parts := []any{[]uint32{indexMagic, indexVersion, flags, entries, flagIf(u8, dtypeWordU8),
-		checked.U32(len(x.segs)), uint32(x.nextID)}, rows, table}
+	hdr := make([]byte, 0, indexHeaderSize)
+	for _, word := range []uint32{indexMagic, indexVersion, flags, entries, flagIf(u8, dtypeWordU8),
+		checked.U32(len(x.segs)), uint32(x.nextID), opt(x.cfg.kappa), opt(x.cfg.xi), opt(x.cfg.tau)} {
+		hdr = binary.LittleEndian.AppendUint32(hdr, word)
+	}
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(x.cfg.seed))
+	hdr = binary.LittleEndian.AppendUint32(hdr, builder)
+	parts := []any{hdr, rows, table}
 	for s := range x.segs {
 		sg := &x.segs[s]
 		parts = append(parts, sg.graph)
@@ -181,9 +210,9 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 			}
 		case *Matrix:
 			_, err = vec.WriteMatrix(cw, p)
-		case []byte: // the encoded segment table
+		case []byte: // the encoded header and segment table
 			_, err = cw.Write(p)
-		default: // header words, tombstone words, ids, labels
+		default: // routing and clustering words, tombstone words, ids, labels
 			err = binary.Write(cw, binary.LittleEndian, p)
 		}
 		if err != nil {
@@ -194,8 +223,9 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 }
 
 // ReadIndexFrom deserialises an index written by WriteTo — this release's or
-// an earlier one's (layouts 1–5). The loaded index is ready for Search,
-// SearchBatch and (when monolithic) Cluster, and answers like the saved one.
+// an earlier one's (layouts 1–6). The loaded index is ready for Search,
+// SearchBatch and (when monolithic) Cluster, and answers like the saved one;
+// from a v7 file, Append and Compact also build as they would have on it.
 func ReadIndexFrom(r io.Reader) (*Index, error) {
 	hdr := make([]uint32, 4)
 	if err := binary.Read(r, binary.LittleEndian, hdr); err != nil {
@@ -204,29 +234,57 @@ func ReadIndexFrom(r io.Reader) (*Index, error) {
 	if hdr[0] != indexMagic {
 		return nil, fmt.Errorf("gkmeans: bad index magic %#x", hdr[0])
 	}
-	h := gkxHeader{version: hdr[1], flags: hdr[2], entries: int(hdr[3])}
+	h := gkxHeader{version: hdr[1], flags: hdr[2], cfg: config{entries: int(hdr[3])}}
 	if h.version != indexVersion {
 		if err := h.readLegacy(r); err != nil {
 			return nil, err
 		}
 		return readBody(r, h)
 	}
+	if err := h.readShape(r); err != nil {
+		return nil, err
+	}
+	var opts [24]byte // uint32 κ, ξ, τ; int64 seed; uint32 builder word
+	if _, err := io.ReadFull(r, opts[:]); err != nil {
+		return nil, fmt.Errorf("gkmeans: reading build options: %w", err)
+	}
+	var graph [3]int // κ, ξ, τ
+	for i, name := range [...]string{"kappa", "xi", "tau"} {
+		v := binary.LittleEndian.Uint32(opts[4*i:])
+		if v > math.MaxInt32 {
+			return nil, fmt.Errorf("gkmeans: build option %s = %d overflows int32", name, v)
+		}
+		graph[i] = int(v)
+	}
+	builder := binary.LittleEndian.Uint32(opts[20:])
+	if builder >= uint32(len(builderWords)) {
+		return nil, fmt.Errorf("gkmeans: unknown graph builder word %d", builder)
+	}
+	h.cfg.kappa, h.cfg.xi, h.cfg.tau = graph[0], graph[1], graph[2]
+	h.cfg.seed = int64(binary.LittleEndian.Uint64(opts[12:]))
+	h.cfg.builder = builderWords[builder]
+	return readBody(r, h)
+}
+
+// readShape reads the header words v6 and v7 share after the entry-point
+// count: the dtype word, the segment count and the id bound.
+func (h *gkxHeader) readShape(r io.Reader) error {
 	var rest [3]uint32 // dtype word, segment count, id bound
 	if err := binary.Read(r, binary.LittleEndian, rest[:]); err != nil {
-		return nil, fmt.Errorf("gkmeans: reading index header: %w", err)
+		return fmt.Errorf("gkmeans: reading index header: %w", err)
 	}
 	// The uint8 flag and the dtype word pin the dtype twice: a flipped bit
 	// cannot make bytes parse as floats or vice versa.
 	switch u8 := h.flags&flagU8 != 0; {
 	case rest[0] != dtypeWordF32 && rest[0] != dtypeWordU8:
-		return nil, fmt.Errorf("gkmeans: bad dtype word %d (want %d for float32 or %d for uint8)", rest[0], dtypeWordF32, dtypeWordU8)
+		return fmt.Errorf("gkmeans: bad dtype word %d (want %d for float32 or %d for uint8)", rest[0], dtypeWordF32, dtypeWordU8)
 	case u8 != (rest[0] == dtypeWordU8):
-		return nil, fmt.Errorf("gkmeans: dtype word %d against uint8 flag %t — dtype/flag mismatch (flags %#x)", rest[0], u8, h.flags)
+		return fmt.Errorf("gkmeans: dtype word %d against uint8 flag %t — dtype/flag mismatch (flags %#x)", rest[0], u8, h.flags)
 	case u8:
-		h.dtype = DTypeUint8
+		h.cfg.dtype = DTypeUint8
 	}
 	h.segs, h.idBound = int(rest[1]), int64(rest[2])
-	return readBody(r, h)
+	return nil
 }
 
 // readBody loads everything after the header: dataset, segment table, each
@@ -248,7 +306,7 @@ func readBody(r io.Reader, h gkxHeader) (*Index, error) {
 	case h.idBound > math.MaxInt32:
 		return nil, fmt.Errorf("gkmeans: id bound %d overflows int32", h.idBound)
 	}
-	data, err := vec.ReadRows(r, h.dtype == DTypeUint8)
+	data, err := vec.ReadRows(r, h.cfg.dtype == DTypeUint8)
 	if err != nil {
 		return nil, err
 	}
@@ -276,8 +334,7 @@ func readBody(r io.Reader, h gkxHeader) (*Index, error) {
 	if totalRows != int64(data.N) {
 		return nil, fmt.Errorf("gkmeans: segment table covers %d rows, dataset has %d (segment-count mismatch or corrupt table)", totalRows, data.N)
 	}
-	x := &Index{segs: make([]seg, h.segs), probes: &probeStats{}, nextID: nextID,
-		cfg: config{entries: h.entries, dtype: h.dtype}}
+	x := &Index{segs: make([]seg, h.segs), probes: &probeStats{}, nextID: nextID, cfg: h.cfg}
 	row := 0
 	for s, e := range table {
 		rows := int(e.Rows)
@@ -296,7 +353,7 @@ func readBody(r io.Reader, h gkxHeader) (*Index, error) {
 		if lr.N != 0 {
 			return nil, fmt.Errorf("gkmeans: segment %d consumed %d bytes, table says %d", s, e.Size-uint64(lr.N), e.Size)
 		}
-		sc, err := newSegCore(data.View(row, row+rows), g, h.entries)
+		sc, err := newSegCore(data.View(row, row+rows), g, h.cfg.entries)
 		if err != nil {
 			return nil, fmt.Errorf("gkmeans: segment %d: %w", s, err)
 		}
@@ -341,7 +398,7 @@ func readBody(r io.Reader, h gkxHeader) (*Index, error) {
 	}
 	if h.flags&flagClusters != 0 {
 		// The writer attaches a clustering only to the state Cluster accepts.
-		if !monolithic || h.dtype != DTypeFloat32 || x.Deleted() > 0 {
+		if !monolithic || h.cfg.dtype != DTypeFloat32 || x.Deleted() > 0 {
 			return nil, fmt.Errorf("gkmeans: clustering flag on a sharded, uint8 or tombstoned index (flags %#x, %d deleted rows)", h.flags, x.Deleted())
 		}
 		if x.clusters, err = readClustering(r, data.F32(), x.segs[0].graph); err != nil {

@@ -13,16 +13,19 @@ import (
 // here parses a body: each version's header — and v2's narrower segment
 // table, v1's missing one — is translated into the gkxHeader readBody
 // loads, so the per-version knowledge is header fields and cross-checks.
+// None of them stores build options: their indexes build new shards with
+// the defaults (κ=50, ξ=50, τ=10, seed 0, the GK-means builder).
 //
 //	v1  magic, version, flags (bit 0: clustering), entries; then dataset,
-//	    one graph section, [clustering] — a v6 body without the table
+//	    one graph section, [clustering] — a v7 body without the table
 //	v2  … flags (bit 1 required), entries, shard count (>= 2), reserved;
 //	    dataset; table of {uint32 rows, 4 pad bytes, uint64 graph size};
 //	    graph sections
-//	v3  … flags (bits 1, 2), entries, segment count, id bound; v6 body
+//	v3  … flags (bits 1, 2), entries, segment count, id bound; v7 body
 //	v4  v3 with bit 3 required and the routing trailer
 //	v5  v3/v4 with bit 4 required and a dtype word (1) ahead of the segment
 //	    count — the v6 header, uint8 only
+//	v6  the v7 header without the build options, for every state
 //
 // v2–v5 never carried a clustering, v1–v4 never bytes.
 const (
@@ -31,10 +34,11 @@ const (
 	indexVersionMutable = uint32(3)
 	indexVersionRouted  = uint32(4)
 	indexVersionU8      = uint32(5)
+	indexVersionNoOpts  = uint32(6)
 )
 
 // readLegacy completes h — version, flags and entries already filled in —
-// from the rest of a v1–v5 header, consuming exactly that header from r.
+// from the rest of a v1–v6 header, consuming exactly that header from r.
 func (h *gkxHeader) readLegacy(r io.Reader) error {
 	u8, routed := h.flags&flagU8 != 0, h.flags&flagRouting != 0
 	switch {
@@ -42,6 +46,8 @@ func (h *gkxHeader) readLegacy(r io.Reader) error {
 		return fmt.Errorf("gkmeans: unsupported index version %d: written by a newer release (this one reads versions 1 to %d)", h.version, indexVersion)
 	case h.version < indexVersionSingle:
 		return fmt.Errorf("gkmeans: unsupported index version %d (want 1 to %d)", h.version, indexVersion)
+	case h.version == indexVersionNoOpts:
+		return h.readShape(r)
 	case u8 != (h.version == indexVersionU8):
 		return fmt.Errorf("gkmeans: v%d index with uint8 flag %t — dtype/flag mismatch (flags %#x)", h.version, u8, h.flags)
 	case h.version == indexVersionSharded && h.flags&flagSharded == 0:
@@ -77,7 +83,7 @@ func (h *gkxHeader) readLegacy(r io.Reader) error {
 		if dtype != dtypeWordU8 {
 			return fmt.Errorf("gkmeans: bad dtype word %d (a v5 container stores uint8, word %d)", dtype, dtypeWordU8)
 		}
-		h.dtype = DTypeUint8
+		h.cfg.dtype = DTypeUint8
 	}
 	var tail [2]uint32 // segment count, id bound
 	if err := binary.Read(r, binary.LittleEndian, tail[:]); err != nil {

@@ -55,6 +55,12 @@ import (
 //
 // (errors checked with log.Fatal in the original).
 //
+// v6-u8-routed-mutated is gkxState("u8-routed-mutated") as saved by the
+// last writer of layout 6 (commit 04b3adb): the richest state — bytes,
+// routing, an id map, tombstones, generations — in the last layout
+// without build options. Its routed partition is today's, so it is
+// compared with its rebuilt state like the unrouted fixtures.
+//
 // An unrouted fixture must answer and re-save exactly like its rebuilt
 // state. A routed fixture is pinned to its own stored partition instead:
 // segs lists, per segment, the external id of every row and the ids
@@ -62,7 +68,7 @@ import (
 var legacyFixtures = []struct {
 	name    string
 	version uint32
-	state   string // the gkxState built by the same operations; unrouted only
+	state   string // the gkxState built by the same operations; unrouted, or v6
 
 	n, shards, deleted, clusters int
 	idBound                      int32
@@ -82,6 +88,7 @@ var legacyFixtures = []struct {
 		{ids: []int32{1, 2, 7, 8, 9, 10, 11, 16, 18, 19, 20, 27, 28, 30, 31, 32, 34, 36, 40, 41, 42, 43, 47, 51, 54, 56, 58}, dead: []int32{1}},
 		{ids: []int32{60, 61, 62, 63}, dead: []int32{61}},
 	}},
+	{"v6-u8-routed-mutated", indexVersionNoOpts, "u8-routed-mutated", 62, 3, 1, 0, 64, DTypeUint8, true, true, nil},
 }
 
 // legacySeg is one stored segment of a routed fixture: the external id of
@@ -141,12 +148,14 @@ func gkxFixture(tb testing.TB, name string) []byte {
 }
 
 // Files written by every earlier release keep loading: each fixture comes
-// back in the state it was saved in and is rewritten as v6, which loads,
+// back in the state it was saved in and is rewritten as v7, which loads,
 // answers and re-saves byte for byte the same again. An unrouted fixture
-// also answers exactly like the same index rebuilt from the same seed and
-// operations, and re-saves as the very bytes that index writes; a routed
-// one holds the partition it was saved with. Deleting a fixture fails the
-// test: versions 1–5 must all be here.
+// (and the v6 one) also answers exactly like the same index rebuilt from
+// the same seed and operations, and re-saves as the very bytes that index
+// writes once its build options are dropped — no legacy layout stores
+// them, so a legacy index builds with the defaults; a routed one holds the
+// partition it was saved with. Deleting a fixture fails the test: versions
+// 1–6 must all be here.
 func TestLegacyFixtures(t *testing.T) {
 	entries, err := os.ReadDir(filepath.Join("testdata", "gkx"))
 	if err != nil {
@@ -187,14 +196,17 @@ func TestLegacyFixtures(t *testing.T) {
 					loaded.Sharded(), loaded.Routed(), f)
 			}
 
-			resaved := gkxBlob(t, loaded) // asserts version 6
+			if c := loaded.cfg; c.kappa != 0 || c.xi != 0 || c.tau != 0 || c.seed != 0 || c.builder != "" {
+				t.Fatalf("a legacy file loaded build options κ%d ξ%d τ%d seed %d builder %q", c.kappa, c.xi, c.tau, c.seed, c.builder)
+			}
+			resaved := gkxBlob(t, loaded) // asserts version 7
 			if f.segs != nil {
 				assertStoredPartition(t, loaded, f.segs)
 			} else {
 				rebuilt := gkxState(t, f.state)
 				assertSameState(t, rebuilt, loaded)
 				assertSearchEqual(t, rebuilt, loaded, queries)
-				if !bytes.Equal(resaved, gkxBlob(t, rebuilt)) {
+				if !bytes.Equal(resaved, gkxBlob(t, withoutBuildOptions(rebuilt))) {
 					t.Fatal("the fixture re-saves to different bytes than the rebuilt index writes")
 				}
 			}
@@ -209,14 +221,22 @@ func TestLegacyFixtures(t *testing.T) {
 				}
 			}
 			if !bytes.Equal(gkxBlob(t, again), resaved) {
-				t.Fatal("load → save as v6 → load → save is not byte-exact")
+				t.Fatal("load → save as v7 → load → save is not byte-exact")
 			}
 			if c := loaded.Clusters(); c != nil {
 				w, g := c, again.Clusters()
 				if g == nil || g.K != w.K || g.Iters != w.Iters || !reflect.DeepEqual(g.Labels, w.Labels) || !g.Centroids.Equal(w.Centroids) {
-					t.Fatal("the v1 clustering did not survive load → save as v6 → load")
+					t.Fatal("the v1 clustering did not survive load → save as v7 → load")
 				}
 			}
 		})
 	}
+}
+
+// withoutBuildOptions returns x as a layout without build options (v1–v6)
+// holds it: the same index, building new shards with the defaults.
+func withoutBuildOptions(x *Index) *Index {
+	y := *x
+	y.cfg = config{entries: x.cfg.entries, dtype: x.cfg.dtype, routing: x.cfg.routing}
+	return &y
 }

@@ -7,9 +7,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -111,7 +113,7 @@ func gkxBlob(tb testing.TB, idx *Index) []byte {
 	return buf.Bytes()
 }
 
-// gkxOffsets locates the sections of a v6 blob (persist.go): the 28-byte
+// gkxOffsets locates the sections of a v7 blob (persist.go): the 52-byte
 // header and the dataset come first; offsets of absent sections are -1.
 type gkxOffsets struct {
 	table    int   // segment table, 32 bytes per segment
@@ -128,7 +130,9 @@ const (
 	gkxDtypeOff   = 16
 	gkxSegsOff    = 20
 	gkxIDBoundOff = 24
-	gkxHdrEnd     = 28
+	gkxOptsOff    = 28 // uint32 κ, ξ, τ, then int64 seed (+12) and the builder word (+20)
+	gkxHdrEnd     = 52
+	gkxV6HdrEnd   = gkxOptsOff // a v5 or v6 header ends where v7's options begin
 )
 
 // gkxLayout serialises idx and computes where each section of the blob
@@ -491,7 +495,7 @@ func TestWriteToPropagatesWriteErrors(t *testing.T) {
 // segment table and the segments), a lying segment count and inconsistent
 // table entries — must always produce an error: never a panic, never a
 // misaligned read that "succeeds". The v2 cases corrupt the legacy fixture,
-// the v6 ones the writer's output.
+// the v7 ones the writer's output.
 func TestReadShardedCorruptInputs(t *testing.T) {
 	// v2 layout: 24-byte header, matrix (8-byte shape + payload), segment
 	// table (16 bytes per shard), then the segments.
@@ -500,14 +504,14 @@ func TestReadShardedCorruptInputs(t *testing.T) {
 	v2Segments := v2Table + 16*2
 
 	idx := gkxState(t, "sharded")
-	v6, at := gkxLayout(t, idx)
+	v7, at := gkxLayout(t, idx)
 	mutated, mat := gkxLayout(t, gkxState(t, "mutated"))
 
 	t.Run("truncations", func(t *testing.T) {
 		// Boundary cuts: mid-header, table start, mid-table (the "truncated
 		// segment table" case), segments start, mid-segment.
 		mustRejectCuts(t, v2, 120, 4, 16, 20, v2Table, v2Table+7, v2Table+16, v2Segments, v2Segments+3, len(v2)-1)
-		mustRejectCuts(t, v6, 120, 4, 16, 20, gkxHdrEnd, at.table, at.table+7, at.table+32, at.graph[0], at.graph[0]+3, at.graph[1], len(v6)-1)
+		mustRejectCuts(t, v7, 120, 4, 16, 20, gkxOptsOff, gkxOptsOff+13, gkxHdrEnd, at.table, at.table+7, at.table+32, at.graph[0], at.graph[0]+3, at.graph[1], len(v7)-1)
 		// v3–v5 headers carry a segment count and an id bound past the first 16 bytes.
 		mustRejectCuts(t, gkxFixture(t, "v3-mutated"), 60, 16, 20, 23, 24)
 		// A mutated index adds tombstone words and an id map per segment.
@@ -535,10 +539,10 @@ func TestReadShardedCorruptInputs(t *testing.T) {
 			{"v2 table segment size huge", put64(v2Table+8, 1<<50), "table says"},
 			{"v2 segment graph magic", func(b []byte) { b[v2Segments+8] ^= 0xFF }, "bad magic"},
 		})
-		mustRejectPatches(t, v6, []gkxPatch{
+		mustRejectPatches(t, v7, []gkxPatch{
 			{"version 99", func(b []byte) { b[4] = 99 }, "newer release"},
 			{"version 0", func(b []byte) { b[4] = 0 }, "unsupported index version 0"},
-			{"sharded flag missing", clearFlags(flagSharded), "monolithic v6 index with 2 segments"},
+			{"sharded flag missing", clearFlags(flagSharded), "monolithic v7 index with 2 segments"},
 			{"segment count zero", put32(gkxSegsOff, 0), "implausible segment count"},
 			{"segment count past the cap", put32(gkxSegsOff, maxShardSegments+1), "implausible segment count"},
 			{"segment count huge", put32(gkxSegsOff, 0xFFFFFFFF), "implausible segment count"},
@@ -585,14 +589,14 @@ func TestReadShardedCorruptInputs(t *testing.T) {
 		}
 		withMap, _ := gkxLayout(t, compacted) // one segment carrying an id map
 		mustRejectPatches(t, withMap, []gkxPatch{
-			{"monolithic with an id map", clearFlags(flagSharded), "monolithic v6 index with an id map"},
+			{"monolithic with an id map", clearFlags(flagSharded), "monolithic v7 index with an id map"},
 		})
 		mono, mo := gkxLayout(t, gkxState(t, "mono"))
 		mustRejectPatches(t, mono, []gkxPatch{
 			{"monolithic with a base", func(b []byte) {
 				put32(gkxIDBoundOff, 61)(b)
 				put32(mo.table+24, 1)(b)
-			}, "monolithic v6 index with base 1"},
+			}, "monolithic v7 index with base 1"},
 			{"base past the id bound", put32(mo.table+24, 1), "exceed the id bound"},
 		})
 	})
@@ -601,7 +605,7 @@ func TestReadShardedCorruptInputs(t *testing.T) {
 // Corrupt container inputs — truncations and targeted bit flips in every
 // section — must always produce an error: never a panic, never a runaway
 // allocation from an untrusted header. The v1 cases corrupt the legacy
-// fixture, the v6 ones the writer's output.
+// fixture, the v7 ones the writer's output.
 func TestReadIndexFromCorruptInputs(t *testing.T) {
 	// v1 layout: 16-byte header, matrix (8-byte shape + payload),
 	// length-prefixed graph section, clustering.
@@ -614,14 +618,14 @@ func TestReadIndexFromCorruptInputs(t *testing.T) {
 	}
 
 	idx := smallClusteredIndex(t)
-	v6, at := gkxLayout(t, idx)
-	const v6Matrix = gkxHdrEnd
+	v7, at := gkxLayout(t, idx)
+	const v7Matrix = gkxHdrEnd
 
 	// Every strict prefix must fail cleanly, whichever section the cut
 	// lands in; exact section boundaries are the interesting edge cases.
 	t.Run("truncations", func(t *testing.T) {
 		mustRejectCuts(t, v1, 150, v1Matrix, v1Matrix+8, v1Graph, v1Graph+4, v1Graph+8, v1Clusters, v1Clusters+8, len(v1)-1)
-		mustRejectCuts(t, v6, 150, 16, 20, v6Matrix, v6Matrix+8, at.table, at.graph[0], at.graph[0]+8, at.clusters, at.clusters+8, at.clusters+8+4*idx.N(), len(v6)-1)
+		mustRejectCuts(t, v7, 150, 16, 20, gkxOptsOff, v7Matrix, v7Matrix+8, at.table, at.graph[0], at.graph[0]+8, at.clusters, at.clusters+8, at.clusters+8+4*idx.N(), len(v7)-1)
 	})
 
 	t.Run("bitflips", func(t *testing.T) {
@@ -646,8 +650,8 @@ func TestReadIndexFromCorruptInputs(t *testing.T) {
 			}
 		}
 		mustRejectPatches(t, v1, sectionCases(v1Matrix, v1Graph, v1Clusters, 60))
-		mustRejectPatches(t, v6, sectionCases(v6Matrix, at.graph[0], at.clusters, idx.N()))
-		mustRejectGkx(t, "clustering flag without a trailer", v6[:at.clusters], "clustering header")
+		mustRejectPatches(t, v7, sectionCases(v7Matrix, at.graph[0], at.clusters, idx.N()))
+		mustRejectGkx(t, "clustering flag without a trailer", v7[:at.clusters], "clustering header")
 	})
 
 	// Only a monolithic float32 index without tombstones can carry a
@@ -678,4 +682,100 @@ func TestReadIndexFromCorruptInputs(t *testing.T) {
 			}
 		}
 	})
+}
+
+// The build options travel with the file: a loaded index holds the κ, ξ,
+// τ, seed and builder it was saved with — a value no builder can read
+// differently clamped as the writer stores it — and the unset builder stays
+// apart from naming the default one.
+func TestBuildOptionsSurviveSaveLoad(t *testing.T) {
+	type opts struct {
+		kappa, xi, tau int
+		seed           int64
+		builder        string
+	}
+	of := func(x *Index) opts { return opts{x.cfg.kappa, x.cfg.xi, x.cfg.tau, x.cfg.seed, x.cfg.builder} }
+	for _, name := range gkxStates {
+		idx := gkxState(t, name)
+		if want, got := of(idx), of(roundTrip(t, gkxBlob(t, idx))); got != want {
+			t.Fatalf("%s: loaded options %+v, saved %+v", name, got, want)
+		}
+	}
+	mono := gkxState(t, "mono")
+	for _, tc := range []struct {
+		given []Option
+		want  opts
+	}{
+		{[]Option{WithKappa(-3), WithXi(math.MaxInt), WithSeed(-7), WithGraphBuilder(BuilderNNDescent)},
+			opts{0, math.MaxInt32, 0, -7, BuilderNNDescent}},
+		{[]Option{WithTau(5), WithSeed(math.MinInt64), WithGraphBuilder(BuilderGKMeans)},
+			opts{0, 0, 5, math.MinInt64, BuilderGKMeans}},
+	} {
+		idx, err := NewIndex(mono.Data(), mono.Graph(), tc.given...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := of(roundTrip(t, gkxBlob(t, idx))); got != tc.want {
+			t.Fatalf("loaded options %+v, want %+v", got, tc.want)
+		}
+	}
+	if _, err := NewIndex(mono.Data(), mono.Graph(), WithGraphBuilder("nosuch")); err == nil {
+		t.Fatal("NewIndex accepted an unknown graph builder")
+	}
+	blob := gkxBlob(t, mono)
+	mustRejectPatches(t, blob, []gkxPatch{
+		{"kappa past int32", put32(gkxOptsOff, 1<<31), "build option kappa = 2147483648 overflows int32"},
+		{"tau past int32", put32(gkxOptsOff+8, math.MaxUint32), "build option tau = 4294967295 overflows int32"},
+		{"unknown builder word", put32(gkxOptsOff+20, 3), "unknown graph builder word 3"},
+	})
+}
+
+// A loaded index grows exactly as the index it was saved from would have:
+// Append, then Compact, write the same .gkx bytes on both — monolithic,
+// routed and routed uint8, built on one worker or two. The loaded index
+// builds on GOMAXPROCS workers, so the test sets that to the same count.
+func TestLoadedIndexBuildsAsSaved(t *testing.T) {
+	ctx := context.Background()
+	data, extra := dataset.SIFTLike(500, 17), dataset.SIFTLike(64, 18)
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"monolithic", nil},
+		{"routed", []Option{WithShards(2), WithRouting(4)}},
+		{"routed-u8", []Option{WithDType(DTypeUint8), WithShards(2), WithRouting(4)}},
+	} {
+		for _, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+				opts := append([]Option{WithKappa(8), WithXi(20), WithTau(3), WithSeed(23), WithWorkers(workers)}, tc.opts...)
+				built, err := Build(ctx, data, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				loaded := roundTrip(t, gkxBlob(t, built))
+				var appended, compacted [2][]byte
+				for i, x := range []*Index{built, loaded} {
+					x, err := x.Append(ctx, extra)
+					if err != nil {
+						t.Fatal(err)
+					}
+					appended[i] = gkxBlob(t, x)
+					if x, err = x.Delete(3, 501); err == nil {
+						x, err = x.Compact(ctx)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					compacted[i] = gkxBlob(t, x)
+				}
+				if !bytes.Equal(appended[0], appended[1]) {
+					t.Fatal("Append on the loaded index writes other bytes than on the index it was saved from")
+				}
+				if !bytes.Equal(compacted[0], compacted[1]) {
+					t.Fatal("Compact on the loaded index writes other bytes than on the index it was saved from")
+				}
+			})
+		}
+	}
 }

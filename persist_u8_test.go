@@ -193,19 +193,19 @@ func TestU8MutatedRoundTrip(t *testing.T) {
 // direction, and truncations in every section — must produce an error,
 // never a panic or a byte dataset parsed as floats. The v5 cases corrupt the
 // legacy fixture (and the v1–v4 ones, for the flag their readers reject),
-// the v6 ones the writer's output.
+// the v7 ones the writer's output.
 func TestReadU8CorruptInputs(t *testing.T) {
-	// v5 and v6 share the 28-byte header: magic, version, flags, entries,
-	// dtype word, segment count, id bound — then the uint8 matrix (8-byte
-	// shape + N·Dim payload bytes).
+	// v5 and v7 share the header's first 28 bytes: magic, version, flags,
+	// entries, dtype word, segment count, id bound. v7's build options
+	// follow; then the uint8 matrix (8-byte shape + N·Dim payload bytes).
 	v5 := gkxFixture(t, "v5-u8-routed-mutated")
-	v6, at := gkxLayout(t, smallU8Index(t, 80))
+	v7, at := gkxLayout(t, smallU8Index(t, 80))
 	routed, rat := gkxLayout(t, gkxState(t, "u8-routed-mutated"))
 	float6 := gkxBlob(t, gkxState(t, "mono"))
 
 	t.Run("truncations", func(t *testing.T) {
-		mustRejectCuts(t, v5, 120, 4, gkxDtypeOff, gkxDtypeOff+2, gkxHdrEnd, gkxHdrEnd+8, len(v5)-1)
-		mustRejectCuts(t, v6, 120, 4, gkxDtypeOff, gkxDtypeOff+2, gkxSegsOff, gkxHdrEnd, gkxHdrEnd+8, at.table, at.graph[0], len(v6)-1)
+		mustRejectCuts(t, v5, 120, 4, gkxDtypeOff, gkxDtypeOff+2, gkxV6HdrEnd, gkxV6HdrEnd+8, len(v5)-1)
+		mustRejectCuts(t, v7, 120, 4, gkxDtypeOff, gkxDtypeOff+2, gkxSegsOff, gkxOptsOff, gkxHdrEnd, gkxHdrEnd+8, at.table, at.graph[0], len(v7)-1)
 		// Which segment holds a tombstone depends on the routed partition.
 		tombs := slices.IndexFunc(rat.tombs, func(off int) bool { return off >= 0 })
 		if tombs < 0 {
@@ -218,7 +218,7 @@ func TestReadU8CorruptInputs(t *testing.T) {
 		for _, w := range []uint32{0, 2, 99, 0xFFFFFFFF} {
 			name := fmt.Sprintf("dtype word %d", w)
 			mustRejectPatches(t, v5, []gkxPatch{{"v5 " + name, put32(gkxDtypeOff, w), "dtype word"}})
-			mustRejectPatches(t, v6, []gkxPatch{{name, put32(gkxDtypeOff, w), "dtype word"}})
+			mustRejectPatches(t, v7, []gkxPatch{{name, put32(gkxDtypeOff, w), "dtype word"}})
 		}
 		for _, w := range []uint32{2, 99, 0xFFFFFFFF} {
 			mustRejectPatches(t, float6, []gkxPatch{{fmt.Sprintf("float32 blob, dtype word %d", w), put32(gkxDtypeOff, w), "bad dtype word"}})
@@ -233,9 +233,9 @@ func TestReadU8CorruptInputs(t *testing.T) {
 		for _, name := range []string{"v1-mono-clustered", "v2-sharded", "v3-mutated", "v4-routed"} {
 			mustRejectPatches(t, gkxFixture(t, name), []gkxPatch{{name[:2] + " with flagU8", orFlags(flagU8), mismatch}})
 		}
-		// v6 carries the dtype word on every index, so it can disagree with
+		// v7 carries the dtype word on every index, so it can disagree with
 		// the flag in both directions on both dtypes.
-		mustRejectPatches(t, v6, []gkxPatch{
+		mustRejectPatches(t, v7, []gkxPatch{
 			{"uint8 blob without flagU8", clearFlags(flagU8), mismatch},
 			{"uint8 blob with the float32 word", put32(gkxDtypeOff, dtypeWordF32), mismatch},
 		})
@@ -252,10 +252,13 @@ func TestReadU8CorruptInputs(t *testing.T) {
 	})
 
 	t.Run("shape mutations", func(t *testing.T) {
-		for name, blob := range map[string][]byte{"v5": v5, "v6": v6} {
-			mustRejectPatches(t, blob, []gkxPatch{
-				{name + " rows huge", put32(gkxHdrEnd, 0xFFFFFF00), ""},
-				{name + " dim zero", put32(gkxHdrEnd+4, 0), ""},
+		for name, c := range map[string]struct {
+			blob   []byte
+			matrix int
+		}{"v5": {v5, gkxV6HdrEnd}, "v7": {v7, gkxHdrEnd}} {
+			mustRejectPatches(t, c.blob, []gkxPatch{
+				{name + " rows huge", put32(c.matrix, 0xFFFFFF00), ""},
+				{name + " dim zero", put32(c.matrix+4, 0), ""},
 				{name + " segment count zero", put32(gkxSegsOff, 0), "implausible segment count"},
 				{name + " id bound below rows", put32(gkxIDBoundOff, 1), "below row count"},
 			})

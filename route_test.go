@@ -361,7 +361,7 @@ func TestRoutedMutationChain(t *testing.T) {
 }
 
 // Corrupt routing state — in the header flags or the centroid trailer — is
-// rejected. The v4 cases corrupt the legacy fixture, the v6 ones the
+// rejected. The v4 cases corrupt the legacy fixture, the v7 ones the
 // writer's output.
 func TestRoutedReadRejectsCorruptCentroids(t *testing.T) {
 	// The routing trailer sits at the end: uint32 k, then one
@@ -369,14 +369,14 @@ func TestRoutedReadRejectsCorruptCentroids(t *testing.T) {
 	v4 := gkxFixture(t, "v4-routed")
 	v4K := len(v4) - (4 + 2*(8+2*128*4)) // two shards, two centroids each
 	idx, _, _ := buildRoutedIndex(t)
-	v6, at := gkxLayout(t, idx)
+	v7, at := gkxLayout(t, idx)
 	firstShape := at.routing + 4
-	lastShape := len(v6) - (8 + 4*idx.route.Centroids(idx.Shards()-1).N*idx.Dim())
+	lastShape := len(v7) - (8 + 4*idx.route.Centroids(idx.Shards()-1).N*idx.Dim())
 
 	for name, c := range map[string]struct {
 		blob []byte
 		k    int
-	}{"v4": {v4, v4K}, "v6": {v6, at.routing}} {
+	}{"v4": {v4, v4K}, "v7": {v7, at.routing}} {
 		mustRejectGkx(t, name+" truncated trailer", c.blob[:len(c.blob)-5], "routing centroids")
 		mustRejectGkx(t, name+" routing flag without trailer", c.blob[:c.k], "routing header")
 		mustRejectPatches(t, c.blob, []gkxPatch{
@@ -392,7 +392,7 @@ func TestRoutedReadRejectsCorruptCentroids(t *testing.T) {
 		{"v3 with routing flag", put32(4, 3), "v3 index with the routing flag"},
 		{"v4 without routing flag", clearFlags(flagRouting), "v4 index without the routing flag"},
 	})
-	mustRejectPatches(t, v6, []gkxPatch{
+	mustRejectPatches(t, v7, []gkxPatch{
 		{"centroids of the wrong dimensionality", func(b []byte) {
 			// 4×128 relabelled 8×64: same payload, wrong shape.
 			put32(firstShape, 8)(b)
@@ -405,7 +405,7 @@ func TestRoutedReadRejectsCorruptCentroids(t *testing.T) {
 	})
 	// Without the flag the trailer is trailing bytes the loader never reads;
 	// what it loads is then an unrouted index.
-	unflagged := bytes.Clone(v6)
+	unflagged := bytes.Clone(v7)
 	clearFlags(flagRouting)(unflagged)
 	if loaded, err := ReadIndexFrom(bytes.NewReader(unflagged)); err != nil || loaded.Routed() {
 		t.Fatalf("routing flag cleared: err %v, want an unrouted index", err)
