@@ -68,12 +68,14 @@
 //
 // A built index persists as a versioned binary container (".gkx", holding
 // the dataset, graph(s) and clustering) and loads back ready to serve,
-// with search results identical to the saved index. There is one written
-// layout (version 6) for every state an index can be in — one segment or
-// many, mutation state (tombstones, id maps, generations — see Mutation
-// below), a router (see Sharding), uint8 rows (see the dtype section), a
-// clustering. Files written by earlier releases (versions 1–5) load
-// unchanged and are rewritten as version 6 by the next save. See
+// with search results identical to the saved index, and with the build
+// options (κ, ξ, τ, seed, builder) that Append and Compact build new shards
+// with. There is one written layout (version 7) for every state an index
+// can be in — one segment or many, mutation state (tombstones, id maps,
+// generations — see Mutation below), a router (see Sharding), uint8 rows
+// (see the dtype section), a clustering. Files written by earlier releases
+// (versions 1–6) load unchanged, build new shards with the default
+// options, and are rewritten as version 7 by the next save. See
 // ARCHITECTURE.md for the byte-level format reference.
 //
 //	err = gkmeans.SaveIndex("sift.gkx", idx)

@@ -2,6 +2,8 @@ package gkmeans
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 )
@@ -74,11 +76,18 @@ func FuzzReadIndexFrom(f *testing.F) {
 // must cost no more memory than the bytes that did arrive: the readers
 // grow what they decode with the stream and never allocate from a header.
 // The bound is TotalAlloc ≤ 2× the blob + 1 MiB per read (the fixed part
-// covers read buffers and the index's small headers). Each lie but κ fails
-// the read. κ only caps the lists, and no list reaches it, so that file
-// loads — as it always has — and re-saves to exactly its own bytes.
+// covers read buffers and the index's small headers), from a stream
+// (ReadIndexFrom) and from a file (LoadIndex, which knows the file's size).
+// Each lie but κ fails the read. κ only caps the lists, and no list reaches
+// it, so that file loads — as it always has — and re-saves to exactly its
+// own bytes.
 func TestLyingLengthsAllocateBoundedly(t *testing.T) {
 	const lie = 1 << 30
+	path := filepath.Join(t.TempDir(), "lying.gkx")
+	reads := map[string]func([]byte) (*Index, error){
+		"stream": func(b []byte) (*Index, error) { return ReadIndexFrom(bytes.NewReader(b)) },
+		"file":   func([]byte) (*Index, error) { return LoadIndex(path) },
+	}
 	for _, name := range []string{"mono", "u8-routed-mutated"} {
 		blob, at := gkxLayout(t, gkxState(t, name))
 		for _, tc := range []struct {
@@ -94,30 +103,35 @@ func TestLyingLengthsAllocateBoundedly(t *testing.T) {
 		} {
 			b := bytes.Clone(blob)
 			tc.patch(b)
-			limit := 2*uint64(len(b)) + 1<<20
-			// The least of three reads: a collection or a runtime
-			// allocation landing inside one read is not the reader's.
-			var alloc uint64
-			for try := 0; try < 3; try++ {
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				idx, err := ReadIndexFrom(bytes.NewReader(b))
-				runtime.ReadMemStats(&after)
-				if d := after.TotalAlloc - before.TotalAlloc; try == 0 || d < alloc {
-					alloc = d
-				}
-				switch {
-				case !tc.loads && err == nil:
-					t.Fatalf("%s: a lying %s was accepted", name, tc.field)
-				case tc.loads && err != nil:
-					t.Fatalf("%s: %s: %v", name, tc.field, err)
-				case tc.loads && !bytes.Equal(gkxBlob(t, idx), b):
-					t.Fatalf("%s: a file with a lying %s re-saves to other bytes", name, tc.field)
-				}
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
 			}
-			t.Logf("%s, lying %s: %d bytes allocated for a %d-byte blob (limit %d)", name, tc.field, alloc, len(b), limit)
-			if alloc > limit {
-				t.Errorf("%s, lying %s: read allocated %d bytes, limit 2×%d + 1 MiB = %d", name, tc.field, alloc, len(b), limit)
+			limit := 2*uint64(len(b)) + 1<<20
+			for via, read := range reads {
+				// The least of three reads: a collection or a runtime
+				// allocation landing inside one read is not the reader's.
+				var alloc uint64
+				for try := 0; try < 3; try++ {
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					idx, err := read(b)
+					runtime.ReadMemStats(&after)
+					if d := after.TotalAlloc - before.TotalAlloc; try == 0 || d < alloc {
+						alloc = d
+					}
+					switch {
+					case !tc.loads && err == nil:
+						t.Fatalf("%s from a %s: a lying %s was accepted", name, via, tc.field)
+					case tc.loads && err != nil:
+						t.Fatalf("%s from a %s: %s: %v", name, via, tc.field, err)
+					case tc.loads && !bytes.Equal(gkxBlob(t, idx), b):
+						t.Fatalf("%s from a %s: a file with a lying %s re-saves to other bytes", name, via, tc.field)
+					}
+				}
+				t.Logf("%s from a %s, lying %s: %d bytes allocated for a %d-byte blob (limit %d)", name, via, tc.field, alloc, len(b), limit)
+				if alloc > limit {
+					t.Errorf("%s from a %s, lying %s: read allocated %d bytes, limit 2×%d + 1 MiB = %d", name, via, tc.field, alloc, len(b), limit)
+				}
 			}
 		}
 	}

@@ -322,9 +322,12 @@ func read(r io.Reader, size int64) (*Graph, error) {
 	if kappa <= 0 || n < 0 {
 		return nil, fmt.Errorf("knngraph: invalid header n=%d kappa=%d", n, kappa)
 	}
-	// At most κ neighbours per node, and no more than the bytes after the
-	// header and the n length words hold.
-	limit := min(int64(n)*int64(kappa), max(size-12-4*int64(n), 0)/8)
+	// No more neighbours than the bytes after the header and the n length
+	// words hold, and at most κ per node.
+	limit := max(size-12-4*int64(n), 0) / 8
+	if int64(n) <= limit/int64(kappa) {
+		limit = int64(n) * int64(kappa)
+	}
 	var nbs []Neighbor // every list, back to back
 	ends := make([]int, 0, min(n, ioChunk/8))
 	buf := make([]byte, min(8*int64(kappa), ioChunk))

@@ -85,8 +85,8 @@ func ReadMatrix(r io.Reader) (*Matrix, error) {
 		return nil, err
 	}
 	total := int64(n) * int64(d)
-	data := make([]float32, 0, min(total, ioChunk/4))
-	buf := make([]byte, 4*cap(data))
+	data := make([]float32, 0, firstCap(r, total, 4))
+	buf := make([]byte, 4*min(total, ioChunk/4))
 	for int64(len(data)) < total {
 		c := int(min(total-int64(len(data)), ioChunk/4))
 		chunk := buf[:4*c]
@@ -111,7 +111,7 @@ func readU8Matrix(r io.Reader) (*U8Matrix, error) {
 		return nil, err
 	}
 	total := int64(n) * int64(d)
-	data := make([]uint8, 0, min(total, ioChunk))
+	data := make([]uint8, 0, firstCap(r, total, 1))
 	for int64(len(data)) < total {
 		c := int(min(total-int64(len(data)), ioChunk))
 		data = growPayload(data, c, total)
@@ -121,6 +121,18 @@ func readU8Matrix(r io.Reader) (*U8Matrix, error) {
 		data = data[:len(data)+c]
 	}
 	return &U8Matrix{Data: data, N: n, Dim: d}, nil
+}
+
+// firstCap is the capacity a payload of total values of width bytes starts
+// at: all of it when r says it still holds that many bytes — an
+// *io.LimitedReader over a file of known size does — so an honest file
+// decodes into one allocation; otherwise one chunk, which growPayload
+// grows with the stream.
+func firstCap(r io.Reader, total, width int64) int64 {
+	if lr, ok := r.(*io.LimitedReader); ok && total*width <= lr.N {
+		return total
+	}
+	return min(total, ioChunk/width)
 }
 
 // growPayload makes room for c more values of a payload whose header

@@ -2,6 +2,7 @@ package vec
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"strconv"
 	"testing"
@@ -84,6 +85,45 @@ func TestWriteMatrixRejectsOversizedShape(t *testing.T) {
 		}
 		if buf.Len() != 0 {
 			t.Fatalf("WriteMatrix emitted %d bytes before rejecting the shape", buf.Len())
+		}
+	}
+}
+
+// A payload of several chunks decodes the same whether the reader says how
+// much it holds (an io.LimitedReader: one allocation, whole) or not (grown
+// with the stream), and in both cases ends with no capacity to spare.
+func TestReadPayloadAcrossChunks(t *testing.T) {
+	m := NewMatrix(1000, 100) // 400 KB of floats: several 64 KiB chunks
+	for i := range m.Data {
+		m.Data[i] = float32(i%977) - 0.25
+	}
+	b := NewU8Matrix(3000, 100) // 300 KB of bytes
+	for i := range b.Data {
+		b.Data[i] = uint8(i * 7)
+	}
+	for _, rows := range []Rows{RowsF32(m), RowsU8(b)} {
+		var buf bytes.Buffer
+		if _, err := WriteRows(&buf, rows); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []io.Reader{bytes.NewReader(buf.Bytes()), &io.LimitedReader{R: bytes.NewReader(buf.Bytes()), N: int64(buf.Len())}} {
+			got, err := ReadRows(r, rows.U8() != nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var again bytes.Buffer
+			if _, err := WriteRows(&again, got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again.Bytes(), buf.Bytes()) {
+				t.Fatalf("%T: payload changed in the round trip", r)
+			}
+			if f := got.F32(); f != nil && cap(f.Data) != len(f.Data) {
+				t.Fatalf("%T: float payload has capacity %d for %d values", r, cap(f.Data), len(f.Data))
+			}
+			if u := got.U8(); u != nil && cap(u.Data) != len(u.Data) {
+				t.Fatalf("%T: byte payload has capacity %d for %d values", r, cap(u.Data), len(u.Data))
+			}
 		}
 	}
 }

@@ -49,7 +49,8 @@ import (
 // No count in the file is trusted for an allocation before the bytes it
 // counts have arrived: payloads and neighbour lists grow with the stream
 // (at most doubling), so a lying length costs at most about twice the bytes
-// actually read. Versions 1–6, written by earlier releases, are read
+// actually read — or, under LoadIndex, which bounds the stream by the
+// file's size, a dataset that fits the file is allocated whole. Versions 1–6, written by earlier releases, are read
 // (persist_legacy.go translates their headers into readBody's input) and
 // never written; they carry no build options, so their indexes build with
 // the defaults.
@@ -244,26 +245,35 @@ func ReadIndexFrom(r io.Reader) (*Index, error) {
 	if err := h.readShape(r); err != nil {
 		return nil, err
 	}
+	if err := h.readOptions(r); err != nil {
+		return nil, err
+	}
+	return readBody(r, h)
+}
+
+// readOptions reads the build options that end a v7 header.
+func (h *gkxHeader) readOptions(r io.Reader) error {
 	var opts [24]byte // uint32 κ, ξ, τ; int64 seed; uint32 builder word
 	if _, err := io.ReadFull(r, opts[:]); err != nil {
-		return nil, fmt.Errorf("gkmeans: reading build options: %w", err)
+		return fmt.Errorf("gkmeans: reading build options: %w", err)
 	}
-	var graph [3]int // κ, ξ, τ
-	for i, name := range [...]string{"kappa", "xi", "tau"} {
+	for i, opt := range [...]struct {
+		name string
+		dst  *int
+	}{{"kappa", &h.cfg.kappa}, {"xi", &h.cfg.xi}, {"tau", &h.cfg.tau}} {
 		v := binary.LittleEndian.Uint32(opts[4*i:])
 		if v > math.MaxInt32 {
-			return nil, fmt.Errorf("gkmeans: build option %s = %d overflows int32", name, v)
+			return fmt.Errorf("gkmeans: build option %s = %d overflows int32", opt.name, v)
 		}
-		graph[i] = int(v)
+		*opt.dst = int(v)
 	}
 	builder := binary.LittleEndian.Uint32(opts[20:])
 	if builder >= uint32(len(builderWords)) {
-		return nil, fmt.Errorf("gkmeans: unknown graph builder word %d", builder)
+		return fmt.Errorf("gkmeans: unknown graph builder word %d", builder)
 	}
-	h.cfg.kappa, h.cfg.xi, h.cfg.tau = graph[0], graph[1], graph[2]
 	h.cfg.seed = int64(binary.LittleEndian.Uint64(opts[12:]))
 	h.cfg.builder = builderWords[builder]
-	return readBody(r, h)
+	return nil
 }
 
 // readShape reads the header words v6 and v7 share after the entry-point
@@ -522,5 +532,11 @@ func LoadIndex(path string) (*Index, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadIndexFrom(f)
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	// Bounded by the file's size, the dataset is allocated once, whole:
+	// no header can make it larger than the bytes the file holds.
+	return ReadIndexFrom(&io.LimitedReader{R: f, N: st.Size()})
 }
