@@ -282,8 +282,8 @@ func NewIndex(data *Matrix, g *Graph, opts ...Option) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The one graph that reaches an index unvalidated: a loaded one was
-	// checked by knngraph.Read, a built one is valid by construction.
+	// The caller's graph is checked here; a loaded one was by knngraph.Read,
+	// and a built one is valid by construction.
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("gkmeans: invalid graph: %w", err)
 	}

@@ -136,8 +136,8 @@ func firstCap(r io.Reader, total, width int64) int64 {
 }
 
 // growPayload makes room for c more values of a payload whose header
-// declares total. The header is untrusted, so the payload is never
-// allocated from it up front: capacity doubles with the values that have
+// declares total. Unless the reader vouched for it (firstCap), the header
+// is untrusted, so capacity only doubles with the values that have
 // actually arrived, capped at total. A lying header over a short stream
 // thus fails at EOF having allocated at most twice the bytes it read
 // (repeatedly zeroing huge spans is also what a fuzzer would otherwise

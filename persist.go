@@ -50,10 +50,11 @@ import (
 // counts have arrived: payloads and neighbour lists grow with the stream
 // (at most doubling), so a lying length costs at most about twice the bytes
 // actually read — or, under LoadIndex, which bounds the stream by the
-// file's size, a dataset that fits the file is allocated whole. Versions 1–6, written by earlier releases, are read
-// (persist_legacy.go translates their headers into readBody's input) and
-// never written; they carry no build options, so their indexes build with
-// the defaults.
+// file's size, a dataset that fits the file is allocated whole.
+//
+// Versions 1–6, written by earlier releases, are read (persist_legacy.go
+// translates their headers into readBody's input) and never written; they
+// carry no build options, so their indexes build with the defaults.
 const (
 	indexMagic   = uint32(0x474b4958) // "GKIX"
 	indexVersion = uint32(7)

@@ -388,7 +388,7 @@ func assertSameState(t *testing.T, want, got *Index) {
 }
 
 // Every state an Index can reach is written in the one layout and comes back
-// from it unchanged: the header says 6, save → load → save is byte-identical,
+// from it unchanged: the header says 7, save → load → save is byte-identical,
 // and the loaded index reports the same state and answers the same — with
 // the clustering, where there is one, intact.
 func TestEveryStateRoundTripsThroughOneLayout(t *testing.T) {
