@@ -240,8 +240,7 @@ func BruteForce(data *vec.Matrix, kappa int, workers int) *Graph {
 // mutation-heavy operation, and Read before it returns a graph.
 func (g *Graph) Validate() error {
 	n := g.N()
-	// mark[id] == stamp(i) says node i's list already holds id: one slice
-	// for the whole graph instead of a set per node.
+	// mark[id] == i+1 says node i's list already holds id.
 	mark := make([]int32, n)
 	for i, list := range g.Lists {
 		if len(list) > g.Kappa {
