@@ -7,6 +7,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"gkmeans/internal/bkm"
@@ -34,6 +35,28 @@ func TestClusterWithEmptyGraphListsStillValid(t *testing.T) {
 	sizes := metrics.ClusterSizes(res.Labels, 10)
 	if metrics.NonEmpty(sizes) != 10 {
 		t.Fatalf("partition broken: %v", sizes)
+	}
+}
+
+// A graph's κ only caps its lists; a loaded graph may state one far above
+// any list it holds. Clustering must size its scratch by what the lists
+// and k can produce, not by that κ.
+func TestClusterWithLyingKappaAllocatesByLists(t *testing.T) {
+	data := dataset.Uniform(200, 6, 1)
+	g, _ := knngraph.RandomN(data, 5, 3, 1)
+	g.Kappa = 1 << 22 // 32 MiB of candidate buffer, were κ trusted
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Cluster(data, g, Config{K: 10, MaxIter: 5, Seed: 2})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Validate(data.N); err != nil {
+		t.Fatal(err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d > 8<<20 {
+		t.Fatalf("Cluster allocated %d bytes over a 200-row graph with κ = %d", d, g.Kappa)
 	}
 }
 

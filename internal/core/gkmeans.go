@@ -108,8 +108,11 @@ type candidateCollector struct {
 	buf   []int
 }
 
+// newCandidateCollector sizes the buffer for the most clusters one list can
+// name: no more than its κ neighbours, nor than the k clusters (a loaded
+// graph's κ is only a cap on its lists, however large).
 func newCandidateCollector(k, kappa int) *candidateCollector {
-	c := &candidateCollector{seen: make([]int, k), buf: make([]int, 0, kappa+1)}
+	c := &candidateCollector{seen: make([]int, k), buf: make([]int, 0, min(kappa, k)+1)}
 	for i := range c.seen {
 		c.seen[i] = -1
 	}
