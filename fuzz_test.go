@@ -2,6 +2,7 @@ package gkmeans
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -48,8 +49,10 @@ func FuzzReadIndexFrom(f *testing.F) {
 	corrupt("u8-mono", func(b []byte) []byte { b[gkxDtypeOff] ^= 0xff; return b })
 	corrupt("v5-u8-routed-mutated", func(b []byte) []byte { b[gkxDtypeOff] ^= 0xff; return b })
 	corrupt("v6-u8-routed-mutated", func(b []byte) []byte { b[gkxDtypeOff] ^= 0xff; return b })
-	// Lying build options: κ past int32, a builder word naming no builder.
+	// Lying build options: κ past int32, τ past its limit by one flipped
+	// bit, a builder word naming no builder.
 	corrupt("routed", func(b []byte) []byte { b[gkxOptsOff+3] |= 0x80; return b })
+	corrupt("routed", func(b []byte) []byte { b[gkxOptsOff+10] |= 0x01; return b })
 	corrupt("mono", func(b []byte) []byte { b[gkxOptsOff+20] = 9; return b })
 	// The uint8 flag forced onto float blobs exercises the inverse check.
 	corrupt("mono", func(b []byte) []byte { b[gkxFlagsOff] |= byte(flagU8); return b })
@@ -77,16 +80,19 @@ func FuzzReadIndexFrom(f *testing.F) {
 // grow what they decode with the stream and never allocate from a header.
 // The bound is TotalAlloc ≤ 2× the blob + 1 MiB per read (the fixed part
 // covers read buffers and the index's small headers), from a stream
-// (ReadIndexFrom) and from a file (LoadIndex, which knows the file's size).
-// Each lie but κ fails the read. κ only caps the lists, and no list reaches
-// it, so that file loads — as it always has — and re-saves to exactly its
-// own bytes.
+// (ReadIndexFrom), from a stream capped far above its size (an
+// io.LimitReader's N says nothing about the bytes present) and from a file
+// (LoadIndex). Each lie but the graph's κ fails the read. That κ only caps
+// the lists, and no list reaches it, so that file loads — as it always
+// has — and re-saves to exactly its own bytes. The build options κ, ξ and
+// τ, which size the builds a loaded index runs, are refused at 2³⁰.
 func TestLyingLengthsAllocateBoundedly(t *testing.T) {
 	const lie = 1 << 30
 	path := filepath.Join(t.TempDir(), "lying.gkx")
 	reads := map[string]func([]byte) (*Index, error){
-		"stream": func(b []byte) (*Index, error) { return ReadIndexFrom(bytes.NewReader(b)) },
-		"file":   func([]byte) (*Index, error) { return LoadIndex(path) },
+		"stream":         func(b []byte) (*Index, error) { return ReadIndexFrom(bytes.NewReader(b)) },
+		"limited stream": func(b []byte) (*Index, error) { return ReadIndexFrom(io.LimitReader(bytes.NewReader(b), 1<<40)) },
+		"file":           func([]byte) (*Index, error) { return LoadIndex(path) },
 	}
 	for _, name := range []string{"mono", "u8-routed-mutated"} {
 		blob, at := gkxLayout(t, gkxState(t, name))
@@ -100,6 +106,9 @@ func TestLyingLengthsAllocateBoundedly(t *testing.T) {
 			{"graph kappa", put32(at.graph[0]+8+8, lie), true},
 			{"first list length", put32(at.graph[0]+8+12, lie), false},
 			{"table graph size", put64(at.table+8, lie), false},
+			{"build option kappa", put32(gkxOptsOff, lie), false},
+			{"build option xi", put32(gkxOptsOff+4, lie), false},
+			{"build option tau", put32(gkxOptsOff+8, lie), false},
 		} {
 			b := bytes.Clone(blob)
 			tc.patch(b)

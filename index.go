@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -166,6 +165,9 @@ func build(ctx context.Context, data vec.Rows, cfg config) (*Index, error) {
 	if int64(data.N) > math.MaxInt32 {
 		return nil, fmt.Errorf("gkmeans: dataset has %d rows; sample ids are int32", data.N)
 	}
+	if err := cfg.checkGraph(); err != nil {
+		return nil, err
+	}
 	// Checked before the segment-count clamp: an option conflict must error
 	// even when a tiny dataset would clamp the request down to one segment.
 	switch {
@@ -271,12 +273,13 @@ func buildSegs(ctx context.Context, parts []vec.Rows, cfg config) ([]seg, time.D
 // NewIndex wraps a dataset and a pre-built graph (from another index's
 // Graph, a loaded file, NN-Descent, …) into an Index without constructing
 // anything. The graph must cover exactly the samples of data. The build
-// options given are kept for the shards Append and Compact build, so a
-// WithGraphBuilder naming no builder is refused here.
+// options given are kept for the shards Append and Compact build, so
+// options Build would refuse (an unknown WithGraphBuilder, κ, ξ or τ above
+// its limit) are refused here.
 func NewIndex(data *Matrix, g *Graph, opts ...Option) (*Index, error) {
 	cfg := applyOptions(config{}, opts)
-	if !slices.Contains(builderWords[:], cfg.builder) {
-		return nil, fmt.Errorf("gkmeans: unknown graph builder %q (want %q or %q)", cfg.builder, BuilderGKMeans, BuilderNNDescent)
+	if err := cfg.checkGraph(); err != nil {
+		return nil, err
 	}
 	sc, err := newSegCore(vec.RowsF32(data), g, cfg.entries)
 	if err != nil {

@@ -301,7 +301,7 @@ const ioChunk = 1 << 16 // bytes (64 KiB)
 // Read deserialises a graph written by Write. The node count, κ and list
 // lengths in the stream are untrusted: the lists are decoded into one
 // backing array whose capacity doubles with the neighbours that actually
-// arrive (capped at n·κ), so truncated or bit-flipped inputs return an
+// arrive (vec.Grow, capped at n·κ), so truncated or bit-flipped inputs return an
 // error — never a panic or an out-of-memory crash.
 func Read(r io.Reader) (*Graph, error) { return read(r, math.MaxInt64) }
 
@@ -344,11 +344,7 @@ func read(r io.Reader, size int64) (*Graph, error) {
 			if _, err := io.ReadFull(br, chunk); err != nil {
 				return nil, fmt.Errorf("knngraph: reading list %d: %w", i, err)
 			}
-			if len(nbs)+c > cap(nbs) {
-				grown := make([]Neighbor, len(nbs), max(min(max(2*int64(cap(nbs)), ioChunk/8), limit), int64(len(nbs)+c)))
-				copy(grown, nbs)
-				nbs = grown
-			}
+			nbs = vec.Grow(nbs, c, ioChunk/8, limit)
 			for k := 0; k < len(chunk); k += 8 {
 				nbs = append(nbs, Neighbor{
 					ID:   int32(binary.LittleEndian.Uint32(chunk[k:])),

@@ -85,7 +85,7 @@ func ReadMatrix(r io.Reader) (*Matrix, error) {
 		return nil, err
 	}
 	total := int64(n) * int64(d)
-	data := make([]float32, 0, firstCap(r, total, 4))
+	var data []float32
 	buf := make([]byte, 4*min(total, ioChunk/4))
 	for int64(len(data)) < total {
 		c := int(min(total-int64(len(data)), ioChunk/4))
@@ -93,7 +93,7 @@ func ReadMatrix(r io.Reader) (*Matrix, error) {
 		if _, err := io.ReadFull(r, chunk); err != nil {
 			return nil, fmt.Errorf("vec: reading matrix payload: %w", err)
 		}
-		data = growPayload(data, c, total)
+		data = Grow(data, c, ioChunk/4, total)
 		dst := data[len(data) : len(data)+c]
 		for i := range dst {
 			dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(chunk[4*i:]))
@@ -111,10 +111,10 @@ func readU8Matrix(r io.Reader) (*U8Matrix, error) {
 		return nil, err
 	}
 	total := int64(n) * int64(d)
-	data := make([]uint8, 0, firstCap(r, total, 1))
+	var data []uint8
 	for int64(len(data)) < total {
 		c := int(min(total-int64(len(data)), ioChunk))
-		data = growPayload(data, c, total)
+		data = Grow(data, c, ioChunk, total)
 		if _, err := io.ReadFull(r, data[len(data):len(data)+c]); err != nil {
 			return nil, fmt.Errorf("vec: reading matrix payload: %w", err)
 		}
@@ -123,30 +123,19 @@ func readU8Matrix(r io.Reader) (*U8Matrix, error) {
 	return &U8Matrix{Data: data, N: n, Dim: d}, nil
 }
 
-// firstCap is the capacity a payload of total values of width bytes starts
-// at: all of it when r says it still holds that many bytes — an
-// *io.LimitedReader over a file of known size does — so an honest file
-// decodes into one allocation; otherwise one chunk, which growPayload
-// grows with the stream.
-func firstCap(r io.Reader, total, width int64) int64 {
-	if lr, ok := r.(*io.LimitedReader); ok && total*width <= lr.N {
-		return total
+// Grow makes room for c more elements of s, whose final length is known
+// only from an untrusted header as limit. Capacity starts at floor and
+// doubles with the elements that have actually arrived, capped at limit
+// (but never below what c needs). A reader that grows what it decodes this
+// way fails at EOF on a lying header having allocated at most about twice
+// the bytes it read, and an honest header ends at exactly limit. (Zeroing
+// huge spans up front is also what a fuzzer would otherwise spend all its
+// time on.)
+func Grow[T any](s []T, c int, floor, limit int64) []T {
+	if len(s)+c <= cap(s) {
+		return s
 	}
-	return min(total, ioChunk/width)
-}
-
-// growPayload makes room for c more values of a payload whose header
-// declares total. Unless the reader vouched for it (firstCap), the header
-// is untrusted, so capacity only doubles with the values that have
-// actually arrived, capped at total. A lying header over a short stream
-// thus fails at EOF having allocated at most twice the bytes it read
-// (repeatedly zeroing huge spans is also what a fuzzer would otherwise
-// spend all its time on), and an honest one ends at exactly total.
-func growPayload[T float32 | uint8](data []T, c int, total int64) []T {
-	if len(data)+c <= cap(data) {
-		return data
-	}
-	grown := make([]T, len(data), int(min(max(2*int64(cap(data)), int64(len(data)+c)), total)))
-	copy(grown, data)
+	grown := make([]T, len(s), int(max(min(max(2*int64(cap(s)), floor), limit), int64(len(s)+c))))
+	copy(grown, s)
 	return grown
 }

@@ -1,6 +1,11 @@
 package gkmeans
 
-import "gkmeans/internal/core"
+import (
+	"fmt"
+	"slices"
+
+	"gkmeans/internal/core"
+)
 
 // Option is a functional option for Build, NewIndex and Index.Cluster. The
 // zero configuration reproduces the paper's standard setup (§4.4): κ=50,
@@ -39,16 +44,17 @@ func applyOptions(base config, opts []Option) config {
 }
 
 // WithKappa sets the number of graph neighbours per sample (κ). Larger
-// values raise clustering and search quality at higher cost. Default 50.
+// values raise clustering and search quality at higher cost. Default 50;
+// at most 1024.
 func WithKappa(kappa int) Option { return func(c *config) { c.kappa = kappa } }
 
 // WithXi sets the refinement cluster size used while building the graph (ξ).
-// Recommended range 40–100. Default 50.
+// Recommended range 40–100. Default 50; at most 4096.
 func WithXi(xi int) Option { return func(c *config) { c.xi = xi } }
 
 // WithTau sets the number of graph construction rounds (τ). 10 suffices for
 // clustering; up to 32 pays off when the graph is reused for ANN search.
-// Default 10.
+// Default 10; at most 256.
 func WithTau(tau int) Option { return func(c *config) { c.tau = tau } }
 
 // WithSeed makes graph construction and clustering deterministic.
@@ -153,6 +159,34 @@ func WithClusters(k int) Option { return func(c *config) { c.clusterK = k } }
 // must be safe for use from the goroutine that runs Build or Cluster.
 func WithProgress(fn func(stage string, done, total int)) Option {
 	return func(c *config) { c.progress = fn }
+}
+
+// Upper limits on κ, ξ and τ, far above any useful setting (the paper's
+// are tens). Build and NewIndex refuse more, and so does the .gkx reader:
+// a loaded index builds every Append and Compact with the file's options,
+// and a build allocates per round, per neighbour and per refinement
+// cluster, so a corrupt header must not be able to ask for 2³¹ of them.
+const (
+	maxKappa = 1 << 10
+	maxXi    = 1 << 12
+	maxTau   = 1 << 8
+)
+
+// checkGraph refuses graph options no build takes: a builder name Build
+// does not know, or κ, ξ or τ above its limit.
+func (c config) checkGraph() error {
+	if !slices.Contains(builderWords[:], c.builder) {
+		return fmt.Errorf("gkmeans: unknown graph builder %q (want %q or %q)", c.builder, BuilderGKMeans, BuilderNNDescent)
+	}
+	for _, o := range [...]struct {
+		name     string
+		v, limit int
+	}{{"kappa", c.kappa, maxKappa}, {"xi", c.xi, maxXi}, {"tau", c.tau, maxTau}} {
+		if o.v > o.limit {
+			return fmt.Errorf("gkmeans: build option %s = %d exceeds its limit %d", o.name, o.v, o.limit)
+		}
+	}
+	return nil
 }
 
 // resolvedTau mirrors the builders' round-cap defaults so progress totals

@@ -30,8 +30,8 @@ import (
 //	uint32  magic "GKIX", version (7), flags (flag* below), requested entry
 //	        points (0 = default), dtype word (must agree with flagU8),
 //	        segment count (>= 1), id bound (>= row count)
-//	options uint32 κ, ξ, τ (0 = default, each <= MaxInt32), int64 seed,
-//	        uint32 builder word (index into builderWords)
+//	options uint32 κ, ξ, τ (0 = default; at most maxKappa, maxXi, maxTau),
+//	        int64 seed, uint32 builder word (index into builderWords)
 //	matrix  dataset: every segment's rows in segment order, as one matrix
 //	        block of the dtype's width (vec.WriteRows); each segment owns
 //	        the next table Rows rows of it
@@ -48,9 +48,10 @@ import (
 // inconsistent file fails with a clear error instead of a misaligned read.
 // No count in the file is trusted for an allocation before the bytes it
 // counts have arrived: payloads and neighbour lists grow with the stream
-// (at most doubling), so a lying length costs at most about twice the bytes
-// actually read — or, under LoadIndex, which bounds the stream by the
-// file's size, a dataset that fits the file is allocated whole.
+// (at most doubling, vec.Grow), so a lying length costs at most about twice
+// the bytes actually read. The build options are bounded (checkGraph) as
+// Build bounds them, so a lying τ, κ or ξ cannot make the first Append of a
+// loaded index allocate or run without limit.
 //
 // Versions 1–6, written by earlier releases, are read (persist_legacy.go
 // translates their headers into readBody's input) and never written; they
@@ -157,8 +158,9 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 	// dataset size anyway, so the loaded index behaves identically.
 	entries := checked.U32(min(max(int64(x.cfg.entries), 0), math.MaxUint32))
 	// The graph options alike: every builder reads a non-positive value as
-	// its default and caps κ at the rows, so a clamped option builds the same.
-	opt := func(v int) uint32 { return checked.U32(min(max(int64(v), 0), math.MaxInt32)) }
+	// its default, so 0 builds the same; Build and NewIndex refuse values
+	// above the limits (checkGraph), which the reader checks again.
+	opt := func(v int) uint32 { return checked.U32(max(v, 0)) }
 	// Build and NewIndex accept only the names builderWords lists.
 	builder := checked.U32(slices.Index(builderWords[:], x.cfg.builder))
 	rows, table := make([]vec.Rows, len(x.segs)), make([]byte, 0, segmentEntrySize*len(x.segs))
@@ -274,7 +276,7 @@ func (h *gkxHeader) readOptions(r io.Reader) error {
 	}
 	h.cfg.seed = int64(binary.LittleEndian.Uint64(opts[12:]))
 	h.cfg.builder = builderWords[builder]
-	return nil
+	return h.cfg.checkGraph()
 }
 
 // readShape reads the header words v6 and v7 share after the entry-point
@@ -533,11 +535,5 @@ func LoadIndex(path string) (*Index, error) {
 		return nil, err
 	}
 	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	// Bounded by the file's size, the dataset is allocated once, whole:
-	// no header can make it larger than the bytes the file holds.
-	return ReadIndexFrom(&io.LimitedReader{R: f, N: st.Size()})
+	return ReadIndexFrom(f)
 }

@@ -706,8 +706,9 @@ func TestBuildOptionsSurviveSaveLoad(t *testing.T) {
 		given []Option
 		want  opts
 	}{
-		{[]Option{WithKappa(-3), WithXi(math.MaxInt), WithSeed(-7), WithGraphBuilder(BuilderNNDescent)},
-			opts{0, math.MaxInt32, 0, -7, BuilderNNDescent}},
+		{[]Option{WithKappa(-3), WithXi(maxXi), WithSeed(-7), WithGraphBuilder(BuilderNNDescent)},
+			opts{0, maxXi, 0, -7, BuilderNNDescent}},
+		{[]Option{WithKappa(maxKappa), WithTau(maxTau)}, opts{maxKappa, 0, maxTau, 0, ""}},
 		{[]Option{WithTau(5), WithSeed(math.MinInt64), WithGraphBuilder(BuilderGKMeans)},
 			opts{0, 0, 5, math.MinInt64, BuilderGKMeans}},
 	} {
@@ -719,13 +720,32 @@ func TestBuildOptionsSurviveSaveLoad(t *testing.T) {
 			t.Fatalf("loaded options %+v, want %+v", got, tc.want)
 		}
 	}
-	if _, err := NewIndex(mono.Data(), mono.Graph(), WithGraphBuilder("nosuch")); err == nil {
-		t.Fatal("NewIndex accepted an unknown graph builder")
+	// What the writer can be given, the reader accepts: Build and NewIndex
+	// refuse what the reader would.
+	for _, tc := range []struct {
+		opt  Option
+		want string
+	}{
+		{WithGraphBuilder("nosuch"), `unknown graph builder "nosuch"`},
+		{WithKappa(maxKappa + 1), "build option kappa = 1025 exceeds its limit 1024"},
+		{WithXi(maxXi + 1), "build option xi = 4097 exceeds its limit 4096"},
+		{WithTau(maxTau + 1), "build option tau = 257 exceeds its limit 256"},
+	} {
+		if _, err := NewIndex(mono.Data(), mono.Graph(), tc.opt); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("NewIndex: got %v, want %q", err, tc.want)
+		}
+		if _, err := Build(context.Background(), mono.Data(), tc.opt); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("Build: got %v, want %q", err, tc.want)
+		}
 	}
 	blob := gkxBlob(t, mono)
 	mustRejectPatches(t, blob, []gkxPatch{
 		{"kappa past int32", put32(gkxOptsOff, 1<<31), "build option kappa = 2147483648 overflows int32"},
 		{"tau past int32", put32(gkxOptsOff+8, math.MaxUint32), "build option tau = 4294967295 overflows int32"},
+		{"kappa past its limit", put32(gkxOptsOff, maxKappa+1), "build option kappa = 1025 exceeds its limit 1024"},
+		{"xi past its limit", put32(gkxOptsOff+4, maxXi+1), "build option xi = 4097 exceeds its limit 4096"},
+		// One flipped bit in τ = 8 would run 65544 rounds per flush.
+		{"tau with a flipped bit", put32(gkxOptsOff+8, 8|1<<16), "build option tau = 65544 exceeds its limit 256"},
 		{"unknown builder word", put32(gkxOptsOff+20, 3), "unknown graph builder word 3"},
 	})
 }
