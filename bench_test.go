@@ -9,9 +9,11 @@ package gkmeans_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"gkmeans"
 	"gkmeans/internal/bench"
@@ -145,19 +147,55 @@ func BenchmarkBKMFullEpoch(b *testing.B) {
 
 func BenchmarkGKMeansEpoch(b *testing.B) {
 	// The same epoch with graph-pruned candidates: O(n·κ·d). Compare with
-	// BenchmarkBKMFullEpoch to see the paper's speed-up at this k.
+	// BenchmarkBKMFullEpoch to see the paper's speed-up at this k. Both
+	// start from the same fixed labels, so no 2M tree is timed here; what
+	// is timed besides the epoch is building the optimiser's composites.
 	data := dataset.SIFTLike(2000, 1)
 	k := 50
 	g, err := core.BuildGraph(data, core.GraphConfig{Kappa: 10, Xi: 25, Tau: 4, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
+	labels := make([]int, data.N)
+	for i := range labels {
+		labels[i] = i % k
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := core.Cluster(data, g, core.Config{K: k, MaxIter: 1, Seed: 2})
+		_, err := core.Cluster(data, g, core.Config{K: k, MaxIter: 1, Seed: 2, InitLabels: labels})
 		if err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkClusterOffline times Index.Cluster at the shape of the
+// benchmark's cluster-offline workload (SIFTLike 2500×128 indexed at κ20
+// ξ50 τ8, k=250, 10 epochs) on one and two workers, and splits each call
+// into its 2M tree (init-ms) and its mean epoch (epoch-ms).
+func BenchmarkClusterOffline(b *testing.B) {
+	data := dataset.SIFTLike(2500, 1)
+	idx, err := gkmeans.Build(context.Background(), data,
+		gkmeans.WithKappa(20), gkmeans.WithXi(50), gkmeans.WithTau(8), gkmeans.WithSeed(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			var init, iter time.Duration
+			var epochs int
+			for i := 0; i < b.N; i++ {
+				res, err := idx.Cluster(context.Background(), 250, gkmeans.WithMaxIter(10), gkmeans.WithWorkers(workers))
+				if err != nil {
+					b.Fatal(err)
+				}
+				init += res.InitTime
+				iter += res.IterTime
+				epochs += res.Iters
+			}
+			b.ReportMetric(float64(init.Microseconds())/1e3/float64(b.N), "init-ms")
+			b.ReportMetric(float64(iter.Microseconds())/1e3/float64(epochs), "epoch-ms")
+		})
 	}
 }
 

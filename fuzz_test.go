@@ -75,7 +75,8 @@ func FuzzReadIndexFrom(f *testing.F) {
 }
 
 // A length field that lies upward — a matrix row count, a graph's node
-// count, κ or a list length, a segment table's graph size, each set to 2³⁰ —
+// count, κ or a list length, a segment table's graph size, a graph
+// section's own length prefix, each set to 2³⁰ —
 // must cost no more memory than the bytes that did arrive: the readers
 // grow what they decode with the stream and never allocate from a header.
 // The bound is TotalAlloc ≤ 2× the blob + 1 MiB per read (the fixed part
@@ -106,6 +107,7 @@ func TestLyingLengthsAllocateBoundedly(t *testing.T) {
 			{"graph kappa", put32(at.graph[0]+8+8, lie), true},
 			{"first list length", put32(at.graph[0]+8+12, lie), false},
 			{"table graph size", put64(at.table+8, lie), false},
+			{"graph section size", put64(at.graph[0], lie), false},
 			{"build option kappa", put32(gkxOptsOff, lie), false},
 			{"build option xi", put32(gkxOptsOff+4, lie), false},
 			{"build option tau", put32(gkxOptsOff+8, lie), false},

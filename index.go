@@ -367,8 +367,10 @@ func (x *Index) GraphTime() time.Duration { return x.graphTime }
 
 // Cluster partitions the indexed dataset into k clusters with
 // graph-supported boost k-means (Alg. 2). Options given here override the
-// Build-time options (seed, epoch cap, trace, traditional, progress). The
-// call only reads the index, so any number of clusterings — at the same or
+// Build-time options (seed, epoch cap, trace, traditional, progress,
+// workers). The initial 2M tree (Alg. 2 line 3) bisects on up to
+// WithWorkers goroutines; the result is the same for every worker count.
+// The call only reads the index, so any number of clusterings — at the same or
 // different k — may run concurrently with each other and with searches.
 // ctx cancellation is honoured between epochs. Clustering needs float32
 // rows and one graph over all of them in id order with no row deleted; an
@@ -395,6 +397,7 @@ func (x *Index) Cluster(ctx context.Context, k int, opts ...Option) (*Result, er
 		Seed:        cfg.seed,
 		Trace:       cfg.trace,
 		Traditional: cfg.traditional,
+		Workers:     cfg.workers,
 		Interrupt:   ctx.Err,
 	}
 	if cfg.progress != nil {

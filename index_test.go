@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -84,6 +85,33 @@ func TestBuildWorkerCountInvariant(t *testing.T) {
 						t.Fatalf("%s workers=%d node %d entry %d differs", builder, workers, i, j)
 					}
 				}
+			}
+		}
+	}
+}
+
+// Index.Cluster grows its 2M tree on the WithWorkers goroutines; labels,
+// centroids and every count must be those of one worker, on byte-valued
+// and real-valued corpora.
+func TestClusterWorkerCountInvariant(t *testing.T) {
+	for name, data := range map[string]*Matrix{"sift": dataset.SIFTLike(1200, 3), "glove": dataset.GloVeLike(1200, 3)} {
+		idx, err := Build(context.Background(), data, WithKappa(10), WithXi(30), WithTau(3), WithSeed(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ref *Result
+		for _, workers := range []int{1, 2, 3} {
+			res, err := idx.Cluster(context.Background(), 120, WithMaxIter(5), WithWorkers(workers))
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", name, workers, err)
+			}
+			if ref == nil {
+				ref = res
+				continue
+			}
+			if !slices.Equal(res.Labels, ref.Labels) || !slices.Equal(res.Centroids.Data, ref.Centroids.Data) ||
+				res.Iters != ref.Iters || res.AvgCandidates != ref.AvgCandidates {
+				t.Fatalf("%s: Cluster at %d workers differs from one worker's", name, workers)
 			}
 		}
 	}

@@ -198,7 +198,9 @@ func New(rows vec.Rows, g *knngraph.Graph, nEntry int) (*Searcher, error) {
 }
 
 // groupEntries splits the entries into ⌈|E|/entriesPerGroup⌉ balanced groups
-// with the 2M tree over their rows, widened so both dtypes group alike.
+// with the 2M tree over their rows, widened so both dtypes group alike. The
+// tree runs on one worker: the entry set is small, so more goroutines would
+// cost more than they save.
 func (s *Searcher) groupEntries() error {
 	idx := make([]int, len(s.entry))
 	for i, e := range s.entry {
@@ -206,7 +208,7 @@ func (s *Searcher) groupEntries() error {
 	}
 	rows := s.rows.Subset(idx).Widen()
 	k := (len(idx) + entriesPerGroup - 1) / entriesPerGroup
-	labels, err := twomeans.Cluster(rows, twomeans.Config{K: k, Seed: groupSeed})
+	labels, err := twomeans.Cluster(rows, twomeans.Config{K: k, Seed: groupSeed, Workers: 1})
 	if err != nil {
 		return fmt.Errorf("anns: grouping entry points: %w", err)
 	}

@@ -38,6 +38,22 @@ type Optimizer struct {
 	compSq []float64 // ‖D_r‖² per cluster
 	counts []int
 	dim    int
+
+	// BestMove's scratch: the composites it scores, u's first, and their
+	// dots with the sample, from one vec.DotMixedN call.
+	scored [][]float64
+	dots   []float64
+	// last holds the two dots of the move BestMove returned, so Move need
+	// not recompute them; every Move clears it.
+	last moveDots
+}
+
+// moveDots are D_u·x and D_v·x for moving sample i from cluster u to
+// cluster v; valid when ok.
+type moveDots struct {
+	i, u, v int
+	du, dv  float64
+	ok      bool
 }
 
 // NewOptimizer builds the incremental state for the given initial labelling.
@@ -59,6 +75,8 @@ func NewOptimizer(data *vec.Matrix, labels []int, k int) (*Optimizer, error) {
 		compSq: make([]float64, k),
 		counts: make([]int, k),
 		dim:    data.Dim,
+		scored: make([][]float64, 0, k+1),
+		dots:   make([]float64, k+1),
 	}
 	for _, nrm := range o.norms {
 		o.sumSq += float64(nrm)
@@ -68,11 +86,7 @@ func NewOptimizer(data *vec.Matrix, labels []int, k int) (*Optimizer, error) {
 			return nil, fmt.Errorf("bkm: label %d of sample %d out of range [0,%d)", l, i, k)
 		}
 		o.counts[l]++
-		row := data.Row(i)
-		base := l * o.dim
-		for j, v := range row {
-			o.comp[base+j] += float64(v)
-		}
+		vec.AddWidened(o.Composite(l), data.Row(i))
 	}
 	o.RefreshCompSq()
 	return o, nil
@@ -143,29 +157,52 @@ const negInf = -1e308
 // together with that ΔI. Candidates equal to the current cluster are
 // skipped; moves that would empty the source are rejected. When candidates
 // is nil every cluster is considered (plain boost k-means). The source
-// term of Eqn. 3 is hoisted out of the loop, so the cost is one dot product
-// per distinct candidate.
+// term of Eqn. 3 is hoisted out of the loop, and the dots of u and of
+// every candidate come from one vec.DotMixedN call, which loads the
+// sample once per four composites. A Move of the returned cluster that
+// follows reuses the two dots it needs.
 func (o *Optimizer) BestMove(i int, candidates []int) (int, float64) {
 	u := o.Labels[i]
+	o.last.ok = false
 	if o.counts[u] <= 1 {
 		return u, 0
 	}
 	x := o.Data.Row(i)
+	o.scored = append(o.scored[:0], o.Composite(u))
+	if candidates == nil {
+		for v := 0; v < o.K; v++ {
+			if v != u {
+				o.scored = append(o.scored, o.Composite(v))
+			}
+		}
+	} else {
+		for _, v := range candidates {
+			if v != u {
+				o.scored = append(o.scored, o.Composite(v))
+			}
+		}
+	}
+	if len(o.scored) > len(o.dots) {
+		o.dots = make([]float64, len(o.scored))
+	}
+	vec.DotMixedN(o.scored, x, o.dots)
+
 	nx := float64(o.norms[i])
-	du := vec.DotMixed(o.Composite(u), x)
+	du := o.dots[0]
 	nu := float64(o.counts[u])
 	termU := (o.compSq[u]-2*du+nx)/(nu-1) - o.compSq[u]/nu
-
-	best, bestDelta := u, 0.0
+	best, bestDelta, bestDot := u, 0.0, 0.0
+	next := 1 // o.dots index of the next candidate other than u
 	eval := func(v int) {
 		if v == u {
 			return
 		}
-		dv := vec.DotMixed(o.Composite(v), x)
+		dv := o.dots[next]
+		next++
 		nv := float64(o.counts[v])
 		delta := termU + (o.compSq[v]+2*dv+nx)/(nv+1) - o.compSq[v]/nv
 		if delta > bestDelta {
-			best, bestDelta = v, delta
+			best, bestDelta, bestDot = v, delta, dv
 		}
 	}
 	if candidates == nil {
@@ -177,27 +214,31 @@ func (o *Optimizer) BestMove(i int, candidates []int) (int, float64) {
 			eval(v)
 		}
 	}
+	if best != u {
+		o.last = moveDots{i: i, u: u, v: best, du: du, dv: bestDot, ok: true}
+	}
 	return best, bestDelta
 }
 
 // Move reassigns sample i to cluster v, updating composites, counts and
-// cached squared norms incrementally (exact identities, two dot products).
+// cached squared norms incrementally (exact identities, two dot products:
+// the ones BestMove computed when this is the move it just returned).
 func (o *Optimizer) Move(i, v int) {
 	u := o.Labels[i]
 	if u == v {
 		return
 	}
 	x := o.Data.Row(i)
+	cu, cv := o.Composite(u), o.Composite(v)
+	du, dv := o.last.du, o.last.dv
+	if !o.last.ok || o.last.i != i || o.last.u != u || o.last.v != v {
+		du, dv = vec.DotMixed(cu, x), vec.DotMixed(cv, x)
+	}
+	o.last.ok = false
 	nx := float64(o.norms[i])
-	du := vec.DotMixed(o.Composite(u), x)
-	dv := vec.DotMixed(o.Composite(v), x)
 	o.compSq[u] += nx - 2*du // ‖D_u−x‖² = ‖D_u‖² − 2D_u·x + ‖x‖²
 	o.compSq[v] += nx + 2*dv // ‖D_v+x‖² = ‖D_v‖² + 2D_v·x + ‖x‖²
-	cu, cv := o.Composite(u), o.Composite(v)
-	for j, val := range x {
-		cu[j] -= float64(val)
-		cv[j] += float64(val)
-	}
+	vec.MoveComposite(cu, cv, x)
 	o.counts[u]--
 	o.counts[v]++
 	o.Labels[i] = v

@@ -32,6 +32,7 @@ type Config struct {
 	Trace       bool  // record per-epoch distortion history
 	InitLabels  []int // optional initial clustering; nil runs the 2M tree (Alg. 2 line 3)
 	Traditional bool  // GK-means−: nearest-centroid moves instead of boost k-means ΔI moves
+	Workers     int   // most goroutines the 2M tree bisects on; <=0 selects GOMAXPROCS (the result is the same for every value)
 
 	// Interrupt, when non-nil, is polled before every optimisation epoch;
 	// a non-nil return aborts the run with that error. Context cancellation
@@ -80,7 +81,7 @@ func Cluster(data *vec.Matrix, g *knngraph.Graph, cfg Config) (*Result, error) {
 		labels = append([]int(nil), cfg.InitLabels...)
 	} else {
 		var err error
-		labels, err = twomeans.Cluster(data, twomeans.Config{K: cfg.K, Seed: cfg.Seed})
+		labels, err = twomeans.Cluster(data, twomeans.Config{K: cfg.K, Seed: cfg.Seed, Workers: cfg.Workers})
 		if err != nil {
 			return nil, fmt.Errorf("core: 2M-tree initialisation: %w", err)
 		}

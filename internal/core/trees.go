@@ -104,9 +104,11 @@ func (r *roundTrees) startLocked() {
 	}()
 }
 
+// grow grows one round's tree on one worker: the lanes are this build's
+// parallelism, and a tree must hold no more than the one it runs on.
 func (r *roundTrees) grow(rt *roundTree) {
 	r.add(1)
-	rt.labels, rt.err = twomeans.Cluster(r.data, twomeans.Config{K: r.k, Seed: rt.seed})
+	rt.labels, rt.err = twomeans.Cluster(r.data, twomeans.Config{K: r.k, Seed: rt.seed, Workers: 1})
 	r.add(-1)
 }
 

@@ -154,6 +154,30 @@ func TestReadSectionLargeLists(t *testing.T) {
 	}
 }
 
+// A section's length prefix must be the bytes its graph uses. A prefix
+// that says more used to load (the reader stops after the n-th list) and
+// re-save with the honest prefix; one that says less cuts the graph short.
+func TestReadSectionRejectsLyingPrefix(t *testing.T) {
+	g, _ := RandomN(dataset.Uniform(9, 4, 1), 3, 1, 1)
+	var buf bytes.Buffer
+	if _, err := g.WriteSection(&buf); err != nil {
+		t.Fatal(err)
+	}
+	honest := buf.Bytes()
+	size := binary.LittleEndian.Uint64(honest)
+	for _, lie := range []uint64{size + 1, size + 8, 1 << 30, size - 1} {
+		b := bytes.Clone(honest)
+		binary.LittleEndian.PutUint64(b, lie)
+		b = append(b, make([]byte, 16)...) // bytes a longer section could claim
+		if _, err := ReadSection(bytes.NewReader(b)); err == nil {
+			t.Fatalf("a section claiming %d bytes for a %d-byte graph was accepted", lie, size)
+		}
+	}
+	if _, err := ReadSection(bytes.NewReader(honest)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // FuzzGraphRead feeds the .knn decoder arbitrary bytes. Read must never
 // panic, and a graph it accepts must be exactly what the input encoded:
 // written back, it reproduces the bytes Read consumed — a prefix of the

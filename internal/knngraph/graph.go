@@ -406,7 +406,9 @@ func (g *Graph) WriteSection(w io.Writer) (int64, error) {
 }
 
 // ReadSection deserialises a graph written by WriteSection, consuming
-// exactly the section's bytes from r.
+// exactly the section's bytes from r. The length prefix must equal the
+// bytes the graph's lists use: a section that says more than its graph
+// holds is corrupt, not padded, since it would re-save to other bytes.
 func ReadSection(r io.Reader) (*Graph, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -416,7 +418,14 @@ func ReadSection(r io.Reader) (*Graph, error) {
 	if size > 1<<40 {
 		return nil, fmt.Errorf("knngraph: implausible section size %d", size)
 	}
-	return read(io.LimitReader(r, int64(size)), int64(size))
+	g, err := read(io.LimitReader(r, int64(size)), int64(size))
+	if err != nil {
+		return nil, err
+	}
+	if used := g.encodedSize(); used != int64(size) {
+		return nil, fmt.Errorf("knngraph: section says %d bytes, its graph uses %d", size, used)
+	}
+	return g, nil
 }
 
 // SaveFile writes the graph to a file on disk.

@@ -54,6 +54,14 @@ func (s *Stream) Uint64() uint64 {
 	return mix(s.state)
 }
 
+// Skip advances the stream past n draws in O(1): afterwards it yields what
+// it would have after n calls of Uint64 (or of Intn, Int63 or Float64,
+// which draw one each). Work that knows how many draws came before it can
+// so start at its own position instead of waiting for its predecessors.
+func (s *Stream) Skip(n uint64) {
+	s.state += n * gamma
+}
+
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
 func (s *Stream) Intn(n int) int {
 	if n <= 0 {

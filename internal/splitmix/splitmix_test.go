@@ -139,3 +139,34 @@ func TestNormFloat64Moments(t *testing.T) {
 		t.Errorf("NormFloat64 variance %f, want ~1", variance)
 	}
 }
+
+// Skip(n) lands where n draws land, whatever the draws were, and Perm(m)
+// draws exactly m−1 times: the 2M tree plans each bisection's stream
+// position from these two facts.
+func TestSkipMatchesDraws(t *testing.T) {
+	for _, n := range []uint64{0, 1, 2, 7, 1000} {
+		a, b := New(5, 9), New(5, 9)
+		for i := uint64(0); i < n; i++ {
+			switch i % 3 {
+			case 0:
+				a.Uint64()
+			case 1:
+				a.Intn(int(i) + 1)
+			default:
+				a.Float64()
+			}
+		}
+		b.Skip(n)
+		if a != b {
+			t.Fatalf("Skip(%d) does not land where %d draws do", n, n)
+		}
+	}
+	for _, m := range []int{0, 1, 2, 3, 100} {
+		a, b := New(7), New(7)
+		a.Perm(m)
+		b.Skip(uint64(max(m-1, 0)))
+		if a != b {
+			t.Fatalf("Perm(%d) did not draw exactly %d times", m, max(m-1, 0))
+		}
+	}
+}

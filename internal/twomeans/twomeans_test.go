@@ -1,7 +1,9 @@
 package twomeans
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -125,6 +127,79 @@ func TestClusterK1(t *testing.T) {
 	for _, l := range labels {
 		if l != 0 {
 			t.Fatal("k=1 must put everything in cluster 0")
+		}
+	}
+}
+
+// TestClusterSameLabelsAtEveryWorkerCount: the planned tree bisects
+// disjoint subtrees on up to Workers goroutines, and its labels must not
+// depend on how many there are, from one node (n=2) to every sample a leaf
+// (k=n). Run under -race, the subtrees' writes to the shared permutation
+// and arena are checked to be disjoint too.
+func TestClusterSameLabelsAtEveryWorkerCount(t *testing.T) {
+	for _, n := range []int{2, 1001, 2500} {
+		data := dataset.SIFTLike(n, int64(n))
+		for _, k := range []int{1, 2, 3, 7, 250, n} {
+			if k > n {
+				continue
+			}
+			want, err := Cluster(data, Config{K: k, Seed: 11, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{2, 3, 8} {
+				got, err := Cluster(data, Config{K: k, Seed: 11, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("n=%d k=%d: labels at %d workers differ from one worker's", n, k, workers)
+				}
+			}
+		}
+	}
+}
+
+// TestCutKeyOrderMatchesComparisonSort pins the equal-size cut's integer
+// sort to the comparison it replaced — by diff, ties by member id — on
+// adversarial inputs: many equal diffs, both zeros, subnormals, infinities
+// and the extremes of float32.
+func TestCutKeyOrderMatchesComparisonSort(t *testing.T) {
+	type scored struct {
+		member int
+		diff   float32
+	}
+	pool := []float32{0, float32(math.Copysign(0, -1)), 1, -1, 0.5, -0.5,
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
+		math.MaxFloat32, -math.MaxFloat32, float32(math.Inf(1)), float32(math.Inf(-1)), 3.25, -3.25}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(300)
+		sc := make([]scored, n)
+		keys := make([]uint64, n)
+		for i := range sc {
+			d := pool[rng.Intn(len(pool))]
+			if rng.Intn(3) == 0 {
+				d = float32(rng.NormFloat64())
+			}
+			sc[i] = scored{rng.Intn(1 << 20), d}
+			keys[i] = cutKey(d, sc[i].member)
+		}
+		slices.SortFunc(sc, func(a, b scored) int {
+			if a.diff < b.diff {
+				return -1
+			}
+			if a.diff > b.diff {
+				return 1
+			}
+			return a.member - b.member
+		})
+		slices.Sort(keys)
+		for i := range sc {
+			if int(uint32(keys[i])) != sc[i].member {
+				t.Fatalf("trial %d: position %d holds member %d, the comparison sort put %d there",
+					trial, i, uint32(keys[i]), sc[i].member)
+			}
 		}
 	}
 }

@@ -1,7 +1,9 @@
 package vec
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -127,6 +129,77 @@ func TestDotMixedMatchesScalarReference(t *testing.T) {
 	}
 }
 
+func TestL2Sqr2MatchesScalarReference(t *testing.T) {
+	for n := 0; n <= maxEquivLen; n++ {
+		x, a := testVecs(n, uint64(n)+901)
+		_, b := testVecs(n, uint64(n)+902)
+		gotA, gotB := L2Sqr2(x, a, b)
+		wantA, wantB := l2Sqr2Scalar(x, a, b)
+		if math.Float32bits(gotA) != math.Float32bits(wantA) || math.Float32bits(gotB) != math.Float32bits(wantB) {
+			t.Fatalf("len %d: L2Sqr2=(%x, %x) scalar=(%x, %x)", n,
+				math.Float32bits(gotA), math.Float32bits(gotB), math.Float32bits(wantA), math.Float32bits(wantB))
+		}
+	}
+}
+
+// TestDotMixedNMatchesScalarReference runs every composite count through
+// the four-wide groups and the one-at-a-time rest (0..9), at every length.
+func TestDotMixedNMatchesScalarReference(t *testing.T) {
+	for n := 0; n <= maxEquivLen; n++ {
+		for m := 0; m <= 9; m++ {
+			cs, x := testComposites(m, n, uint64(n*16+m)+1001)
+			got, want := make([]float64, m), make([]float64, m)
+			DotMixedN(cs, x, got)
+			dotMixedNScalar(cs, x, want)
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("len %d, %d composites: out[%d]=%x scalar=%x", n, m, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+				}
+			}
+		}
+	}
+}
+
+func TestAddWidenedAndMoveCompositeMatchScalarReference(t *testing.T) {
+	for n := 0; n <= maxEquivLen; n++ {
+		cs, x := testComposites(2, n, uint64(n)+1101)
+		got, want := cloneRows(cs), cloneRows(cs)
+		AddWidened(got[0], x)
+		addWidenedScalar(want[0], x)
+		MoveComposite(got[0], got[1], x)
+		moveCompositeScalar(want[0], want[1], x)
+		for r := range got {
+			for j := range got[r] {
+				if math.Float64bits(got[r][j]) != math.Float64bits(want[r][j]) {
+					t.Fatalf("len %d: composite %d element %d = %x, scalar %x", n, r, j, math.Float64bits(got[r][j]), math.Float64bits(want[r][j]))
+				}
+			}
+		}
+	}
+}
+
+// testComposites returns m float64 composites and one float32 sample, all
+// of length n, drawn as testVecsMixed draws them.
+func testComposites(m, n int, seed uint64) ([][]float64, []float32) {
+	cs := make([][]float64, m)
+	var x []float32
+	for i := range cs {
+		cs[i], x = testVecsMixed(n, seed+uint64(i)*7)
+	}
+	if x == nil {
+		_, x = testVecsMixed(n, seed)
+	}
+	return cs, x
+}
+
+func cloneRows(rows [][]float64) [][]float64 {
+	out := make([][]float64, len(rows))
+	for i, r := range rows {
+		out[i] = append([]float64(nil), r...)
+	}
+	return out
+}
+
 func TestL2SqrU8MatchesScalarReference(t *testing.T) {
 	for n := 0; n <= maxEquivLen; n++ {
 		a, b := testVecsU8(n, uint64(n)+201)
@@ -224,11 +297,37 @@ func TestKernelLengthContract(t *testing.T) {
 				t.Fatalf("len %d: %s read past len(a): got %v, want %v", n, name, got, want)
 			}
 		}
+		sameRow := func(name string, got, want []float64) {
+			t.Helper()
+			for j := range want {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("len %d: %s element %d: got %v, want %v", n, name, j, got[j], want[j])
+				}
+			}
+		}
 		same("Dot", float64(Dot(pa, long)), float64(Dot(a, b)))
 		same("L2Sqr", float64(L2Sqr(pa, long)), float64(full))
 		same("L2SqrBound", float64(L2SqrBound(pa, long, full/2)), float64(L2SqrBound(a, b, full/2)))
 		same("L2SqrBound(inf)", float64(L2SqrBound(pa, long, float32(math.Inf(1)))), float64(full))
 		same("DotMixed", DotMixed(pam, long), DotMixed(am, b))
+		gotA, gotB := L2Sqr2(pa, long, long)
+		same("L2Sqr2", float64(gotA), float64(full))
+		same("L2Sqr2 (b)", float64(gotB), float64(full))
+		// The writing kernels must leave the poison past len alone.
+		out := poisoned([]float64{0, 0}, math.NaN())
+		DotMixedN([][]float64{pam, pam}, pa, out)
+		sameRow("DotMixedN", out[:cap(out)], append([]float64{DotMixed(am, a), DotMixed(am, a)}, nans...))
+		dst := poisoned(slices.Clone(am), math.NaN())
+		AddWidened(dst, long)
+		want := slices.Clone(am)
+		addWidenedScalar(want, b)
+		sameRow("AddWidened", dst[:cap(dst)], append(want, nans...))
+		cu, cv := poisoned(slices.Clone(am), math.NaN()), poisoned(slices.Clone(am), math.NaN())
+		MoveComposite(cu, cv, pa)
+		wu, wv := slices.Clone(am), slices.Clone(am)
+		moveCompositeScalar(wu, wv, a)
+		sameRow("MoveComposite (cu)", cu[:cap(cu)], append(wu, nans...))
+		sameRow("MoveComposite (cv)", cv[:cap(cv)], append(wv, nans...))
 		same("L2SqrU8", float64(L2SqrU8(pau, longU)), float64(fullU))
 		same("L2SqrBoundU8", float64(L2SqrBoundU8(pau, longU, fullU/2)), float64(L2SqrBoundU8(au, bu, fullU/2)))
 		same("L2SqrBoundU8(max)", float64(L2SqrBoundU8(pau, longU, math.MaxInt32)), float64(fullU))
@@ -236,13 +335,21 @@ func TestKernelLengthContract(t *testing.T) {
 			continue
 		}
 		short, shortU := b[:n-1:n-1], bu[:n-1:n-1]
+		shortM := am[: n-1 : n-1]
 		for name, call := range map[string]func(){
-			"Dot":          func() { Dot(a, short) },
-			"L2Sqr":        func() { L2Sqr(a, short) },
-			"L2SqrBound":   func() { L2SqrBound(a, short, full+1) },
-			"DotMixed":     func() { DotMixed(am, short) },
-			"L2SqrU8":      func() { L2SqrU8(au, shortU) },
-			"L2SqrBoundU8": func() { L2SqrBoundU8(au, shortU, math.MaxInt32) },
+			"Dot":                   func() { Dot(a, short) },
+			"L2Sqr":                 func() { L2Sqr(a, short) },
+			"L2SqrBound":            func() { L2SqrBound(a, short, full+1) },
+			"DotMixed":              func() { DotMixed(am, short) },
+			"L2Sqr2 (a)":            func() { L2Sqr2(a, short, b) },
+			"L2Sqr2 (b)":            func() { L2Sqr2(a, b, short) },
+			"DotMixedN (composite)": func() { DotMixedN([][]float64{am, shortM}, a, make([]float64, 2)) },
+			"DotMixedN (out)":       func() { DotMixedN([][]float64{am, am}, a, make([]float64, 1)) },
+			"AddWidened":            func() { AddWidened(am, short) },
+			"MoveComposite (cu)":    func() { MoveComposite(shortM, am, a) },
+			"MoveComposite (cv)":    func() { MoveComposite(am, shortM, a) },
+			"L2SqrU8":               func() { L2SqrU8(au, shortU) },
+			"L2SqrBoundU8":          func() { L2SqrBoundU8(au, shortU, math.MaxInt32) },
 		} {
 			if !panics(call) {
 				t.Fatalf("len %d: %s with len(b) = len(a)-1 did not panic", n, name)
@@ -250,6 +357,9 @@ func TestKernelLengthContract(t *testing.T) {
 		}
 	}
 }
+
+// nans is the poison a buffer from poisoned holds past its length.
+var nans = poisoned([]float64(nil), math.NaN())[:16]
 
 // poisoned copies v into a buffer with 16 poison elements after it and
 // returns the copy, of len(v) and capacity len(v)+16.
@@ -307,7 +417,8 @@ func TestU8Bound(t *testing.T) {
 }
 
 // FuzzKernelEquivalence cross-checks every kernel against its scalar
-// reference (and the bounded kernels against the unbounded ones and, for
+// reference — at every length the input's bytes give, so at every tail
+// residue — (and the bounded kernels against the unbounded ones and, for
 // float32, against l2SqrBoundRef's partial sums) on
 // fuzzer-chosen vectors, lengths and bounds. Wired into the CI fuzz job.
 func FuzzKernelEquivalence(f *testing.F) {
@@ -365,6 +476,44 @@ func FuzzKernelEquivalence(f *testing.F) {
 			t.Fatalf("DotMixed=%x scalar=%x", math.Float64bits(got), math.Float64bits(want))
 		}
 
+		// The batched and writing kernels: up to nine composites (two
+		// four-wide groups and a rest), a third float32 vector for L2Sqr2.
+		c := make([]float32, n)
+		for i := range c {
+			c[i] = float32(int8(au[i]^bu[i])) / 8
+		}
+		gotA, gotB := L2Sqr2(a, b, c)
+		if wantA, wantB := l2Sqr2Scalar(a, b, c); math.Float32bits(gotA) != math.Float32bits(wantA) || math.Float32bits(gotB) != math.Float32bits(wantB) {
+			t.Fatalf("L2Sqr2=(%x, %x) scalar=(%x, %x)", math.Float32bits(gotA), math.Float32bits(gotB), math.Float32bits(wantA), math.Float32bits(wantB))
+		}
+		cs := make([][]float64, 1+int(boundBits%9))
+		for r := range cs {
+			cs[r] = make([]float64, n)
+			for i := range cs[r] {
+				cs[r][i] = am[i] * float64(r+1) / 7
+			}
+		}
+		gotN, wantN := make([]float64, len(cs)), make([]float64, len(cs))
+		DotMixedN(cs, b, gotN)
+		dotMixedNScalar(cs, b, wantN)
+		for r := range cs {
+			if math.Float64bits(gotN[r]) != math.Float64bits(wantN[r]) {
+				t.Fatalf("DotMixedN out[%d]=%x scalar=%x", r, math.Float64bits(gotN[r]), math.Float64bits(wantN[r]))
+			}
+		}
+		got0, want0 := slices.Clone(cs[0]), slices.Clone(cs[0])
+		gotV, wantV := slices.Clone(am), slices.Clone(am)
+		AddWidened(got0, c)
+		addWidenedScalar(want0, c)
+		MoveComposite(got0, gotV, a)
+		moveCompositeScalar(want0, wantV, a)
+		for i := 0; i < n; i++ {
+			if math.Float64bits(got0[i]) != math.Float64bits(want0[i]) || math.Float64bits(gotV[i]) != math.Float64bits(wantV[i]) {
+				t.Fatalf("element %d: AddWidened/MoveComposite gave (%x, %x), scalar (%x, %x)", i,
+					math.Float64bits(got0[i]), math.Float64bits(gotV[i]), math.Float64bits(want0[i]), math.Float64bits(wantV[i]))
+			}
+		}
+
 		if bound > 0 && !math.IsNaN(float64(bound)) {
 			if t32 := U8Bound(bound); float64(t32) < float64(bound) && t32 != math.MaxInt32 {
 				t.Fatalf("U8Bound(%g) = %d below the bound", bound, t32)
@@ -402,6 +551,47 @@ func BenchmarkDotMixed128(b *testing.B) {
 	b.SetBytes((8 + 4) * 128)
 	for i := 0; i < b.N; i++ {
 		sinkD = DotMixed(a, c)
+	}
+}
+
+// BenchmarkDotMixedN scores one sample against N composites in one call,
+// as bkm's BestMove does; compare with N × BenchmarkDotMixed128.
+func BenchmarkDotMixedN(b *testing.B) {
+	for _, m := range []int{1, 4, 8} {
+		b.Run(fmt.Sprintf("N=%d", m), func(b *testing.B) {
+			cs, x := testComposites(m, 128, 1)
+			out := make([]float64, m)
+			b.SetBytes(int64((8*m + 4) * 128))
+			for i := 0; i < b.N; i++ {
+				DotMixedN(cs, x, out)
+			}
+			sinkD = out[0]
+		})
+	}
+}
+
+func BenchmarkL2Sqr2128(b *testing.B) {
+	x, a := testVecs(128, 1)
+	_, c := testVecs(128, 2)
+	b.SetBytes(3 * 4 * 128)
+	for i := 0; i < b.N; i++ {
+		sinkF, _ = L2Sqr2(x, a, c)
+	}
+}
+
+func BenchmarkMoveComposite128(b *testing.B) {
+	cs, x := testComposites(2, 128, 1)
+	b.SetBytes((2*8 + 4) * 128)
+	for i := 0; i < b.N; i++ {
+		MoveComposite(cs[0], cs[1], x)
+	}
+}
+
+func BenchmarkAddWidened128(b *testing.B) {
+	cs, x := testComposites(1, 128, 1)
+	b.SetBytes((8 + 4) * 128)
+	for i := 0; i < b.N; i++ {
+		AddWidened(cs[0], x)
 	}
 }
 

@@ -1,9 +1,11 @@
-//go:build !amd64
+//go:build !amd64 || race
 
 package vec
 
 // Portable bodies of the distance kernels, for every GOARCH without
-// dist_amd64.s: the four-stripe loops dist.go describes.
+// dist_amd64.s and for race-detector builds on amd64 (the detector sees
+// what these loops read and write, not what the assembly does): the
+// four-stripe loops dist.go describes.
 
 func dot(a, b []float32) float32 {
 	var s0, s1, s2, s3 float32
@@ -90,6 +92,32 @@ func dotMixed(a []float64, b []float32) float64 {
 		s0 += a[i] * float64(b[i])
 	}
 	return s0 + s1 + s2 + s3
+}
+
+func dotMixedN(cs [][]float64, x []float32, out []float64) {
+	for i, c := range cs {
+		out[i] = dotMixed(c, x)
+	}
+}
+
+func addWidened(dst []float64, x []float32) {
+	x = x[:len(dst)]
+	for j, v := range x {
+		dst[j] += float64(v)
+	}
+}
+
+func moveComposite(cu, cv []float64, x []float32) {
+	cu, cv = cu[:len(x)], cv[:len(x)]
+	for j, v := range x {
+		w := float64(v)
+		cu[j] -= w
+		cv[j] += w
+	}
+}
+
+func l2Sqr2(x, a, b []float32) (float32, float32) {
+	return l2Sqr(x, a), l2Sqr(x, b)
 }
 
 func l2SqrU8(a, b []uint8) int32 {

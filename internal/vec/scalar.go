@@ -58,6 +58,35 @@ func dotMixedScalar(a []float64, b []float32) float64 {
 	return ((s[0] + s[1]) + s[2]) + s[3]
 }
 
+// dotMixedNScalar is the reference for DotMixedN: one dotMixedScalar per
+// composite.
+func dotMixedNScalar(cs [][]float64, x []float32, out []float64) {
+	for i, c := range cs {
+		out[i] = dotMixedScalar(c, x)
+	}
+}
+
+// l2Sqr2Scalar is the reference for L2Sqr2: two l2SqrScalar calls.
+func l2Sqr2Scalar(x, a, b []float32) (float32, float32) {
+	return l2SqrScalar(x, a), l2SqrScalar(x, b)
+}
+
+// addWidenedScalar is the reference for AddWidened. Each element is one
+// exact widening and one rounding, so order is no part of the contract.
+func addWidenedScalar(dst []float64, x []float32) {
+	for j := range dst {
+		dst[j] += float64(x[j])
+	}
+}
+
+// moveCompositeScalar is the reference for MoveComposite.
+func moveCompositeScalar(cu, cv []float64, x []float32) {
+	for j := range x {
+		cu[j] -= float64(x[j])
+		cv[j] += float64(x[j])
+	}
+}
+
 // l2SqrU8Scalar is the exact reference for L2SqrU8: integer sums are
 // associative, so plain left-to-right accumulation is the full contract.
 func l2SqrU8Scalar(a, b []uint8) int32 {

@@ -64,10 +64,12 @@ func WithSeed(seed int64) Option { return func(c *config) { c.seed = seed } }
 // pipeline: a graph build keeps at most this many goroutines busy between
 // random initialisation, NN-Descent local joins, in-cluster refinement and
 // the 2M trees that later rounds grow ahead on lanes the current round
-// leaves idle, and batch search runs on at most this many; <=0 uses
-// GOMAXPROCS. The built graph is bit-identical for every worker count —
-// randomness is derived per node or per round, never per worker — so
-// changing WithWorkers trades only wall-clock, never results.
+// leaves idle; Cluster (and WithClusters, and a routed build's partition)
+// grows its initial 2M tree on this many; and batch search runs on at most
+// this many; <=0 uses GOMAXPROCS. The built graph and every clustering are
+// bit-identical for every worker count — randomness is derived per node
+// or per round, never per worker — so changing WithWorkers trades only
+// wall-clock, never results.
 func WithWorkers(workers int) Option { return func(c *config) { c.workers = workers } }
 
 // Graph builder names for WithGraphBuilder, aliased from the core layer

@@ -169,7 +169,7 @@ func routePartition(data *Matrix, cfg config, nShards int) ([][]int, error) {
 		k1 = nShards
 	}
 	seed := partitionSeed(cfg.seed, 0)
-	leaves, err := twomeans.Cluster(data, twomeans.Config{K: k1, Seed: seed})
+	leaves, err := twomeans.Cluster(data, twomeans.Config{K: k1, Seed: seed, Workers: cfg.workers})
 	if err != nil {
 		return nil, fmt.Errorf("gkmeans: routing partition: %w", err)
 	}
