@@ -39,8 +39,10 @@ type Optimizer struct {
 	counts []int
 	dim    int
 
-	// BestMove's scratch: the composites it scores, u's first, and their
-	// dots with the sample, from one vec.DotMixedN call.
+	// BestMove's scratch: the clusters it scores other than u, their
+	// composites after u's, and the dots of those with the sample, from
+	// one vec.DotMixedN call.
+	vs     []int
 	scored [][]float64
 	dots   []float64
 	// last holds the two dots of the move BestMove returned, so Move need
@@ -75,6 +77,7 @@ func NewOptimizer(data *vec.Matrix, labels []int, k int) (*Optimizer, error) {
 		compSq: make([]float64, k),
 		counts: make([]int, k),
 		dim:    data.Dim,
+		vs:     make([]int, 0, k),
 		scored: make([][]float64, 0, k+1),
 		dots:   make([]float64, k+1),
 	}
@@ -160,31 +163,35 @@ const negInf = -1e308
 // term of Eqn. 3 is hoisted out of the loop, and the dots of u and of
 // every candidate come from one vec.DotMixedN call, which loads the
 // sample once per four composites. A Move of the returned cluster that
-// follows reuses the two dots it needs.
+// follows reuses the two dots it needs. BestMove writes the optimizer's
+// scratch, so like Move it needs the optimizer to itself.
 func (o *Optimizer) BestMove(i int, candidates []int) (int, float64) {
 	u := o.Labels[i]
 	o.last.ok = false
 	if o.counts[u] <= 1 {
 		return u, 0
 	}
-	x := o.Data.Row(i)
 	o.scored = append(o.scored[:0], o.Composite(u))
+	o.vs = o.vs[:0]
+	consider := func(v int) {
+		if v != u {
+			o.scored = append(o.scored, o.Composite(v))
+			o.vs = append(o.vs, v)
+		}
+	}
 	if candidates == nil {
 		for v := 0; v < o.K; v++ {
-			if v != u {
-				o.scored = append(o.scored, o.Composite(v))
-			}
+			consider(v)
 		}
 	} else {
 		for _, v := range candidates {
-			if v != u {
-				o.scored = append(o.scored, o.Composite(v))
-			}
+			consider(v)
 		}
 	}
 	if len(o.scored) > len(o.dots) {
 		o.dots = make([]float64, len(o.scored))
 	}
+	x := o.Data.Row(i)
 	vec.DotMixedN(o.scored, x, o.dots)
 
 	nx := float64(o.norms[i])
@@ -192,26 +199,12 @@ func (o *Optimizer) BestMove(i int, candidates []int) (int, float64) {
 	nu := float64(o.counts[u])
 	termU := (o.compSq[u]-2*du+nx)/(nu-1) - o.compSq[u]/nu
 	best, bestDelta, bestDot := u, 0.0, 0.0
-	next := 1 // o.dots index of the next candidate other than u
-	eval := func(v int) {
-		if v == u {
-			return
-		}
-		dv := o.dots[next]
-		next++
+	for j, v := range o.vs {
+		dv := o.dots[j+1]
 		nv := float64(o.counts[v])
 		delta := termU + (o.compSq[v]+2*dv+nx)/(nv+1) - o.compSq[v]/nv
 		if delta > bestDelta {
 			best, bestDelta, bestDot = v, delta, dv
-		}
-	}
-	if candidates == nil {
-		for v := 0; v < o.K; v++ {
-			eval(v)
-		}
-	} else {
-		for _, v := range candidates {
-			eval(v)
 		}
 	}
 	if best != u {

@@ -91,11 +91,18 @@ func (s *Stream) Int63() int64 {
 // Perm returns a uniform random permutation of [0, n).
 func (s *Stream) Perm(n int) []int {
 	p := make([]int, n)
+	s.PermInto(p)
+	return p
+}
+
+// PermInto fills p with a uniform random permutation of [0, len(p)): what
+// Perm(len(p)) returns, from the same len(p)−1 draws, in the caller's
+// buffer.
+func (s *Stream) PermInto(p []int) {
 	for i := range p {
 		p[i] = i
 	}
-	s.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
+	s.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
 }
 
 // NormFloat64 returns a standard-normal draw via the Box-Muller transform.

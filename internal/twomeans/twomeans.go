@@ -230,15 +230,6 @@ func newBisector(dim int) *bisector {
 	return &bisector{comp: make([]float64, 3*dim), cents: make([]float32, 2*dim)}
 }
 
-// permInto fills p with rng.Perm(len(p)): the same draws and the same
-// permutation, in a buffer the arena owns.
-func permInto(rng *splitmix.Stream, p []int) {
-	for i := range p {
-		p[i] = i
-	}
-	rng.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
-}
-
 // cutKey orders a member for the equal-size cut: by diff, then by id. The
 // high word is diff's bits mapped so that unsigned order is float order
 // (−0 folded into +0, which compares equal to it), the low word is the id,
@@ -268,7 +259,7 @@ func (w *bisector) bisect(t *tree, members []int, a arena, rng *splitmix.Stream)
 	m, dim := len(members), t.data.Dim
 	// Random balanced initial split.
 	perm := a.perm[:m]
-	permInto(rng, perm)
+	rng.PermInto(perm)
 	for idx, i := range perm {
 		a.labels[i] = uint8(idx % 2)
 	}
@@ -289,7 +280,7 @@ func (w *bisector) bisect(t *tree, members []int, a arena, rng *splitmix.Stream)
 	for i := 0; i < m; i++ {
 		a.p[i] = vec.DotMixed(total, a.rows[i*dim:(i+1)*dim])
 	}
-	permInto(rng, perm)
+	rng.PermInto(perm)
 	for e := 0; e < t.iters; e++ {
 		if w.epoch(a, perm, dim) == 0 {
 			break
