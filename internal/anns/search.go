@@ -234,43 +234,71 @@ func (s *Searcher) groupEntries() error {
 }
 
 // buildCSR flattens the symmetrised adjacency into the offsets/neighbors
-// pair: a counting pass sizes each node's slot, a prefix sum places it, and
-// a fill pass writes forward edges then the reverse edges missing from the
-// target's own list. Built once per Searcher; every query reads it.
+// pair: node j's row is its own list, then, in ascending order, every node
+// that lists j and is missing from j's list. The nodes that list j come from
+// in-edge lists built in one counting pass in ascending source order, and a
+// stamp of j's own list answers "missing" in O(1), so the build reads each
+// edge a constant number of times: O(n·κ), where a scan of the target's list
+// per edge would cost O(n·κ²). Built once per Searcher; every query reads it.
 func (s *Searcher) buildCSR() error {
 	g, n := s.g, s.rows.N
-	deg := make([]int32, n)
-	for i, list := range g.Lists {
-		deg[i] += int32(len(list))
+	overflow := fmt.Errorf("anns: symmetrised adjacency has over %d edges; int32 CSR offsets overflow", math.MaxInt32)
+	// in[inOff[j]:inOff[j+1]] are the nodes whose lists hold j, ascending.
+	inOff := make([]int32, n+1)
+	for _, list := range g.Lists {
 		for _, nb := range list {
-			if !g.Contains(int(nb.ID), int32(i)) {
-				deg[nb.ID]++
+			inOff[nb.ID+1]++
+		}
+	}
+	var total int64
+	for j := 0; j < n; j++ {
+		total += int64(inOff[j+1])
+		if total > math.MaxInt32 {
+			return overflow
+		}
+		inOff[j+1] = int32(total)
+	}
+	in := make([]int32, total)
+	cursor := make([]int32, n)
+	copy(cursor, inOff[:n])
+	for i, list := range g.Lists {
+		for _, nb := range list {
+			in[cursor[nb.ID]] = int32(i)
+			cursor[nb.ID]++
+		}
+	}
+	// stamp[v] == j+1 says node j's own list holds v. The first pass counts
+	// each row, the second fills it; both stamp j's list before reading
+	// its in-edges.
+	stamp := make([]int32, n)
+	s.offsets = make([]int32, n+1)
+	total = 0
+	for j, list := range g.Lists {
+		mark := int32(j + 1)
+		for _, nb := range list {
+			stamp[nb.ID] = mark
+		}
+		total += int64(len(list))
+		for _, i := range in[inOff[j]:inOff[j+1]] {
+			if stamp[i] != mark {
+				total++
 			}
 		}
-	}
-	s.offsets = make([]int32, n+1)
-	var total int64
-	for i := 0; i < n; i++ {
-		total += int64(deg[i])
 		if total > math.MaxInt32 {
-			return fmt.Errorf("anns: symmetrised adjacency has over %d edges; int32 CSR offsets overflow", math.MaxInt32)
+			return overflow
 		}
-		s.offsets[i+1] = int32(total)
+		s.offsets[j+1] = int32(total)
 	}
-	s.neighbors = make([]int32, total)
-	cursor := deg // reuse: cursor[i] counts down as slots fill
-	copy(cursor, s.offsets[:n])
-	for i, list := range g.Lists {
+	s.neighbors = make([]int32, 0, total)
+	for j, list := range g.Lists {
+		mark := int32(j + 1)
 		for _, nb := range list {
-			s.neighbors[cursor[i]] = nb.ID
-			cursor[i]++
+			stamp[nb.ID] = mark
+			s.neighbors = append(s.neighbors, nb.ID)
 		}
-	}
-	for i, list := range g.Lists {
-		for _, nb := range list {
-			if !g.Contains(int(nb.ID), int32(i)) {
-				s.neighbors[cursor[nb.ID]] = int32(i)
-				cursor[nb.ID]++
+		for _, i := range in[inOff[j]:inOff[j+1]] {
+			if stamp[i] != mark {
+				s.neighbors = append(s.neighbors, i)
 			}
 		}
 	}

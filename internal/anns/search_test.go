@@ -1,7 +1,9 @@
 package anns
 
 import (
+	"fmt"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"gkmeans/internal/core"
@@ -323,6 +325,77 @@ func TestCSRMatchesSymmetrisedAdjacency(t *testing.T) {
 	}
 	if edges != s.Edges() {
 		t.Fatalf("Edges() = %d, want %d", s.Edges(), edges)
+	}
+}
+
+// scanCSR is the symmetrised adjacency built the direct way, one scan of
+// the target's list per edge: each node's own list, then the reverse edges
+// missing from it in ascending source order. buildCSR must match it exactly.
+func scanCSR(g *knngraph.Graph) (offsets, neighbors []int32) {
+	n := g.N()
+	rows := make([][]int32, n)
+	for i, list := range g.Lists {
+		for _, nb := range list {
+			rows[i] = append(rows[i], nb.ID)
+		}
+	}
+	for i, list := range g.Lists {
+		for _, nb := range list {
+			if !g.Contains(int(nb.ID), int32(i)) {
+				rows[nb.ID] = append(rows[nb.ID], int32(i))
+			}
+		}
+	}
+	offsets = make([]int32, n+1)
+	for i, row := range rows {
+		neighbors = append(neighbors, row...)
+		offsets[i+1] = int32(len(neighbors))
+	}
+	return offsets, neighbors
+}
+
+// The CSR is the same offsets and neighbours, in the same order, as the
+// per-edge scan on graphs of every kind: exact, random (few reverse edges
+// already present), and built at several worker counts.
+func TestCSRMatchesEdgeScan(t *testing.T) {
+	data := dataset.SIFTLike(500, 8)
+	graphs := map[string]*knngraph.Graph{
+		"bruteforce": knngraph.BruteForce(data, 9, 0),
+		"random":     knngraph.Random(data, 6, 3),
+	}
+	for _, workers := range []int{1, 2, 3} {
+		g, err := core.BuildGraph(data, core.GraphConfig{Kappa: 10, Xi: 25, Tau: 3, Seed: 4, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs[fmt.Sprintf("built-workers%d", workers)] = g
+	}
+	for name, g := range graphs {
+		s, err := NewSearcher(data, g, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		offsets, neighbors := scanCSR(g)
+		if !slices.Equal(s.offsets, offsets) || !slices.Equal(s.neighbors, neighbors) || s.Edges() != len(neighbors) {
+			t.Fatalf("%s: CSR differs from the per-edge scan (%d edges, want %d)", name, s.Edges(), len(neighbors))
+		}
+	}
+}
+
+// BenchmarkNew times building a searcher — symmetrised CSR, components and
+// entry groups — over a built 10,000-row graph (κ=20): the first query after
+// a restart pays it once per segment.
+func BenchmarkNew(b *testing.B) {
+	data := dataset.SIFTLike(10000, 1)
+	g, err := core.BuildGraph(data, core.GraphConfig{Kappa: 20, Xi: 50, Tau: 8, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewSearcher(data, g, 256); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

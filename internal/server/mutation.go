@@ -26,7 +26,8 @@ import (
 //  3. apply in memory: deletes publish a copy-on-write index snapshot via
 //     one atomic swap, inserts accumulate in the memtable until
 //     MemtableThreshold rows trigger a flush that builds them into a new
-//     shard (plus any deletes aimed at the buffered rows) and swaps once.
+//     shard (plus any deletes aimed at the buffered rows), swaps once and
+//     logs the shard it built, unsynced, for a replay to adopt.
 //
 // Searches load the current snapshot with one atomic read and are never
 // blocked: a reader mid-search keeps its snapshot alive while writers move
@@ -206,21 +207,56 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 // flushLocked builds the buffered rows into a new shard via Index.Append,
-// applies any deletes aimed at those rows, and publishes the result with a
-// single swap. Caller holds e.mu (or owns the entry exclusively, during
-// replay). A flush with fewer than two rows waits for more: a shard graph
-// needs at least two vertices.
+// publishes it (publishFlush), and then logs the shard it built, so that a
+// replay adopts it instead of building the rows again. Caller holds e.mu. A
+// flush with fewer than two rows waits for more: a shard graph needs at
+// least two vertices.
 func (e *entry) flushLocked(ctx context.Context) error {
 	if e.mem.Rows() < 2 {
 		return nil
 	}
-	m := gkmeans.NewMatrix(e.mem.Rows(), e.mem.Dim())
-	copy(m.Data, e.mem.Data())
-	newIdx, err := e.index().Append(ctx, m)
+	first, rows := e.index().IDBound(), e.mem.Rows()
+	newIdx, err := e.index().Append(ctx, e.memMatrix())
 	if err != nil {
 		return err
 	}
+	if err := e.publishFlush(newIdx); err != nil {
+		return err
+	}
+	if e.wal != nil {
+		// Unsynced: the next acknowledged record's fsync makes it durable.
+		// A record that is lost, torn or never written costs a replay the
+		// build it would have saved, nothing more.
+		state, err := newIdx.EncodeSegment(newIdx.Shards() - 1)
+		var payload []byte
+		if err == nil {
+			payload, err = wal.EncodeSegment(first, rows, state)
+		}
+		if err == nil {
+			err = e.wal.AppendUnsynced(payload)
+		}
+		if err != nil {
+			e.logf("index %q: logging the flushed shard failed, a replay will build it: %v", e.name, err)
+		}
+	}
+	return nil
+}
+
+// memMatrix returns a copy of the buffered rows, the input of a flush.
+// Caller holds e.mu.
+func (e *entry) memMatrix() *gkmeans.Matrix {
+	m := gkmeans.NewMatrix(e.mem.Rows(), e.mem.Dim())
+	copy(m.Data, e.mem.Data())
+	return m
+}
+
+// publishFlush finishes a flush whose shard newIdx holds: it applies the
+// deletes aimed at the buffered rows, swaps the result in and empties the
+// memtable. Caller holds e.mu (or owns the entry exclusively, during
+// replay).
+func (e *entry) publishFlush(newIdx *gkmeans.Index) error {
 	if len(e.memDel) > 0 {
+		var err error
 		if newIdx, err = newIdx.Delete(e.memDelIDs()...); err != nil {
 			return err
 		}
@@ -242,24 +278,107 @@ func (e *entry) memDelIDs() []int32 { return slices.Sorted(maps.Keys(e.memDel)) 
 // each record was acknowledged. Inserts whose ids fall below the current
 // id bound were already folded into the checkpoint and are skipped;
 // deletes of ids a later compaction reclaimed are likewise no-ops. Called
-// before the entry is published, so no locking.
+// before the entry is published, so no locking. Replay never writes to the
+// log.
 func (e *entry) replayWAL() (int, error) {
-	applied := 0
+	rp := replay{e: e}
 	_, err := e.wal.Replay(func(payload []byte) error {
 		op, err := wal.Decode(payload)
 		if err != nil {
 			return err
 		}
-		if op.Insert {
-			return e.replayInsert(op, &applied)
-		}
-		return e.replayDelete(op, &applied)
+		return rp.apply(op)
 	})
+	if err == nil && rp.due {
+		err = rp.flush(nil)
+	}
 	e.pending.Store(int64(e.mem.Rows()))
-	return applied, err
+	if rp.refusals > 0 {
+		e.logf("index %q: built %d flushed shards instead of adopting their logged state; first refusal: %v",
+			e.name, rp.refusals, rp.refused)
+	}
+	return rp.applied, err
 }
 
-func (e *entry) replayInsert(op wal.Op, applied *int) error {
+// replay is the state of one replayWAL. A flush happens where the live
+// server ran it, after the insert that filled the memtable, but how is up
+// to the next record: the segment record that flush logged is adopted
+// (Index.AppendEncoded); any other record, a refused segment record or the
+// end of the log builds the rows (Index.Append) as the flush did.
+type replay struct {
+	e        *entry
+	applied  int
+	due      bool  // an insert filled the memtable; the next record decides the flush
+	refusals int   // segment records refused while a flush was due
+	refused  error // the first refusal's reason
+}
+
+func (rp *replay) apply(op wal.Op) error {
+	if op.Segment != nil {
+		return rp.segment(op)
+	}
+	if rp.due {
+		if err := rp.flush(nil); err != nil {
+			return err
+		}
+	}
+	if op.Insert {
+		return rp.insert(op)
+	}
+	return rp.delete(op)
+}
+
+// segment adopts a segment record when a flush is due and the record covers
+// exactly the buffered rows. One whose rows are already below the id bound
+// is skipped like a folded insert; without a due flush the record is only
+// a hint and is ignored.
+func (rp *replay) segment(op wal.Op) error {
+	e := rp.e
+	bound := e.index().IDBound()
+	switch {
+	case int64(op.FirstID)+int64(op.Rows) <= int64(bound) || !rp.due:
+		return nil
+	case op.FirstID != bound || op.Rows != e.mem.Rows():
+		rp.refuse(fmt.Errorf("segment record covers ids %d..%d, the memtable holds %d..%d",
+			op.FirstID, int64(op.FirstID)+int64(op.Rows), bound, int64(bound)+int64(e.mem.Rows())))
+		return rp.flush(nil)
+	}
+	return rp.flush(op.Segment)
+}
+
+func (rp *replay) refuse(err error) {
+	if rp.refusals == 0 {
+		rp.refused = err
+	}
+	rp.refusals++
+}
+
+// flush builds the buffered rows into a shard, or adopts state for it when
+// state is set and AppendEncoded accepts it, and publishes the shard as
+// flushLocked does.
+func (rp *replay) flush(state []byte) error {
+	rp.due = false
+	e := rp.e
+	if e.mem.Rows() < 2 {
+		return nil
+	}
+	idx, m := e.index(), e.memMatrix()
+	if state != nil {
+		newIdx, err := idx.AppendEncoded(context.Background(), m, state)
+		if err == nil {
+			return e.publishFlush(newIdx)
+		}
+		rp.refuse(err)
+	}
+	newIdx, err := idx.Append(context.Background(), m)
+	if err != nil {
+		return err
+	}
+	return e.publishFlush(newIdx)
+}
+
+func (rp *replay) insert(op wal.Op) error {
+	e := rp.e
 	idx := e.index()
 	if op.Dim != idx.Dim() {
 		return fmt.Errorf("insert op has dimensionality %d, index has %d", op.Dim, idx.Dim())
@@ -273,10 +392,8 @@ func (e *entry) replayInsert(op wal.Op, applied *int) error {
 		for r := 0; r < op.Count(); r++ {
 			e.mem.Add(op.Vectors[r*op.Dim : (r+1)*op.Dim])
 		}
-		*applied++
-		if e.mem.Rows() >= e.threshold {
-			return e.flushLocked(context.Background())
-		}
+		rp.applied++
+		rp.due = e.mem.Rows() >= e.threshold
 		return nil
 	default:
 		// Flushes always consume whole ops, so an op can never straddle the
@@ -286,7 +403,8 @@ func (e *entry) replayInsert(op wal.Op, applied *int) error {
 	}
 }
 
-func (e *entry) replayDelete(op wal.Op, applied *int) error {
+func (rp *replay) delete(op wal.Op) error {
+	e := rp.e
 	idx := e.index()
 	bound := idx.IDBound()
 	memHi := bound + int32(e.mem.Rows())
@@ -307,7 +425,7 @@ func (e *entry) replayDelete(op wal.Op, applied *int) error {
 	if changed {
 		e.cur.Swap(idx)
 	}
-	*applied++
+	rp.applied++
 	return nil
 }
 

@@ -18,7 +18,7 @@ import (
 	"gkmeans/internal/dataset"
 )
 
-func insertBody(t *testing.T, vectors [][]float32) string {
+func insertBody(t testing.TB, vectors [][]float32) string {
 	t.Helper()
 	b, err := json.Marshal(client.InsertRequest{Vectors: vectors})
 	if err != nil {
@@ -27,7 +27,7 @@ func insertBody(t *testing.T, vectors [][]float32) string {
 	return string(b)
 }
 
-func deleteBody(t *testing.T, ids []int32) string {
+func deleteBody(t testing.TB, ids []int32) string {
 	t.Helper()
 	b, err := json.Marshal(client.DeleteRequest{IDs: ids})
 	if err != nil {
@@ -37,7 +37,7 @@ func deleteBody(t *testing.T, ids []int32) string {
 }
 
 // mustInsert inserts vectors over HTTP and returns the decoded response.
-func mustInsert(t *testing.T, s *Server, name string, vectors [][]float32) client.InsertResponse {
+func mustInsert(t testing.TB, s *Server, name string, vectors [][]float32) client.InsertResponse {
 	t.Helper()
 	var out client.InsertResponse
 	w := call(t, s, "POST", "/v1/indexes/"+name+"/insert", insertBody(t, vectors), &out)
@@ -47,7 +47,7 @@ func mustInsert(t *testing.T, s *Server, name string, vectors [][]float32) clien
 	return out
 }
 
-func mustDelete(t *testing.T, s *Server, name string, ids ...int32) client.DeleteResponse {
+func mustDelete(t testing.TB, s *Server, name string, ids ...int32) client.DeleteResponse {
 	t.Helper()
 	var out client.DeleteResponse
 	w := call(t, s, "POST", "/v1/indexes/"+name+"/delete", deleteBody(t, ids), &out)

@@ -51,8 +51,9 @@ type entry struct {
 	memDel    map[int32]bool
 	threshold int
 
-	durable bool         // wal != nil, fixed at registration, readable without mu
-	pending atomic.Int64 // mem.Rows(), readable without mu
+	logf    func(format string, args ...any) // the server's logger
+	durable bool                             // wal != nil, fixed at registration, readable without mu
+	pending atomic.Int64                     // mem.Rows(), readable without mu
 
 	batchRequests   atomic.Int64 // explicit batch searches (bypass the coalescer)
 	batchQueries    atomic.Int64 // rows answered by explicit batch searches

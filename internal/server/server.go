@@ -190,7 +190,7 @@ func (s *Server) registerIndex(name, path string, idx *gkmeans.Index) error {
 		return fmt.Errorf("invalid index name %q", name)
 	}
 	e := newEntry(name, path, idx, s.cfg.Window, s.cfg.MaxBatch, s.cfg.CacheSize)
-	e.threshold, e.durable = s.cfg.MemtableThreshold, s.cfg.DataDir != ""
+	e.threshold, e.durable, e.logf = s.cfg.MemtableThreshold, s.cfg.DataDir != "", s.logf
 	if e.durable {
 		if err := s.setupDurability(e); err != nil {
 			return fmt.Errorf("index %q: %w", name, err)

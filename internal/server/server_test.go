@@ -30,7 +30,7 @@ func newTestServer(t *testing.T) *Server {
 }
 
 // call sends one request through the handler and decodes the JSON reply.
-func call(t *testing.T, s *Server, method, path, body string, out any) *httptest.ResponseRecorder {
+func call(t testing.TB, s *Server, method, path, body string, out any) *httptest.ResponseRecorder {
 	t.Helper()
 	var rd *strings.Reader
 	if body == "" {

@@ -1,33 +1,44 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
 )
 
-// Record payloads of the mutation log. Two operations exist:
+// Record payloads of the mutation log. Three operations exist:
 //
-//	insert: uint8 kind (1), uint32 first external id, uint32 dim,
-//	        uint32 count, count×dim float32 vectors (row-major)
-//	delete: uint8 kind (2), uint32 count, count×uint32 external ids
+//	insert:  uint8 kind (1), uint32 first external id, uint32 dim,
+//	         uint32 count, count×dim float32 vectors (row-major)
+//	delete:  uint8 kind (2), uint32 count, count×uint32 external ids
+//	segment: uint8 kind (3), uint32 first external id, uint32 count,
+//	         the built state of the shard a flush made of the rows with
+//	         ids first..first+count-1 (opaque here; the index package
+//	         encodes it, see gkmeans.Index.EncodeSegment)
 //
 // An insert carries the external id of its first vector so replay is
 // idempotent against an index checkpoint: an op whose ids are already
 // below the checkpoint's id bound was folded into the checkpoint before a
-// crash and is skipped, never applied twice.
+// crash and is skipped, never applied twice. A segment record follows the
+// insert whose rows filled the memtable: replay adopts it in place of
+// building those rows again, and builds them as before when it is missing,
+// torn or refused.
 const (
-	opInsert = uint8(1)
-	opDelete = uint8(2)
+	opInsert  = uint8(1)
+	opDelete  = uint8(2)
+	opSegment = uint8(3)
 )
 
 // Op is one decoded mutation record.
 type Op struct {
-	Insert  bool      // true: insert, false: delete
-	FirstID int32     // insert: external id assigned to Vectors' first row
+	Insert  bool      // true: insert, false: delete or segment
+	FirstID int32     // insert, segment: external id of the first row
 	Dim     int       // insert: vector dimensionality
 	Vectors []float32 // insert: Count() rows, row-major
 	IDs     []int32   // delete: external ids to tombstone
+	Rows    int       // segment: rows the built shard holds
+	Segment []byte    // segment: the shard's built state; nil for the other kinds
 }
 
 // Count returns the number of rows an insert op carries.
@@ -74,6 +85,19 @@ func EncodeDelete(ids []int32) ([]byte, error) {
 		binary.LittleEndian.PutUint32(buf[5+4*i:], uint32(id))
 	}
 	return buf, nil
+}
+
+// EncodeSegment builds a segment payload: the built state of the shard
+// over the count rows with ids firstID..firstID+count-1.
+func EncodeSegment(firstID int32, count int, state []byte) ([]byte, error) {
+	if firstID < 0 || count <= 0 || int64(firstID)+int64(count) > math.MaxInt32 || len(state) == 0 {
+		return nil, fmt.Errorf("wal: segment of %d rows at id %d with %d bytes of state", count, firstID, len(state))
+	}
+	buf := make([]byte, 9, 9+len(state))
+	buf[0] = opSegment
+	binary.LittleEndian.PutUint32(buf[1:5], uint32(firstID))
+	binary.LittleEndian.PutUint32(buf[5:9], uint32(count))
+	return append(buf, state...), nil
 }
 
 // Decode parses one record payload. Every length is validated against the
@@ -127,6 +151,16 @@ func Decode(payload []byte) (Op, error) {
 			ids[i] = int32(v)
 		}
 		return Op{IDs: ids}, nil
+	case opSegment:
+		if len(payload) < 10 {
+			return Op{}, fmt.Errorf("wal: segment op of %d bytes", len(payload))
+		}
+		firstID := binary.LittleEndian.Uint32(payload[1:5])
+		count := binary.LittleEndian.Uint32(payload[5:9])
+		if firstID > math.MaxInt32 || count == 0 || uint64(firstID)+uint64(count) > math.MaxInt32 {
+			return Op{}, fmt.Errorf("wal: segment op with id %d, count %d", firstID, count)
+		}
+		return Op{FirstID: int32(firstID), Rows: int(count), Segment: bytes.Clone(payload[9:])}, nil
 	}
 	return Op{}, fmt.Errorf("wal: unknown op kind %d", payload[0])
 }

@@ -2,7 +2,10 @@
 // endpoints: an append-only file of length-prefixed, CRC-checked records,
 // fsync'd before any write is acknowledged, and replayed on startup to
 // restore inserts and deletes that have not yet been folded into a
-// persisted index checkpoint.
+// persisted index checkpoint, along with the shards that memtable flushes
+// built from them (ops.go lists the record kinds). A log is never cut in
+// place: after a checkpoint the serving layer writes a fresh log holding
+// only what the checkpoint does not cover and renames it over the old one.
 //
 // File layout (all little-endian):
 //
@@ -85,7 +88,9 @@ func Scan(r io.Reader, fn func(payload []byte) error) (n int, consumed int64, er
 
 // Log is an open write-ahead log file. All methods are safe for
 // concurrent use; Append only returns after the record is fsync'd, so an
-// acknowledged write survives any crash.
+// acknowledged write survives any crash. A log only grows: the serving
+// layer sheds the records an index checkpoint covers by writing a fresh
+// log and renaming it over this one.
 type Log struct {
 	mu      sync.Mutex
 	f       *os.File
@@ -167,7 +172,15 @@ func readHeader(f *os.File) error {
 // Append frames payload, writes it and fsyncs before returning: once
 // Append returns nil the record will be replayed by every future Open,
 // which is what lets the serving layer acknowledge a mutation.
-func (l *Log) Append(payload []byte) error {
+func (l *Log) Append(payload []byte) error { return l.append(payload, true) }
+
+// AppendUnsynced is Append without the fsync: the record is durable once a
+// later Append returns (its fsync covers every byte written before it) and
+// may be lost or torn by a crash before that, which Open then trims like
+// any torn tail. It is for records whose loss costs time, never data.
+func (l *Log) AppendUnsynced(payload []byte) error { return l.append(payload, false) }
+
+func (l *Log) append(payload []byte, sync bool) error {
 	if len(payload) == 0 || len(payload) > MaxRecord {
 		return fmt.Errorf("wal: record payload of %d bytes (want 1..%d)", len(payload), MaxRecord)
 	}
@@ -180,8 +193,10 @@ func (l *Log) Append(payload []byte) error {
 	if _, err := l.f.WriteAt(rec, l.end); err != nil {
 		return fmt.Errorf("wal: appending record: %w", err)
 	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: syncing record: %w", err)
+	if sync {
+		if err := l.f.Sync(); err != nil {
+			return fmt.Errorf("wal: syncing record: %w", err)
+		}
 	}
 	l.end += int64(len(rec))
 	l.records++
@@ -206,23 +221,6 @@ func (l *Log) Replay(fn func(payload []byte) error) (int, error) {
 		err = serr
 	}
 	return n, err
-}
-
-// Truncate discards every record, leaving an empty log: called after the
-// records' effects have been made durable elsewhere (an index checkpoint
-// written by the compactor).
-func (l *Log) Truncate() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.f.Truncate(headerSize); err != nil {
-		return fmt.Errorf("wal: truncating: %w", err)
-	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: syncing truncation: %w", err)
-	}
-	l.end = headerSize
-	l.records = 0
-	return nil
 }
 
 // Records returns the number of valid records currently in the log.

@@ -87,34 +87,6 @@ func TestAppendRejectsBadPayloads(t *testing.T) {
 	}
 }
 
-func TestTruncateEmptiesLog(t *testing.T) {
-	l, path := openTemp(t)
-	if err := l.Append([]byte("doomed")); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Truncate(); err != nil {
-		t.Fatal(err)
-	}
-	if l.Records() != 0 {
-		t.Fatalf("Records after Truncate = %d", l.Records())
-	}
-	if got := replayAll(t, l); len(got) != 0 {
-		t.Fatalf("replay after Truncate delivered %d records", len(got))
-	}
-	if err := l.Append([]byte("fresh")); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-	l2, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if l2.Records() != 1 {
-		t.Fatalf("reopened Records = %d, want 1", l2.Records())
-	}
-}
-
 // A torn tail — the crash artefact — must be truncated away on Open, with
 // every fully written record preserved.
 func TestOpenTruncatesTornTail(t *testing.T) {
@@ -259,6 +231,59 @@ func TestOpsRoundTrip(t *testing.T) {
 	if _, err := Decode(ins[:len(ins)-1]); err == nil {
 		t.Fatal("Decode of a truncated insert did not error")
 	}
+
+	seg, err := EncodeSegment(11, 5, []byte{9, 8, 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	op, err = Decode(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if op.Insert || op.IDs != nil || op.FirstID != 11 || op.Rows != 5 || !bytes.Equal(op.Segment, []byte{9, 8, 7}) {
+		t.Fatalf("decoded segment: %+v", op)
+	}
+	for _, bad := range []struct {
+		first int32
+		count int
+		state []byte
+	}{{-1, 5, []byte{1}}, {0, 0, []byte{1}}, {0, 5, nil}, {1<<31 - 2, 5, []byte{1}}} {
+		if _, err := EncodeSegment(bad.first, bad.count, bad.state); err == nil {
+			t.Fatalf("EncodeSegment(%d, %d, %d bytes) did not error", bad.first, bad.count, len(bad.state))
+		}
+	}
+	for _, p := range [][]byte{seg[:9], seg[:5], {opSegment, 0, 0, 0, 0, 0, 0, 0, 0, 1}, {opSegment, 0xff, 0xff, 0xff, 0x7f, 1, 0, 0, 0, 1}} {
+		if _, err := Decode(p); err == nil {
+			t.Fatalf("Decode of the bad segment op %v did not error", p)
+		}
+	}
+}
+
+// A record appended without its own fsync replays like any other, and the
+// next synced append covers it.
+func TestAppendUnsyncedReplays(t *testing.T) {
+	l, path := openTemp(t)
+	if err := l.Append([]byte("synced")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.AppendUnsynced([]byte("unsynced")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.AppendUnsynced(nil); err == nil {
+		t.Fatal("AppendUnsynced(nil) did not error")
+	}
+	if err := l.Append([]byte("after")); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	l2, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if got := replayAll(t, l2); len(got) != 3 || string(got[1]) != "unsynced" {
+		t.Fatalf("replayed %q", got)
+	}
 }
 
 // FuzzWALReplay: whatever bytes land on disk, Open must never deliver a
@@ -292,6 +317,20 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(header())
 	f.Add([]byte("GKWL"))
 	f.Add([]byte{})
+	// Segment records: a valid one after the insert whose rows it covers,
+	// the same log torn inside it, and CRC-valid records whose header is
+	// inconsistent (no rows, ids past int32, no state).
+	seg, _ := EncodeSegment(0, 2, []byte("built state"))
+	withSeg := append(append(append(header(), frame(ins)...), frame(seg)...), frame(del)...)
+	f.Add(withSeg)
+	f.Add(withSeg[:len(header())+len(frame(ins))+8+12])
+	for _, bad := range [][]byte{
+		{opSegment, 0, 0, 0, 0, 0, 0, 0, 0, 's'},
+		{opSegment, 0xff, 0xff, 0xff, 0x7f, 2, 0, 0, 0, 's'},
+		{opSegment, 0, 0, 0, 0, 2, 0, 0, 0},
+	} {
+		f.Add(append(append(header(), frame(ins)...), frame(bad)...))
+	}
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		dir := t.TempDir()
@@ -336,6 +375,12 @@ func FuzzWALReplay(f *testing.F) {
 			}
 			if !bytes.Equal(raw[off+8:off+8+len(p)], p) {
 				t.Fatalf("record %d payload differs from the file bytes", i)
+			}
+			// A segment op that decodes is exactly its encoding.
+			if op, err := Decode(p); err == nil && op.Segment != nil {
+				if again, err := EncodeSegment(op.FirstID, op.Rows, op.Segment); err != nil || !bytes.Equal(again, p) {
+					t.Fatalf("record %d: decoded segment op does not re-encode to its payload (%v)", i, err)
+				}
 			}
 			off += 8 + len(p)
 		}

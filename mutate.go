@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"time"
 
 	"gkmeans/internal/checked"
 	"gkmeans/internal/router"
@@ -131,57 +132,68 @@ func (x *Index) Append(ctx context.Context, vectors *Matrix) (*Index, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if vectors == nil || vectors.N == 0 {
-		return nil, fmt.Errorf("gkmeans: Append needs a non-empty vector set")
-	}
-	if vectors.Dim != x.Dim() {
-		return nil, fmt.Errorf("gkmeans: appending %d-dimensional vectors to a %d-dimensional index", vectors.Dim, x.Dim())
-	}
-	if vectors.N < minShardRows {
-		return nil, fmt.Errorf("gkmeans: Append needs at least %d vectors to build a shard graph, got %d", minShardRows, vectors.N)
-	}
-	if x.clusters != nil {
-		return nil, fmt.Errorf("gkmeans: Append on an index with a Build-time clustering; rebuild without WithClusters")
-	}
-	bound := x.nextID
-	if int64(bound)+int64(vectors.N) > math.MaxInt32 {
-		return nil, fmt.Errorf("gkmeans: appending %d vectors would overflow the int32 id space at %d", vectors.N, bound)
-	}
-	// The new segment gets its own copy of the vectors, never the caller's
-	// matrix — narrowed up front on a uint8 index, where every value must be
-	// an exact byte like a query's. It is the only copy Append makes: the
-	// receiver's rows stay in its segments.
-	own, err := vec.NewRows(vectors.Clone(), x.DType() == DTypeUint8)
+	own, err := x.appendRows(vectors)
 	if err != nil {
-		return nil, fmt.Errorf("gkmeans: Append on a %s index: %w", x.DType(), err)
+		return nil, err
 	}
-
 	cfg := x.cfg
 	cfg.progress = nil
 	built, graphTime, err := buildSegs(ctx, []vec.Rows{own}, cfg)
 	if err != nil {
 		return nil, err
 	}
-	n := len(x.segs)
-	built[0].base, built[0].gen = bound, x.maxGen()+1
-
-	y := *x
-	y.segs = append(x.segs[:n:n], built[0]) // full slice expression: always copies
-	y.graphTime += graphTime
-	y.nextID = checked.Int32(int(bound) + vectors.N)
 	// A routed receiver extends its router: the new segment gets its own
 	// centroids (unchanged segments share theirs), so appended vectors are
 	// routable the moment the new index is swapped in.
+	var cents *Matrix
 	if x.route != nil {
-		cents := make([]*Matrix, n, n+1)
-		for s := range cents {
-			cents[s] = x.route.Centroids(s)
-		}
-		m, err := routingCentroids(own, x.cfg, built[0].gen, n)
-		if err != nil {
+		if cents, err = routingCentroids(own, x.cfg, x.maxGen()+1, len(x.segs)); err != nil {
 			return nil, err
 		}
-		if y.route, err = router.New(x.route.K(), x.Dim(), append(cents, m)); err != nil {
+	}
+	return x.withSegment(built[0].segCore, cents, graphTime)
+}
+
+// appendRows checks vectors as Append's input and returns the new segment's
+// own copy of them — narrowed up front on a uint8 index, where every value
+// must be an exact byte like a query's. It is the only copy an append
+// makes: the receiver's rows stay in its segments.
+func (x *Index) appendRows(vectors *Matrix) (vec.Rows, error) {
+	switch {
+	case vectors == nil || vectors.N == 0:
+		return vec.Rows{}, fmt.Errorf("gkmeans: Append needs a non-empty vector set")
+	case vectors.Dim != x.Dim():
+		return vec.Rows{}, fmt.Errorf("gkmeans: appending %d-dimensional vectors to a %d-dimensional index", vectors.Dim, x.Dim())
+	case vectors.N < minShardRows:
+		return vec.Rows{}, fmt.Errorf("gkmeans: Append needs at least %d vectors to build a shard graph, got %d", minShardRows, vectors.N)
+	case x.clusters != nil:
+		return vec.Rows{}, fmt.Errorf("gkmeans: Append on an index with a Build-time clustering; rebuild without WithClusters")
+	case int64(x.nextID)+int64(vectors.N) > math.MaxInt32:
+		return vec.Rows{}, fmt.Errorf("gkmeans: appending %d vectors would overflow the int32 id space at %d", vectors.N, x.nextID)
+	}
+	own, err := vec.NewRows(vectors.Clone(), x.DType() == DTypeUint8)
+	if err != nil {
+		return vec.Rows{}, fmt.Errorf("gkmeans: Append on a %s index: %w", x.DType(), err)
+	}
+	return own, nil
+}
+
+// withSegment returns a copy of x with sc as one more segment: ids from the
+// id bound on, the next generation, and on a routed index cents as its
+// routing centroids. Append and AppendEncoded end here.
+func (x *Index) withSegment(sc *segCore, cents *Matrix, graphTime time.Duration) (*Index, error) {
+	n := len(x.segs)
+	y := *x
+	y.segs = append(x.segs[:n:n], seg{segCore: sc, base: x.nextID, gen: x.maxGen() + 1}) // full slice expression: always copies
+	y.graphTime += graphTime
+	y.nextID = checked.Int32(int(x.nextID) + sc.rows.N)
+	if x.route != nil {
+		all := make([]*Matrix, n, n+1)
+		for s := range all {
+			all[s] = x.route.Centroids(s)
+		}
+		var err error
+		if y.route, err = router.New(x.route.K(), x.Dim(), append(all, cents)); err != nil {
 			return nil, fmt.Errorf("gkmeans: extending shard router: %w", err)
 		}
 	}

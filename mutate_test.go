@@ -511,3 +511,76 @@ func TestMutatedPersistRoundTrip(t *testing.T) {
 		t.Fatalf("deleting on the loaded mono index: %v", err)
 	}
 }
+
+// An appended segment's encoded state, adopted by AppendEncoded on the
+// index it was appended to — as built or saved and loaded again — gives the
+// index Append gives, byte for byte; on any other index it is refused.
+func TestAppendEncodedEqualsAppend(t *testing.T) {
+	ctx := context.Background()
+	for _, name := range []string{"mono", "routed", "mutated", "u8-mono", "u8-routed-mutated"} {
+		t.Run(name, func(t *testing.T) {
+			x := gkxState(t, name)
+			var buf bytes.Buffer
+			if _, err := x.WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := ReadIndexFrom(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := NewMatrix(6, x.Dim())
+			for i := range rows.Data {
+				rows.Data[i] = float32((7 * i) % 251)
+			}
+			y, err := x.Append(ctx, rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			state, err := y.EncodeSegment(y.Shards() - 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want bytes.Buffer
+			if _, err := y.WriteTo(&want); err != nil {
+				t.Fatal(err)
+			}
+			for _, base := range []*Index{x, loaded} {
+				z, err := base.AppendEncoded(ctx, rows, state)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got bytes.Buffer
+				if _, err := z.WriteTo(&got); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got.Bytes(), want.Bytes()) {
+					t.Fatal("AppendEncoded's index differs from Append's")
+				}
+			}
+			// On the appended index the base id and generation have moved on.
+			if _, err := y.AppendEncoded(ctx, rows, state); err == nil {
+				t.Fatal("AppendEncoded adopted a segment built for another id bound")
+			}
+			other := rows.Clone()
+			other.Data[0]++
+			if _, err := x.AppendEncoded(ctx, other, state); err == nil {
+				t.Fatal("AppendEncoded adopted a segment built from other rows")
+			}
+			if _, err := x.AppendEncoded(ctx, rows, append(state, 0)); err == nil {
+				t.Fatal("AppendEncoded adopted a segment with trailing bytes")
+			}
+		})
+	}
+}
+
+// Only a segment with contiguous ids encodes: a routed Build's segments
+// carry id maps.
+func TestEncodeSegmentRefusesIDMaps(t *testing.T) {
+	x := gkxState(t, "routed")
+	if _, err := x.EncodeSegment(0); err == nil {
+		t.Fatal("EncodeSegment encoded a segment with an id map")
+	}
+	if _, err := x.EncodeSegment(x.Shards()); err == nil {
+		t.Fatal("EncodeSegment accepted an out-of-range segment")
+	}
+}

@@ -157,12 +157,6 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 	// 0; an absurd one is clamped — the searcher caps entry points at the
 	// dataset size anyway, so the loaded index behaves identically.
 	entries := checked.U32(min(max(int64(x.cfg.entries), 0), math.MaxUint32))
-	// The graph options alike: every builder reads a non-positive value as
-	// its default, so 0 builds the same; Build and NewIndex refuse values
-	// above the limits (checkGraph), which the reader checks again.
-	opt := func(v int) uint32 { return checked.U32(max(v, 0)) }
-	// Build and NewIndex accept only the names builderWords lists.
-	builder := checked.U32(slices.Index(builderWords[:], x.cfg.builder))
 	rows, table := make([]vec.Rows, len(x.segs)), make([]byte, 0, segmentEntrySize*len(x.segs))
 	for s := range x.segs {
 		sg := &x.segs[s]
@@ -172,11 +166,10 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 	}
 	hdr := make([]byte, 0, indexHeaderSize)
 	for _, word := range []uint32{indexMagic, indexVersion, flags, entries, flagIf(u8, dtypeWordU8),
-		checked.U32(len(x.segs)), uint32(x.nextID), opt(x.cfg.kappa), opt(x.cfg.xi), opt(x.cfg.tau)} {
+		checked.U32(len(x.segs)), uint32(x.nextID)} {
 		hdr = binary.LittleEndian.AppendUint32(hdr, word)
 	}
-	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(x.cfg.seed))
-	hdr = binary.LittleEndian.AppendUint32(hdr, builder)
+	hdr = x.cfg.appendOptions(hdr)
 	parts := []any{hdr, rows, table}
 	for s := range x.segs {
 		sg := &x.segs[s]
@@ -224,6 +217,20 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 	return cw.n, nil
+}
+
+// appendOptions appends the build options as a v7 header and an encoded
+// segment (EncodeSegment) store them — uint32 κ, ξ, τ, int64 seed, uint32
+// builder word — to b. Every builder reads a non-positive κ, ξ or τ as its
+// default, so 0 builds the same; Build and NewIndex refuse values above the
+// limits (checkGraph), which the reader checks again, and accept only the
+// builder names builderWords lists.
+func (c config) appendOptions(b []byte) []byte {
+	for _, v := range []int{c.kappa, c.xi, c.tau} {
+		b = binary.LittleEndian.AppendUint32(b, checked.U32(max(v, 0)))
+	}
+	b = binary.LittleEndian.AppendUint64(b, uint64(c.seed))
+	return binary.LittleEndian.AppendUint32(b, checked.U32(slices.Index(builderWords[:], c.builder)))
 }
 
 // ReadIndexFrom deserialises an index written by WriteTo — this release's or
