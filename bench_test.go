@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -242,20 +243,45 @@ func restartIndex(b *testing.B, shape int) *gkmeans.Index {
 }
 
 // BenchmarkLoadIndex times LoadIndex of a saved index: the first step of a
-// restart, before any WAL replay.
+// restart, before any WAL replay. "warm" loads onto the heap the previous
+// loads left behind. "cold" first returns the heap to the operating system
+// (debug.FreeOSMemory, untimed), so that every load gets fresh pages as a
+// restarted process does, and reports first-search-ms: the first
+// SearchNProbe after the load (ef 64, nprobe 2), untimed in ns/op, which
+// builds the searchers of the segments it probes.
 func BenchmarkLoadIndex(b *testing.B) {
+	q := dataset.SIFTLike(1, 99).Row(0) // byte-valued: a query for the uint8 shape too
 	for shape, sh := range restartShapes {
 		b.Run(sh.name, func(b *testing.B) {
 			path := filepath.Join(b.TempDir(), "idx.gkx")
 			if err := gkmeans.SaveIndex(path, restartIndex(b, shape)); err != nil {
 				b.Fatal(err)
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := gkmeans.LoadIndex(path); err != nil {
-					b.Fatal(err)
+			b.Run("warm", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := gkmeans.LoadIndex(path); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
+			})
+			b.Run("cold", func(b *testing.B) {
+				var search time.Duration
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					debug.FreeOSMemory()
+					b.StartTimer()
+					x, err := gkmeans.LoadIndex(path)
+					b.StopTimer()
+					if err != nil {
+						b.Fatal(err)
+					}
+					start := time.Now()
+					x.SearchNProbe(q, 10, 64, 2)
+					search += time.Since(start)
+					b.StartTimer()
+				}
+				b.ReportMetric(float64(search)/1e6/float64(b.N), "first-search-ms")
+			})
 		})
 	}
 }

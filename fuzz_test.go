@@ -2,11 +2,14 @@ package gkmeans
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
+
+	"gkmeans/internal/dataset"
 )
 
 // FuzzReadIndexFrom hammers the .gkx container parser with mutated bytes.
@@ -142,6 +145,82 @@ func TestLyingLengthsAllocateBoundedly(t *testing.T) {
 				t.Logf("%s from a %s, lying %s: %d bytes allocated for a %d-byte blob (limit %d)", name, via, tc.field, alloc, len(b), limit)
 				if alloc > limit {
 					t.Errorf("%s from a %s, lying %s: read allocated %d bytes, limit 2×%d + 1 MiB = %d", name, via, tc.field, alloc, len(b), limit)
+				}
+			}
+		}
+	}
+}
+
+// From a source that reports how many bytes it holds — a file, or an
+// in-memory reader's Len — a payload is one allocation at the lesser of its
+// declared size and those bytes. So a header that claims more than the
+// source holds fails having allocated no more than the source's size (plus
+// 1 MiB for read buffers and the index's small parts), where a growing read
+// could allocate twice the bytes it read; and an honest file loads within
+// the same bound. The indexes are larger than that 1 MiB, so the bound
+// tells the two apart. Cases: a dataset row count one row past the file's
+// end and at 2³⁰, a graph section (table size and its own prefix) past the
+// file's end, and a file cut in the middle of the dataset.
+func TestLyingLengthsOnSizedSources(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "lying.gkx")
+	reads := map[string]func([]byte) (*Index, error){
+		"byte reader": func(b []byte) (*Index, error) { return ReadIndexFrom(bytes.NewReader(b)) },
+		"file":        func([]byte) (*Index, error) { return LoadIndex(path) },
+	}
+	data := dataset.SIFTLike(4000, 8)
+	for name, opts := range map[string][]Option{"mono": nil, "routed": {WithShards(2), WithRouting(4)}} {
+		opts = append([]Option{WithKappa(4), WithXi(10), WithTau(2), WithSeed(5)}, opts...)
+		idx, err := Build(context.Background(), data, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, at := gkxLayout(t, idx)
+		last := len(at.graph) - 1
+		pastEnd := len(blob)/(4*idx.Dim()) + 1
+		for _, tc := range []struct {
+			field string
+			patch func([]byte) []byte
+		}{
+			{"honest", nil},
+			{"matrix row count past the end", func(b []byte) []byte { put32(gkxHdrEnd, uint32(pastEnd))(b); return b }},
+			{"matrix row count 2³⁰", func(b []byte) []byte { put32(gkxHdrEnd, 1<<30)(b); return b }},
+			{"graph section past the end", func(b []byte) []byte {
+				put64(at.table+32*last+8, uint64(len(b)))(b)
+				put64(at.graph[last], uint64(len(b)-8))(b)
+				return b
+			}},
+			{"cut mid-payload", func(b []byte) []byte { return b[:(gkxHdrEnd+at.table)/2] }},
+		} {
+			b := bytes.Clone(blob)
+			if tc.patch != nil {
+				b = tc.patch(b)
+			}
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			limit := uint64(len(b)) + 1<<20
+			for via, read := range reads {
+				var alloc uint64
+				for try := 0; try < 3; try++ {
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					loaded, err := read(b)
+					runtime.ReadMemStats(&after)
+					if d := after.TotalAlloc - before.TotalAlloc; try == 0 || d < alloc {
+						alloc = d
+					}
+					switch {
+					case tc.patch == nil && err != nil:
+						t.Fatalf("%s from a %s: %v", name, via, err)
+					case tc.patch == nil && !bytes.Equal(gkxBlob(t, loaded), blob):
+						t.Fatalf("%s from a %s re-saves to other bytes", name, via)
+					case tc.patch != nil && err == nil:
+						t.Fatalf("%s from a %s: a %s was accepted", name, via, tc.field)
+					}
+				}
+				t.Logf("%s from a %s, %s: %d bytes allocated for a %d-byte file (limit %d)", name, via, tc.field, alloc, len(b), limit)
+				if alloc > limit {
+					t.Errorf("%s from a %s, %s: read allocated %d bytes, limit %d + 1 MiB = %d", name, via, tc.field, alloc, len(b), limit)
 				}
 			}
 		}

@@ -302,13 +302,20 @@ const ioChunk = 1 << 16 // bytes (64 KiB)
 // lengths in the stream are untrusted: the lists are decoded into one
 // backing array whose capacity doubles with the neighbours that actually
 // arrive (vec.Grow, capped at n·κ), so truncated or bit-flipped inputs return an
-// error — never a panic or an out-of-memory crash.
+// error — never a panic or an out-of-memory crash. From a source that
+// reports its byte budget (vec.Budget) the array is allocated once, at the
+// neighbours the stream still holds.
 func Read(r io.Reader) (*Graph, error) { return read(r, math.MaxInt64) }
 
-// read is Read over a stream that holds at most size bytes of graph: size
-// sizes the read buffer and caps the neighbour array, so a section is
-// decoded with no slack.
+// read is Read over a stream that holds at most size bytes of graph: size,
+// cut to r's byte budget when it reports one, sizes the read buffer and caps
+// the neighbour array, so a section is decoded with no slack, and a known
+// budget is where the array starts.
 func read(r io.Reader, size int64) (*Graph, error) {
+	budget := vec.Budget(r)
+	if budget >= 0 {
+		size = min(size, budget)
+	}
 	br := bufio.NewReaderSize(r, int(min(size, ioChunk)))
 	var hdr [12]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -327,6 +334,10 @@ func read(r io.Reader, size int64) (*Graph, error) {
 	if int64(n) <= limit/int64(kappa) {
 		limit = int64(n) * int64(kappa)
 	}
+	floor := int64(ioChunk / 8)
+	if budget >= 0 {
+		floor = limit
+	}
 	var nbs []Neighbor // every list, back to back
 	ends := make([]int, 0, min(n, ioChunk/8))
 	buf := make([]byte, min(8*int64(kappa), ioChunk))
@@ -344,7 +355,7 @@ func read(r io.Reader, size int64) (*Graph, error) {
 			if _, err := io.ReadFull(br, chunk); err != nil {
 				return nil, fmt.Errorf("knngraph: reading list %d: %w", i, err)
 			}
-			nbs = vec.Grow(nbs, c, ioChunk/8, limit)
+			nbs = vec.Grow(nbs, c, floor, limit)
 			for k := 0; k < len(chunk); k += 8 {
 				nbs = append(nbs, Neighbor{
 					ID:   int32(binary.LittleEndian.Uint32(chunk[k:])),

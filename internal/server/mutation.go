@@ -242,12 +242,12 @@ func (e *entry) flushLocked(ctx context.Context) error {
 	return nil
 }
 
-// memMatrix returns a copy of the buffered rows, the input of a flush.
-// Caller holds e.mu.
+// memMatrix returns the buffered rows, the input of a flush, as a view of
+// the memtable: Append and AppendEncoded copy what they keep before they
+// return, and the memtable is emptied only after, by publishFlush. Caller
+// holds e.mu.
 func (e *entry) memMatrix() *gkmeans.Matrix {
-	m := gkmeans.NewMatrix(e.mem.Rows(), e.mem.Dim())
-	copy(m.Data, e.mem.Data())
-	return m
+	return &gkmeans.Matrix{Data: e.mem.Data(), N: e.mem.Rows(), Dim: e.mem.Dim()}
 }
 
 // publishFlush finishes a flush whose shard newIdx holds: it applies the

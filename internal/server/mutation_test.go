@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -308,6 +309,77 @@ func TestServerCompactionPreservesSearchResults(t *testing.T) {
 				t.Fatalf("query %d result %d differs after checkpoint restart", qi, j)
 			}
 		}
+	}
+}
+
+// A restart after a compaction loads one index, the checkpoint: of the
+// registered file only the header is read, for its dimensionality. So a
+// file whose body is corrupt behind an intact header registers and serves
+// the checkpoint's state, and one whose header names another
+// dimensionality still fails with the dimensionality message.
+func TestRegisterFileBehindCheckpointReadsOnlyHeader(t *testing.T) {
+	const name = "cpt"
+	idx, queries := sharedIndex(t)
+	cp, err := idx.Delete(0, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	cfg := Config{Window: -1, DataDir: filepath.Join(dir, "state")}
+	if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := gkmeans.SaveIndex(filepath.Join(cfg.DataDir, name+".gkx"), cp); err != nil {
+		t.Fatal(err)
+	}
+	orig := filepath.Join(dir, "orig.gkx")
+	if err := gkmeans.SaveIndex(orig, idx); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(orig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The v7 header is 52 bytes and the dataset's shape words follow it:
+	// keep both, and overwrite the rest of the file.
+	const shapeOff = 52
+	for i := shapeOff + 8; i < len(b); i++ {
+		b[i] = 0xff
+	}
+	if err := os.WriteFile(orig, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := New(Config{Window: -1}).RegisterFile(name, orig); err == nil {
+		t.Fatal("the corrupt file registered on a server without a checkpoint")
+	}
+
+	s := New(cfg)
+	if err := s.RegisterFile(name, orig); err != nil {
+		t.Fatalf("registering beside a checkpoint: %v", err)
+	}
+	var st client.IndexStats
+	if w := call(t, s, "GET", "/v1/indexes/"+name+"/stats", "", &st); w.Code != http.StatusOK {
+		t.Fatalf("stats: %d", w.Code)
+	}
+	if st.N != cp.N() || st.Deleted != 3 {
+		t.Fatalf("served N=%d deleted=%d, want the checkpoint's %d and 3", st.N, st.Deleted, cp.N())
+	}
+	for qi := range queries.N {
+		got, want := mustSearch(t, s, name, queries.Row(qi), 10, 64), cp.Search(queries.Row(qi), 10, 64)
+		for j := range got {
+			if got[j].ID != want[j].ID || got[j].Dist != want[j].Dist {
+				t.Fatalf("query %d result %d: served %+v, checkpoint answers %+v", qi, j, got[j], want[j])
+			}
+		}
+	}
+
+	binary.LittleEndian.PutUint32(b[shapeOff+4:], uint32(idx.Dim()+1))
+	if err := os.WriteFile(orig, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("has dimensionality %d, registered index has %d", idx.Dim(), idx.Dim()+1)
+	if err := New(cfg).RegisterFile(name, orig); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("a registered file of another dimensionality: err = %v, want one containing %q", err, want)
 	}
 }
 

@@ -168,19 +168,61 @@ func New(cfg Config) *Server {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // RegisterIndex serves an already-loaded index under name — the path used
-// by gkserved at startup and by tests/examples embedding the server.
+// by tests and examples embedding the server. When a compaction checkpoint
+// in the data directory supersedes idx, the checkpoint is served instead.
 func (s *Server) RegisterIndex(name string, idx *gkmeans.Index) error {
+	if s.hasCheckpoint(name) {
+		cp, err := s.loadCheckpoint(name, idx.Dim())
+		if err != nil {
+			return fmt.Errorf("index %q: %w", name, err)
+		}
+		idx = cp
+	}
 	return s.registerIndex(name, "", idx)
 }
 
 // RegisterFile loads a persisted index (gkmeans.SaveIndex) from path and
-// serves it under name.
+// serves it under name — the path gkserved starts with. When a compaction
+// checkpoint in the data directory supersedes the file, the checkpoint is
+// the one index loaded: of the file only the header is read, for the
+// dimensionality the checkpoint must match.
 func (s *Server) RegisterFile(name, path string) error {
-	idx, err := gkmeans.LoadIndex(path)
+	if !s.hasCheckpoint(name) {
+		idx, err := gkmeans.LoadIndex(path)
+		if err != nil {
+			return fmt.Errorf("loading index %q from %s: %w", name, path, err)
+		}
+		return s.registerIndex(name, path, idx)
+	}
+	dim, err := gkmeans.IndexFileDim(path)
 	if err != nil {
 		return fmt.Errorf("loading index %q from %s: %w", name, path, err)
 	}
+	idx, err := s.loadCheckpoint(name, dim)
+	if err != nil {
+		return fmt.Errorf("index %q: %w", name, err)
+	}
 	return s.registerIndex(name, path, idx)
+}
+
+// hasCheckpoint reports whether a compaction checkpoint in the data
+// directory supersedes the index registered under name.
+func (s *Server) hasCheckpoint(name string) bool {
+	return s.cfg.DataDir != "" && nameRE.MatchString(name) && fileExists(s.checkpointPath(name))
+}
+
+// loadCheckpoint loads name's compaction checkpoint, which must have dim,
+// the registered index's dimensionality.
+func (s *Server) loadCheckpoint(name string, dim int) (*gkmeans.Index, error) {
+	cp := s.checkpointPath(name)
+	idx, err := gkmeans.LoadIndex(cp)
+	if err != nil {
+		return nil, fmt.Errorf("loading checkpoint %s: %w", cp, err)
+	}
+	if idx.Dim() != dim {
+		return nil, fmt.Errorf("checkpoint %s has dimensionality %d, registered index has %d", cp, idx.Dim(), dim)
+	}
+	return idx, nil
 }
 
 func (s *Server) registerIndex(name, path string, idx *gkmeans.Index) error {
@@ -208,24 +250,13 @@ func (s *Server) registerIndex(name, path string, idx *gkmeans.Index) error {
 	return nil
 }
 
-// setupDurability attaches the WAL to a not-yet-published entry: load the
-// compaction checkpoint if one supersedes the registered file, open (or
-// repair) the log, and replay every surviving record. The entry is still
-// private to this goroutine, so no locking.
+// setupDurability attaches the WAL to a not-yet-published entry, which
+// already holds the compaction checkpoint when one supersedes the
+// registered index: open (or repair) the log, and replay every surviving
+// record. The entry is still private to this goroutine, so no locking.
 func (s *Server) setupDurability(e *entry) error {
 	if err := os.MkdirAll(s.cfg.DataDir, 0o755); err != nil {
 		return err
-	}
-	if cp := s.checkpointPath(e.name); fileExists(cp) {
-		idx, err := gkmeans.LoadIndex(cp)
-		if err != nil {
-			return fmt.Errorf("loading checkpoint %s: %w", cp, err)
-		}
-		if idx.Dim() != e.index().Dim() {
-			return fmt.Errorf("checkpoint %s has dimensionality %d, registered index has %d",
-				cp, idx.Dim(), e.index().Dim())
-		}
-		e.cur.Swap(idx)
 	}
 	l, err := wal.Open(s.walPath(e.name))
 	if err != nil {

@@ -1,10 +1,14 @@
 package vec
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"os"
+	"strings"
+	"unsafe"
 )
 
 // Matrix (de)serialisation: a tiny shape header {uint32 N, uint32 Dim}
@@ -78,49 +82,125 @@ func readShape(r io.Reader, width int64) (n, d int, err error) {
 }
 
 // ReadMatrix deserialises a matrix written by WriteMatrix. It reads exactly
-// the matrix's bytes from r — safe to call mid-stream.
+// the matrix's bytes from r — safe to call mid-stream. On a source that
+// reports its byte budget (Budget) the payload is one allocation at its size,
+// and on a little-endian host the rows are read straight into it, the
+// matrix format's float32 layout being the host's.
 func ReadMatrix(r io.Reader) (*Matrix, error) {
 	n, d, err := readShape(r, 4)
 	if err != nil {
 		return nil, err
 	}
 	total := int64(n) * int64(d)
+	floor, err := payloadFloor(r, total, 4)
+	if err != nil {
+		return nil, fmt.Errorf("vec: reading matrix payload: %w", err)
+	}
 	var data []float32
-	buf := make([]byte, 4*min(total, ioChunk/4))
 	for int64(len(data)) < total {
-		c := int(min(total-int64(len(data)), ioChunk/4))
-		chunk := buf[:4*c]
-		if _, err := io.ReadFull(r, chunk); err != nil {
+		data = Grow(data, 1, floor, total)
+		dst := data[len(data):cap(data)]
+		if littleEndian {
+			_, err = io.ReadFull(r, unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(dst))), 4*len(dst)))
+		} else {
+			err = decodeF32(r, dst)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("vec: reading matrix payload: %w", err)
 		}
-		data = Grow(data, c, ioChunk/4, total)
-		dst := data[len(data) : len(data)+c]
-		for i := range dst {
-			dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(chunk[4*i:]))
-		}
-		data = data[:len(data)+c]
+		data = data[:cap(data)]
 	}
 	return &Matrix{Data: data, N: n, Dim: d}, nil
 }
 
-// readU8Matrix is ReadMatrix for a byte payload, which needs no decoding:
-// each chunk is read straight into the matrix.
+// littleEndian reports whether the host stores a float32 as the matrix
+// format does, so that ReadMatrix can read the payload without decoding it.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// decodeF32 fills dst with little-endian float32 values from r, one chunk
+// at a time: ReadMatrix's payload on a big-endian host.
+func decodeF32(r io.Reader, dst []float32) error {
+	buf := make([]byte, 4*min(len(dst), ioChunk/4))
+	for off := 0; off < len(dst); off += len(buf) / 4 {
+		chunk := buf[:4*min(len(dst)-off, len(buf)/4)]
+		if _, err := io.ReadFull(r, chunk); err != nil {
+			return err
+		}
+		for i := range len(chunk) / 4 {
+			dst[off+i] = math.Float32frombits(binary.LittleEndian.Uint32(chunk[4*i:]))
+		}
+	}
+	return nil
+}
+
+// readU8Matrix is ReadMatrix for a byte payload, which needs no decoding on
+// any host: it is read straight into the matrix.
 func readU8Matrix(r io.Reader) (*U8Matrix, error) {
 	n, d, err := readShape(r, 1)
 	if err != nil {
 		return nil, err
 	}
 	total := int64(n) * int64(d)
+	floor, err := payloadFloor(r, total, 1)
+	if err != nil {
+		return nil, fmt.Errorf("vec: reading matrix payload: %w", err)
+	}
 	var data []uint8
 	for int64(len(data)) < total {
-		c := int(min(total-int64(len(data)), ioChunk))
-		data = Grow(data, c, ioChunk, total)
-		if _, err := io.ReadFull(r, data[len(data):len(data)+c]); err != nil {
+		data = Grow(data, 1, floor, total)
+		if _, err := io.ReadFull(r, data[len(data):cap(data)]); err != nil {
 			return nil, fmt.Errorf("vec: reading matrix payload: %w", err)
 		}
-		data = data[:len(data)+c]
+		data = data[:cap(data)]
 	}
 	return &U8Matrix{Data: data, N: n, Dim: d}, nil
+}
+
+// Budget returns how many more bytes r can supply, or -1 when r does not
+// say. Only sources that know it exactly say: an in-memory reader's unread
+// length (bytes.Reader, bytes.Buffer, strings.Reader) and a regular file's
+// size past its offset. An io.LimitedReader's N caps the bytes that will be
+// read and says nothing about the bytes there are, so it is never a budget
+// on its own; over a source that has one it only cuts that budget to N.
+func Budget(r io.Reader) int64 {
+	switch r := r.(type) {
+	case *bytes.Reader:
+		return int64(r.Len())
+	case *bytes.Buffer:
+		return int64(r.Len())
+	case *strings.Reader:
+		return int64(r.Len())
+	case *io.LimitedReader:
+		if b := Budget(r.R); b >= 0 {
+			return max(min(b, r.N), 0)
+		}
+	case *os.File:
+		fi, err := r.Stat()
+		if err != nil || !fi.Mode().IsRegular() {
+			return -1
+		}
+		if off, err := r.Seek(0, io.SeekCurrent); err == nil && off <= fi.Size() {
+			return fi.Size() - off
+		}
+	}
+	return -1
+}
+
+// payloadFloor returns the Grow floor of a payload of total width-byte
+// elements read from r. When r reports its Budget, that is the whole
+// payload, so an honest header is one allocation at its size, and a payload
+// the budget cannot hold fails here with the EOF its read would meet, before
+// anything is allocated. Otherwise it is one chunk.
+func payloadFloor(r io.Reader, total, width int64) (int64, error) {
+	switch b := Budget(r); {
+	case b < 0:
+		return ioChunk / width, nil
+	case b == 0 && total > 0:
+		return 0, io.EOF
+	case total > b/width:
+		return 0, io.ErrUnexpectedEOF
+	}
+	return total, nil
 }
 
 // Grow makes room for c more elements of s, whose final length is known
@@ -130,7 +210,11 @@ func readU8Matrix(r io.Reader) (*U8Matrix, error) {
 // way fails at EOF on a lying header having allocated at most about twice
 // the bytes it read, and an honest header ends at exactly limit. (Zeroing
 // huge spans up front is also what a fuzzer would otherwise spend all its
-// time on.)
+// time on.) A reader whose source reports its byte budget (Budget) passes a
+// sized floor instead: the whole payload, once the budget has shown it can
+// hold it (ReadMatrix), or every element the budget holds (a graph's
+// neighbours). That is one allocation at exactly limit for an honest
+// header, and at most the budget for a lying one.
 func Grow[T any](s []T, c int, floor, limit int64) []T {
 	if len(s)+c <= cap(s) {
 		return s

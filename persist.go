@@ -46,12 +46,18 @@ import (
 //
 // The table states every graph's exact byte size up front, so a truncated or
 // inconsistent file fails with a clear error instead of a misaligned read.
-// No count in the file is trusted for an allocation before the bytes it
-// counts have arrived: payloads and neighbour lists grow with the stream
-// (at most doubling, vec.Grow), so a lying length costs at most about twice
-// the bytes actually read. The build options are bounded (checkGraph) as
-// Build bounds them, so a lying τ, κ or ξ cannot make the first Append of a
-// loaded index allocate or run without limit.
+// No count in the file is trusted for an allocation beyond the bytes that
+// can back it. From a source that reports how many bytes it holds (a
+// regular file, or an in-memory reader's Len: vec.Budget), each payload and
+// each graph's neighbour array is one allocation, never larger than those
+// bytes, so an honest file allocates each once, at its size, and a lying
+// length fails at EOF having allocated at most the file. From any other
+// source they grow with the stream (at most doubling, vec.Grow), so a lying
+// length costs at most about twice the bytes actually read. An
+// io.LimitedReader's N is never such a count: it caps the bytes read and
+// says nothing about the bytes there are. The build options are bounded
+// (checkGraph) as Build bounds them, so a lying τ, κ or ξ cannot make the
+// first Append of a loaded index allocate or run without limit.
 //
 // Versions 1–6, written by earlier releases, are read (persist_legacy.go
 // translates their headers into readBody's input) and never written; they
@@ -238,27 +244,53 @@ func (c config) appendOptions(b []byte) []byte {
 // SearchBatch and (when monolithic) Cluster, and answers like the saved one;
 // from a v7 file, Append and Compact also build as they would have on it.
 func ReadIndexFrom(r io.Reader) (*Index, error) {
-	hdr := make([]uint32, 4)
-	if err := binary.Read(r, binary.LittleEndian, hdr); err != nil {
-		return nil, fmt.Errorf("gkmeans: reading index header: %w", err)
-	}
-	if hdr[0] != indexMagic {
-		return nil, fmt.Errorf("gkmeans: bad index magic %#x", hdr[0])
-	}
-	h := gkxHeader{version: hdr[1], flags: hdr[2], cfg: config{entries: int(hdr[3])}}
-	if h.version != indexVersion {
-		if err := h.readLegacy(r); err != nil {
-			return nil, err
-		}
-		return readBody(r, h)
-	}
-	if err := h.readShape(r); err != nil {
-		return nil, err
-	}
-	if err := h.readOptions(r); err != nil {
+	h, err := readHeader(r)
+	if err != nil {
 		return nil, err
 	}
 	return readBody(r, h)
+}
+
+// IndexFileDim returns the dimensionality of the index saved at path,
+// reading only its header and its dataset's shape: what a caller that will
+// not serve the file's rows needs to check it against another index.
+func IndexFileDim(path string) (int, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	if _, err := readHeader(f); err != nil {
+		return 0, err
+	}
+	var shape [8]byte // the dataset matrix's uint32 row count and dimensionality
+	if _, err := io.ReadFull(f, shape[:]); err != nil {
+		return 0, fmt.Errorf("gkmeans: reading dataset shape: %w", err)
+	}
+	d := binary.LittleEndian.Uint32(shape[4:])
+	if d == 0 || d > math.MaxInt32 {
+		return 0, fmt.Errorf("gkmeans: invalid dataset dimensionality %d", d)
+	}
+	return int(d), nil
+}
+
+// readHeader reads the header of any layout, v7 or legacy, up to the dataset.
+func readHeader(r io.Reader) (gkxHeader, error) {
+	hdr := make([]uint32, 4)
+	if err := binary.Read(r, binary.LittleEndian, hdr); err != nil {
+		return gkxHeader{}, fmt.Errorf("gkmeans: reading index header: %w", err)
+	}
+	if hdr[0] != indexMagic {
+		return gkxHeader{}, fmt.Errorf("gkmeans: bad index magic %#x", hdr[0])
+	}
+	h := gkxHeader{version: hdr[1], flags: hdr[2], cfg: config{entries: int(hdr[3])}}
+	if h.version != indexVersion {
+		return h, h.readLegacy(r)
+	}
+	if err := h.readShape(r); err != nil {
+		return h, err
+	}
+	return h, h.readOptions(r)
 }
 
 // readOptions reads the build options that end a v7 header.

@@ -420,6 +420,54 @@ func TestEveryStateRoundTripsThroughOneLayout(t *testing.T) {
 	}
 }
 
+// Whatever the source — a file, an in-memory reader that reports its Len, or
+// a stream that reports nothing (a bare io.Reader, or an io.LimitedReader
+// over one, whose N is never trusted) — every state and every legacy fixture loads to
+// the same index: it re-saves to the same bytes, which for a v7 blob are the
+// blob itself. Only the allocations on the way differ.
+func TestEverySourceLoadsTheSameIndex(t *testing.T) {
+	blobs := map[string][]byte{}
+	for _, name := range gkxStates {
+		blobs[name] = gkxBlob(t, gkxState(t, name))
+	}
+	for _, fx := range legacyFixtures {
+		blobs[fx.name] = gkxFixture(t, fx.name)
+	}
+	path := filepath.Join(t.TempDir(), "idx.gkx")
+	for name, blob := range blobs {
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var want []byte
+		for _, src := range []struct {
+			via  string
+			read func() (*Index, error)
+		}{
+			{"file", func() (*Index, error) { return LoadIndex(path) }},
+			{"byte reader", func() (*Index, error) { return ReadIndexFrom(bytes.NewReader(blob)) }},
+			{"bare stream", func() (*Index, error) { return ReadIndexFrom(struct{ io.Reader }{bytes.NewReader(blob)}) }},
+			{"limited stream", func() (*Index, error) {
+				return ReadIndexFrom(io.LimitReader(struct{ io.Reader }{bytes.NewReader(blob)}, 1<<40))
+			}},
+		} {
+			idx, err := src.read()
+			if err != nil {
+				t.Fatalf("%s from a %s: %v", name, src.via, err)
+			}
+			got := gkxBlob(t, idx)
+			if want == nil {
+				want = got
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s from a %s re-saves to other bytes than from a file", name, src.via)
+			}
+		}
+		if binary.LittleEndian.Uint32(blob[4:]) == indexVersion && !bytes.Equal(want, blob) {
+			t.Fatalf("%s does not re-save to its own bytes", name)
+		}
+	}
+}
+
 // With more entry points than ef every segment seeds its queries from the
 // grouped entry scan. The groups are derived state, rebuilt from the loaded
 // rows and the persisted entry count, so the loaded index must answer — and

@@ -40,14 +40,22 @@ func defaultEf(topK, ef int) int {
 	return ef
 }
 
-// checkQuery rejects a query of the wrong dimensionality, or one holding a
-// value CheckByteValues refuses. Search has no error return (either is a
-// programming error, like an out-of-range slice index), so it panics — here,
-// on the caller's goroutine, and never in a fan-out or batch worker, where a
-// panic would end the process.
+// checkQuery rejects a query of the wrong dimensionality, one holding a
+// NaN, or one holding a value CheckByteValues refuses. A NaN distance has no
+// place in the sorted candidate pool, which assumes every distance compares.
+// ±Inf does compare (every distance from it is +Inf, so the answer is the
+// first topK rows reached) and stays a valid float32 query. Search has no
+// error return (each is a programming error, like an out-of-range slice
+// index), so it panics — here, on the caller's goroutine, and never in a
+// fan-out or batch worker, where a panic would end the process.
 func (x *Index) checkQuery(q []float32) {
 	if len(q) != x.Dim() {
 		panic(fmt.Sprintf("gkmeans: query dimensionality %d, index dimensionality %d", len(q), x.Dim()))
+	}
+	for i, v := range q {
+		if v != v {
+			panic(fmt.Sprintf("gkmeans: query value NaN at dim %d", i))
+		}
 	}
 	if err := x.CheckByteValues(q); err != nil {
 		panic(err.Error())
@@ -64,9 +72,9 @@ func (x *Index) checkQuery(q []float32) {
 // current top-topK results and a further patience window of expansions has
 // not improved them either, so easy queries finish well below the ef
 // budget while hard ones use all of it. topK larger than the index returns
-// all indexed samples. q must have the index's dimensionality, and on a
-// uint8 index exact byte values; anything else panics. Safe to call from
-// any goroutine.
+// all indexed samples. q must have the index's dimensionality, no NaN
+// (±Inf is allowed), and on a uint8 index exact byte values; anything else
+// panics. Safe to call from any goroutine.
 //
 // The query probes every segment (each bounded by the same topK and ef)
 // and the per-segment results merge into one global top-topK; SearchNProbe

@@ -2,8 +2,10 @@ package gkmeans
 
 import (
 	"context"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -90,6 +92,58 @@ func TestSearchDimensionMismatchPanics(t *testing.T) {
 	assertDimPanic("Search short", func() { idx.Search(make([]float32, idx.Dim()-1), 5, 32) })
 	assertDimPanic("Search long", func() { idx.Search(make([]float32, idx.Dim()+1), 5, 32) })
 	assertDimPanic("SearchBatch", func() { idx.SearchBatch(NewMatrix(3, idx.Dim()+2), 5, 32) })
+}
+
+// A NaN coordinate panics in checkQuery, on the caller's goroutine, before
+// any segment is searched: in a full candidate pool a NaN distance has no
+// slot, and on a sharded index that panic would fire in a fan-out goroutine,
+// out of the caller's recover, and end the process. ±Inf stays a query that
+// answers.
+func TestSearchRefusesNaN(t *testing.T) {
+	data := dataset.SIFTLike(2000, 5)
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"one segment", nil},
+		{"sharded", []Option{WithShards(2)}},
+		{"routed", []Option{WithShards(2), WithRouting(8)}},
+	} {
+		opts := append([]Option{WithKappa(10), WithXi(25), WithTau(3), WithSeed(5), WithEntryPoints(128)}, tc.opts...)
+		idx, err := Build(context.Background(), data, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := slices.Clone(data.Row(0))
+		batch := NewMatrix(2, idx.Dim())
+		copy(batch.Data, data.Data[:2*idx.Dim()])
+		searches := map[string]func(){
+			"Search":            func() { idx.Search(q, 10, 64) },
+			"SearchNProbe":      func() { idx.SearchNProbe(q, 10, 64, 1) },
+			"SearchBatch":       func() { idx.SearchBatch(batch, 10, 64) },
+			"SearchBatchNProbe": func() { idx.SearchBatchNProbe(batch, 10, 64, 1) },
+		}
+		q[7], batch.Row(1)[7] = float32(math.NaN()), float32(math.NaN())
+		for name, search := range searches {
+			func() {
+				defer func() {
+					if msg, _ := recover().(string); msg != "gkmeans: query value NaN at dim 7" {
+						t.Fatalf("%s %s: NaN query panicked with %q, want the NaN refusal", tc.name, name, msg)
+					}
+				}()
+				search()
+			}()
+		}
+		for _, inf := range []float32{float32(math.Inf(1)), float32(math.Inf(-1))} {
+			q[7], batch.Row(1)[7] = inf, inf
+			if got := idx.Search(q, 10, 64); len(got) != 10 {
+				t.Fatalf("%s: a %v query answered %d results, want 10", tc.name, inf, len(got))
+			}
+			if got := idx.SearchBatchNProbe(batch, 10, 64, 1); len(got[1]) != 10 {
+				t.Fatalf("%s: a %v batch query answered %d results, want 10", tc.name, inf, len(got[1]))
+			}
+		}
+	}
 }
 
 // An empty batch must not trip the dimensionality check (a zero-value
