@@ -261,13 +261,13 @@
 //	ins, err := cl.Insert(ctx, "sift", vectors)
 //	del, err := cl.Delete(ctx, "sift", 17, 205)
 //
-// See examples/serve for the full build → persist → serve → query → drain
-// walkthrough in one process.
+// The daemon is cmd/gkserved; startE2E in client/client_test.go runs the
+// full build → persist → serve → query → drain path in one process.
 //
 // # Further reading
 //
 // BoostKMeans (the exhaustive quality yardstick) is not graph-based and is
-// a free function. See examples/quickstart for a full walkthrough,
-// the Example functions in this package for runnable snippets that CI
-// executes, and ARCHITECTURE.md for the layer map and on-disk formats.
+// a free function. See the Example functions in this package for runnable
+// snippets that CI executes, and ARCHITECTURE.md for the layer map and
+// on-disk formats.
 package gkmeans

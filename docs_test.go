@@ -6,7 +6,7 @@ package gkmeans_test
 // cannot rot as files move. PAPERS.md and SNIPPETS.md are excluded — they
 // are retrieved source material, not documentation this repo maintains.
 // TestDocCommandsExist does the same for the programs the docs tell a
-// reader to run.
+// reader to run or name by path.
 
 import (
 	"go/parser"
@@ -77,13 +77,15 @@ func TestMarkdownLinks(t *testing.T) {
 	}
 }
 
-// docCommand matches the two shapes in which the docs name a program of
-// this module: `go run ./<path>` and a bare `./cmd/<name>`.
-var docCommand = regexp.MustCompile(`(?:go run \./|\./cmd/)[A-Za-z0-9_/-]+`)
+// docCommand matches the shapes in which the docs name a program of this
+// module: `go run ./<path>` (group 1), and a `cmd/<name>` or
+// `examples/<name>` path, bare or behind `./`, that is not the tail of a
+// longer path (group 2).
+var docCommand = regexp.MustCompile(`go run \./([A-Za-z0-9_/-]+)|(?:^|[^A-Za-z0-9_/.-])(?:\./)?((?:cmd|examples)/[A-Za-z0-9_-]+)`)
 
 func TestDocCommandsExist(t *testing.T) {
 	pages := []string{
-		"README.md", "ARCHITECTURE.md", "OPERATIONS.md",
+		"README.md", "ARCHITECTURE.md", "OPERATIONS.md", "doc.go",
 		"benchmark/README.md", ".claude/skills/verify/SKILL.md",
 	}
 	checked := 0
@@ -92,11 +94,11 @@ func TestDocCommandsExist(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, m := range docCommand.FindAllString(string(blob), -1) {
+		for _, m := range docCommand.FindAllStringSubmatch(string(blob), -1) {
 			checked++
-			dir := strings.TrimPrefix(m, "go run ")
+			dir := m[1] + m[2]
 			if !holdsPackageMain(dir) {
-				t.Errorf("%s: %q names no directory holding a package main", page, m)
+				t.Errorf("%s: %q names no directory holding a package main", page, dir)
 			}
 		}
 	}

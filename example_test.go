@@ -140,3 +140,55 @@ func ExampleBuild_sharded() {
 	// closest id=150 dist=0
 	// stats aggregate across shards: queries=1
 }
+
+// The k-NN graph is the expensive part of an index; Cluster reuses it, so
+// sweeping the number of clusters pays for the graph once.
+func ExampleIndex_Cluster() {
+	data := exampleVectors(200)
+	idx, err := gkmeans.Build(context.Background(), data,
+		gkmeans.WithKappa(8), gkmeans.WithTau(4), gkmeans.WithSeed(1))
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, k := range []int{2, 5, 10} {
+		res, err := idx.Cluster(context.Background(), k, gkmeans.WithSeed(2))
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("k=%d: %d labels, %d centroids, index's own graph: %t\n",
+			k, len(res.Labels), res.Centroids.N, res.Graph == idx.Graph())
+	}
+	// Output:
+	// k=2: 200 labels, 2 centroids, index's own graph: true
+	// k=5: 200 labels, 5 centroids, index's own graph: true
+	// k=10: 200 labels, 10 centroids, index's own graph: true
+}
+
+// Each sample's list in the k-NN graph holds its closest samples, so
+// finding duplicates is one pass over the graph's edges instead of an
+// all-pairs scan.
+func ExampleIndex_Graph() {
+	data := exampleVectors(200)
+	rows := make([][]float32, 0, data.N+1)
+	for i := range data.N {
+		rows = append(rows, data.Row(i))
+	}
+	rows = append(rows, data.Row(42)) // sample 200 duplicates sample 42
+	idx, err := gkmeans.Build(context.Background(), gkmeans.FromRows(rows),
+		gkmeans.WithKappa(8), gkmeans.WithTau(4), gkmeans.WithSeed(1))
+	if err != nil {
+		log.Fatal(err)
+	}
+	seen := map[[2]int32]bool{} // an edge may be stored in both lists
+	for i, list := range idx.Graph().Lists {
+		for _, nb := range list {
+			pair := [2]int32{min(int32(i), nb.ID), max(int32(i), nb.ID)}
+			if nb.Dist == 0 && !seen[pair] {
+				seen[pair] = true
+				fmt.Printf("duplicates: %d and %d\n", pair[0], pair[1])
+			}
+		}
+	}
+	// Output:
+	// duplicates: 42 and 200
+}

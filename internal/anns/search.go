@@ -315,10 +315,6 @@ func (s *Searcher) adjacency(id int32) []int32 {
 // Edges returns the number of directed edges in the symmetrised adjacency.
 func (s *Searcher) Edges() int { return len(s.neighbors) }
 
-// Entries returns the number of search entry points (evenly spread ids plus
-// the per-component top-up).
-func (s *Searcher) Entries() int { return len(s.entry) }
-
 // components labels the connected components of the symmetrised graph with
 // an iterative DFS (the CSR holds both edge directions, so directed reach
 // equals undirected components).

@@ -134,28 +134,16 @@ func (g *Graph) Lookup(i int, id int32) (float32, bool) {
 // the "average recall (top-1)" of the paper's evaluation protocol (§5.1).
 // Nodes with an empty exact list are skipped.
 func (g *Graph) Recall(exact *Graph) float64 {
-	return g.RecallSampled(exact, nil)
-}
-
-// RecallSampled is Recall restricted to the given node subset; a nil subset
-// means all nodes. The paper uses a 100-node sample for VLAD10M (§5.1).
-func (g *Graph) RecallSampled(exact *Graph, nodes []int) float64 {
 	if exact.N() != g.N() {
 		panic(fmt.Sprintf("knngraph: recall against graph of different size %d vs %d", exact.N(), g.N()))
 	}
-	if nodes == nil {
-		nodes = make([]int, g.N())
-		for i := range nodes {
-			nodes[i] = i
-		}
-	}
 	hits, total := 0, 0
-	for _, i := range nodes {
-		if len(exact.Lists[i]) == 0 {
+	for i, list := range exact.Lists {
+		if len(list) == 0 {
 			continue
 		}
 		total++
-		if g.Contains(i, exact.Lists[i][0].ID) {
+		if g.Contains(i, list[0].ID) {
 			hits++
 		}
 	}
@@ -163,6 +151,15 @@ func (g *Graph) RecallSampled(exact *Graph, nodes []int) float64 {
 		return 0
 	}
 	return float64(hits) / float64(total)
+}
+
+// Clone returns a deep copy of the graph.
+func (g *Graph) Clone() *Graph {
+	out := New(g.N(), g.Kappa)
+	for i, list := range g.Lists {
+		out.Lists[i] = append(out.Lists[i], list...)
+	}
+	return out
 }
 
 // saltRandom tags the per-node splitmix streams of Random so they never
@@ -450,14 +447,4 @@ func (g *Graph) SaveFile(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// LoadFile reads a graph from a file written by SaveFile.
-func LoadFile(path string) (*Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Read(f)
 }

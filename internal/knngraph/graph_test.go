@@ -3,6 +3,7 @@ package knngraph
 import (
 	"bytes"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"slices"
 	"testing"
@@ -222,15 +223,40 @@ func TestRandomWorkerCountInvariant(t *testing.T) {
 	}
 }
 
-func TestRecallSampled(t *testing.T) {
+func TestRecall(t *testing.T) {
 	data := dataset.Uniform(40, 4, 2)
 	exact := BruteForce(data, 3, 0)
-	if r := exact.RecallSampled(exact, []int{0, 1, 2}); r != 1 {
-		t.Fatalf("sampled self recall %v", r)
-	}
-	empty := New(40, 3)
-	if r := empty.Recall(exact); r != 0 {
+	if r := New(40, 3).Recall(exact); r != 0 {
 		t.Fatalf("empty graph recall %v", r)
+	}
+	// A graph holding the true nearest neighbour of the first 10 nodes only.
+	part := New(40, 3)
+	for i := range 10 {
+		part.Insert(i, exact.Lists[i][0].ID, exact.Lists[i][0].Dist)
+	}
+	if r := part.Recall(exact); r != 0.25 {
+		t.Fatalf("recall over 10 of 40 nodes = %v, want 0.25", r)
+	}
+	// Nodes with an empty exact list are skipped, not counted as misses.
+	sub := exact.Clone()
+	for i := 10; i < 40; i++ {
+		sub.Lists[i] = sub.Lists[i][:0]
+	}
+	if r := part.Recall(sub); r != 1 {
+		t.Fatalf("recall over the 10 nodes with exact lists = %v, want 1", r)
+	}
+}
+
+func TestCloneIndependent(t *testing.T) {
+	data := dataset.Uniform(30, 4, 5)
+	g := BruteForce(data, 4, 0)
+	c := g.Clone()
+	c.Insert(0, int32(29), 0.000001)
+	if g.Lists[0][0] == c.Lists[0][0] && g.Lists[0][0].Dist == 0.000001 {
+		t.Fatal("clone shares storage")
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -285,15 +311,20 @@ func TestSaveLoadFile(t *testing.T) {
 	if err := g.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadFile(path)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	got, err := Read(f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.N() != 20 {
 		t.Fatalf("loaded %d nodes", got.N())
 	}
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing")); err == nil {
-		t.Fatal("expected error for missing file")
+	if err := g.SaveFile(filepath.Join(t.TempDir(), "missing", "g.knn")); err == nil {
+		t.Fatal("expected error for a missing directory")
 	}
 }
 

@@ -168,8 +168,8 @@ func New(cfg Config) *Server {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // RegisterIndex serves an already-loaded index under name — the path used
-// by tests and examples embedding the server. When a compaction checkpoint
-// in the data directory supersedes idx, the checkpoint is served instead.
+// by tests embedding the server. When a compaction checkpoint in the data
+// directory supersedes idx, the checkpoint is served instead.
 func (s *Server) RegisterIndex(name string, idx *gkmeans.Index) error {
 	if s.hasCheckpoint(name) {
 		cp, err := s.loadCheckpoint(name, idx.Dim())
